@@ -4,134 +4,52 @@ Builds and compares three index aggregation methods over a dense
 regions-by-indicators dataset: a hierarchical arithmetic/geometric index,
 a two-level weighted arithmetic index, and a two-stage principal-component
 index. Ships a reference dataset of nine Portuguese NUTS III regions.
+
+The names below are the ones the README and the demos use; everything else
+is imported from its submodule (``indexforge.aggregate``, ``indexforge.pca``
+and so on).
 """
 
-from .aggregate import (
-    DEFAULT_PILLAR_WEIGHTS,
-    build_index_result,
-    compute_abreu,
-    compute_delphi,
-    delphi_default_weights,
-    geometric_mean,
-    pillar_arithmetic_means,
-    rank_regions,
-    rescale_final,
-    write_index_csv,
-    write_index_json,
-)
-from .ingest import (
-    composite_indicator,
-    parse_dataset,
-    parse_manifest,
-    write_dataset_csv,
-    write_dataset_json,
-)
+from .aggregate import compute_abreu, compute_delphi, write_index_csv
+from .ingest import composite_indicator
 from .model import (
     PILLARS,
     Direction,
-    IndexResult,
     IndicatorMatrix,
     IndicatorSpec,
-    Manifest,
     Method,
     Pillar,
-    PillarScores,
-    Stage,
-    WeightScheme,
     build_weight_scheme,
     validate_manifest,
 )
-from .normalize import (
-    DegenerateColumnWarning,
-    NormalizationRecord,
-    normalize_column,
-    normalize_matrix,
-    write_normalization_csv,
-)
-from .pca import (
-    EigenPair,
-    PcaAudit,
-    PcaStage,
-    REFERENCE_VARIANCE_PROFILE,
-    compute_pca,
-    correlation_matrix,
-    eigen_symmetric,
-    pca_pillar,
-    pca_stage2,
-    write_pca_audit,
-)
-from .stats import (
-    ComparisonReport,
-    DescriptiveStats,
-    build_comparison,
-    crossings,
-    describe,
-    pearson,
-    rank_table,
-    write_parallel_csv,
-    write_parallel_svg,
-    write_report_csv,
-    write_report_json,
-    write_scatter_csv,
-)
+from .normalize import normalize_matrix, write_normalization_csv
+from .pca import REFERENCE_VARIANCE_PROFILE, compute_pca, correlation_matrix, eigen_symmetric
+from .stats import build_comparison, describe, pearson, write_parallel_svg, write_report_json
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_PILLAR_WEIGHTS",
-    "ComparisonReport",
-    "DegenerateColumnWarning",
-    "DescriptiveStats",
+    "PILLARS",
+    "REFERENCE_VARIANCE_PROFILE",
     "Direction",
-    "EigenPair",
-    "IndexResult",
     "IndicatorMatrix",
     "IndicatorSpec",
-    "Manifest",
     "Method",
-    "NormalizationRecord",
-    "PILLARS",
-    "PcaAudit",
-    "PcaStage",
     "Pillar",
-    "PillarScores",
-    "REFERENCE_VARIANCE_PROFILE",
-    "Stage",
-    "WeightScheme",
     "build_comparison",
-    "build_index_result",
     "build_weight_scheme",
     "composite_indicator",
     "compute_abreu",
     "compute_delphi",
     "compute_pca",
     "correlation_matrix",
-    "crossings",
-    "delphi_default_weights",
     "describe",
     "eigen_symmetric",
-    "geometric_mean",
-    "normalize_column",
     "normalize_matrix",
-    "parse_dataset",
-    "parse_manifest",
-    "pca_pillar",
-    "pca_stage2",
     "pearson",
-    "pillar_arithmetic_means",
-    "rank_regions",
-    "rank_table",
-    "rescale_final",
     "validate_manifest",
-    "write_dataset_csv",
-    "write_dataset_json",
     "write_index_csv",
-    "write_index_json",
     "write_normalization_csv",
-    "write_parallel_csv",
     "write_parallel_svg",
-    "write_pca_audit",
-    "write_report_csv",
     "write_report_json",
-    "write_scatter_csv",
 ]

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import warnings
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Sequence
 
 import numpy as np
 
@@ -55,65 +54,63 @@ def pillar_arithmetic_means(matrix: IndicatorMatrix, manifest: Manifest) -> Pill
     """Unweighted mean of each pillar's normalized indicators, per region."""
     if matrix.stage is not Stage.NORMALIZED:
         raise ValueError("pillar means are defined on a normalized matrix")
-    scores: dict[str, dict[Pillar, float]] = {}
-    pillar_columns = {p: matrix.columns(manifest.pillar_ids(p)) for p in PILLARS}
-    for i, region in enumerate(matrix.regions):
-        scores[region] = {p: float(cols[i].mean()) for p, cols in pillar_columns.items()}
-    return PillarScores(method=Method.ABREU, scores=scores)
+    # Row-contiguous blocks keep numpy's pairwise summation per region, the
+    # same as a 1-D mean of each row (the fancy-indexed block is column-major).
+    means = [
+        np.ascontiguousarray(matrix.columns(manifest.pillar_ids(p))).mean(axis=1)
+        for p in PILLARS
+    ]
+    return PillarScores(matrix.regions, np.column_stack(means))
 
 
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean of nonnegative values; exactly 0 if any value is 0.
+def geometric_mean(values) -> np.ndarray | float:
+    """Geometric mean over the last axis of nonnegative values.
 
-    Computed as exp(mean(log x)) for numerical robustness. The zero case
-    is short-circuited (no epsilon flooring): one collapsed component is
-    meant to zero the whole product.
+    Computed as exp(mean(log x)) for numerical robustness. A zero anywhere
+    along the axis gives exactly 0 (no epsilon flooring): one collapsed
+    component is meant to zero the whole product. A 1-D input gives a scalar.
     """
-    values = [float(v) for v in values]
-    if not values:
+    x = np.asarray(values, dtype=float)
+    if x.ndim == 0 or x.shape[-1] == 0:
         raise ValueError("geometric mean of an empty sequence")
-    for v in values:
-        if v < 0:
-            raise NegativeInputError(v)
-    if any(v == 0.0 for v in values):
-        return 0.0
-    return float(math.exp(sum(math.log(v) for v in values) / len(values)))
+    negative = x[x < 0]
+    if negative.size:
+        raise NegativeInputError(float(negative[0]))
+    zero = (x == 0.0).any(axis=-1)
+    logs = np.log(np.where(x == 0.0, 1.0, x))
+    return np.where(zero, 0.0, np.exp(logs.sum(axis=-1) / x.shape[-1]))[()]
 
 
-def rescale_final(raw_index: Mapping[str, float]) -> dict[str, float]:
-    """Min-max rescale a raw index so it spans [0, 1] over the regions.
+def rescale_final(raw) -> np.ndarray:
+    """Min-max rescale a raw index vector so it spans [0, 1] over the regions.
 
     An all-equal input cannot be spanned; it maps to 0.5 everywhere with a
     DegenerateColumnWarning.
     """
-    if len(raw_index) < 2:
+    values = np.asarray(raw, dtype=float)
+    if values.size < 2:
         raise ValueError("rescaling needs at least two regions")
-    values = np.array(list(raw_index.values()), dtype=float)
-    lo, hi = float(values.min()), float(values.max())
+    lo, hi = values.min(), values.max()
     if hi == lo:
         warnings.warn(
             "raw index is constant across regions; rescaled to 0.5",
             DegenerateColumnWarning,
             stacklevel=2,
         )
-        return {region: 0.5 for region in raw_index}
-    return {region: (value - lo) / (hi - lo) for region, value in raw_index.items()}
+        return np.full_like(values, 0.5)
+    return (values - lo) / (hi - lo)
 
 
-def rank_regions(rescaled_index: Mapping[str, float]) -> tuple[str, ...]:
+def rank_regions(regions: Sequence[str], rescaled) -> tuple[str, ...]:
     """Regions in descending index order; ties broken by label."""
-    return tuple(sorted(rescaled_index, key=lambda region: (-rescaled_index[region], region)))
+    order = np.lexsort((np.array(regions, dtype=str), -np.asarray(rescaled, dtype=float)))
+    return tuple(np.array(regions, dtype=object)[order])
 
 
-def build_index_result(method: Method, raw_index: Mapping[str, float]) -> IndexResult:
+def build_index_result(method: Method, regions: Sequence[str], raw) -> IndexResult:
     """Attach the rescaled index and ranking to a raw index vector."""
-    rescaled = rescale_final(raw_index)
-    return IndexResult(
-        method=method,
-        raw_index=dict(raw_index),
-        rescaled_index=rescaled,
-        ranking=rank_regions(rescaled),
-    )
+    rescaled = rescale_final(raw)
+    return IndexResult(method, regions, raw, rescaled, rank_regions(regions, rescaled))
 
 
 def compute_abreu(matrix: IndicatorMatrix, manifest: Manifest) -> IndexResult:
@@ -123,11 +120,7 @@ def compute_abreu(matrix: IndicatorMatrix, manifest: Manifest) -> IndexResult:
     contribute equally.
     """
     pillar_scores = pillar_arithmetic_means(matrix, manifest)
-    raw = {
-        region: geometric_mean(scores[p] for p in PILLARS)
-        for region, scores in pillar_scores.scores.items()
-    }
-    return build_index_result(Method.ABREU, raw)
+    return build_index_result(Method.ABREU, matrix.regions, geometric_mean(pillar_scores.values))
 
 
 def compute_delphi(
@@ -156,33 +149,30 @@ def compute_delphi(
             for ind in matrix.indicators
         ]
     )
-    raw_vector = matrix.values @ flat
-    raw = {region: float(raw_vector[i]) for i, region in enumerate(matrix.regions)}
-    return build_index_result(Method.DELPHI, raw)
+    return build_index_result(Method.DELPHI, matrix.regions, matrix.values @ flat)
 
 
 def write_index_csv(result: IndexResult, path: str | Path) -> None:
     """Write one method's index as CSV (region,raw,rescaled,rank)."""
-    ranks = {region: position + 1 for position, region in enumerate(result.ranking)}
+    rank = dict(zip(result.ranking, range(1, len(result.ranking) + 1)))
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["region", "raw", "rescaled", "rank"])
-        for region in result.regions:
-            writer.writerow(
-                [
-                    region,
-                    f"{result.raw_index[region]:.6f}",
-                    f"{result.rescaled_index[region]:.6f}",
-                    ranks[region],
-                ]
+        writer.writerows(
+            zip(
+                result.regions,
+                map("{:.6f}".format, result.raw.tolist()),
+                map("{:.6f}".format, result.rescaled.tolist()),
+                map(rank.get, result.regions),
             )
+        )
 
 
 def write_index_json(result: IndexResult, path: str | Path) -> None:
     payload = {
         "method": result.method.value,
-        "raw_index": {r: result.raw_index[r] for r in result.regions},
-        "rescaled_index": {r: result.rescaled_index[r] for r in result.regions},
+        "raw_index": dict(zip(result.regions, result.raw.tolist())),
+        "rescaled_index": dict(zip(result.regions, result.rescaled.tolist())),
         "ranking": list(result.ranking),
     }
     Path(path).write_text(

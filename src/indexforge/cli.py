@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -25,7 +26,12 @@ from .aggregate import (
     write_index_csv,
     write_index_json,
 )
-from .errors import CompositeIndexError, FewerThanTwoMethodsError, NoConvergenceError
+from .errors import (
+    CompositeIndexError,
+    FewerThanTwoMethodsError,
+    NoConvergenceError,
+    WeightFormatError,
+)
 from .ingest import parse_dataset, parse_manifest
 from .model import PILLARS, IndicatorMatrix, Manifest, Method, Pillar, WeightScheme
 from .normalize import normalize_matrix, write_normalization_csv
@@ -89,18 +95,26 @@ def _load_weights_csv(path: Path, manifest: Manifest) -> WeightScheme:
         reader = csv.DictReader(handle)
         expected = ("scope", "id", "weight")
         if tuple(reader.fieldnames or ()) != expected:
-            raise CompositeIndexError(
-                f"weights file header must be {','.join(expected)}"
-            )
+            raise WeightFormatError(f"weights file header must be {','.join(expected)}")
         for row in reader:
-            scope = row["scope"].strip().lower()
-            weight = float(row["weight"])
+            scope = (row["scope"] or "").strip().lower()
+            try:
+                weight = float(row["weight"])
+            except (TypeError, ValueError):
+                raise WeightFormatError(
+                    f"non-numeric weight {row['weight']!r} for {row['id']!r}"
+                ) from None
+            if not math.isfinite(weight):
+                raise WeightFormatError(f"non-finite weight {weight} for {row['id']!r}")
             if scope == "pillar":
-                pillar_weights[Pillar(row["id"])] = weight
+                try:
+                    pillar_weights[Pillar(row["id"])] = weight
+                except ValueError:
+                    raise WeightFormatError(f"unknown pillar {row['id']!r}") from None
             elif scope == "indicator":
                 indicator_weights[row["id"]] = weight
             else:
-                raise CompositeIndexError(f"unknown weight scope {row['scope']!r}")
+                raise WeightFormatError(f"unknown weight scope {row['scope']!r}")
     return build_weight_scheme(
         manifest,
         pillar_weights=pillar_weights or None,
@@ -121,13 +135,15 @@ def _is_bundled_dataset(args) -> bool:
         return False
 
 
+def _require_two_methods(methods) -> None:
+    if len(methods) < 2:
+        raise FewerThanTwoMethodsError(
+            f"comparison needs at least two methods, got {len(methods)}"
+        )
+
+
 def cmd_validate(args) -> int:
-    try:
-        manifest, matrix = _load_inputs(args)
-    except OSError as exc:
-        return _fail(args, EXIT_IO, "io", str(exc))
-    except CompositeIndexError as exc:
-        return _fail(args, EXIT_VALIDATION, "validation", str(exc))
+    manifest, matrix = _load_inputs(args)
     sizes = manifest.pillar_sizes()
     summary = {
         "regions": len(matrix.regions),
@@ -156,6 +172,7 @@ def _fail(args, code: int, kind: str, message: str) -> int:
 
 
 def _compute_results(args, manifest, matrix, methods):
+    """Normalize once and compute each requested method once."""
     normalized, records = normalize_matrix(matrix, manifest)
     results = {}
     audit = None
@@ -173,77 +190,64 @@ def _compute_results(args, manifest, matrix, methods):
             results[method], audit = compute_pca(
                 normalized, manifest, reference_profile=profile
             )
-    return normalized, records, results, audit
+    return records, results, audit
+
+
+def _write_computed(args, records, results, audit) -> None:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_normalization_csv(records, out / "normalization.csv")
+    for method, result in results.items():
+        write_index_csv(result, out / f"{method.value}.csv")
+        write_index_json(result, out / f"{method.value}.json")
+    if audit is not None:
+        write_pca_audit(audit, out / "pca_audit.json")
+    print(_ok(f"computed {', '.join(m.value for m in results)} -> {out}"))
+
+
+def _write_comparison(args, report, results) -> None:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_report_json(report, out / "report.json")
+    write_report_csv(report, out / "report.csv")
+    write_parallel_csv(results, out / "parallel.csv")
+    write_parallel_svg(results, out / "parallel.svg")
+    write_scatter_csv(results, out / "scatter.csv")
+    for i, a in enumerate(report.methods):
+        for b in report.methods[i + 1:]:
+            print(f"pearson {a.value}:{b.value} = {report.pairwise_r[(a, b)]:.4f}")
+    print(_ok(f"comparison artifacts -> {args.out}"))
 
 
 def cmd_compute(args) -> int:
-    try:
-        manifest, matrix = _load_inputs(args)
-    except OSError as exc:
-        return _fail(args, EXIT_IO, "io", str(exc))
-    except CompositeIndexError as exc:
-        return _fail(args, EXIT_VALIDATION, "validation", str(exc))
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        _, records, results, audit = _compute_results(args, manifest, matrix, args.methods)
-        write_normalization_csv(records, out / "normalization.csv")
-        for method, result in results.items():
-            write_index_csv(result, out / f"{method.value}.csv")
-            write_index_json(result, out / f"{method.value}.json")
-        if audit is not None:
-            write_pca_audit(audit, out / "pca_audit.json")
-    except NoConvergenceError as exc:
-        return _fail(args, EXIT_NUMERICAL, "numerical", str(exc))
-    except CompositeIndexError as exc:
-        return _fail(args, EXIT_VALIDATION, "validation", str(exc))
-    except OSError as exc:
-        return _fail(args, EXIT_IO, "io", str(exc))
-    names = ", ".join(m.value for m in results)
-    print(_ok(f"computed {names} -> {out}"))
+    manifest, matrix = _load_inputs(args)
+    _write_computed(args, *_compute_results(args, manifest, matrix, args.methods))
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    try:
-        if args.published:
-            reference = datasets.load_reference_indexes(args.published)
-            results = [reference[m] for m in (Method.ABREU, Method.DELPHI, Method.PCA)]
-        else:
-            manifest, matrix = _load_inputs(args)
-            if len(args.methods) < 2:
-                raise FewerThanTwoMethodsError(
-                    f"comparison needs at least two methods, got {len(args.methods)}"
-                )
-            _, _, computed, _ = _compute_results(args, manifest, matrix, args.methods)
-            results = [computed[m] for m in args.methods]
-        report = build_comparison(results)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_report_json(report, out / "report.json")
-        write_report_csv(report, out / "report.csv")
-        write_parallel_csv(results, out / "parallel.csv")
-        write_parallel_svg(results, out / "parallel.svg")
-        write_scatter_csv(results, out / "scatter.csv")
-    except NoConvergenceError as exc:
-        return _fail(args, EXIT_NUMERICAL, "numerical", str(exc))
-    except CompositeIndexError as exc:
-        return _fail(args, EXIT_VALIDATION, "validation", str(exc))
-    except OSError as exc:
-        return _fail(args, EXIT_IO, "io", str(exc))
-    pairs = [(a, b) for i, a in enumerate(report.methods) for b in report.methods[i + 1:]]
-    for a, b in pairs:
-        print(f"pearson {a.value}:{b.value} = {report.pairwise_r[(a, b)]:.4f}")
-    print(_ok(f"comparison artifacts -> {args.out}"))
+    if args.published:
+        reference = datasets.load_reference_indexes(args.published)
+        results = [reference[m] for m in (Method.ABREU, Method.DELPHI, Method.PCA)]
+    else:
+        _require_two_methods(args.methods)
+        manifest, matrix = _load_inputs(args)
+        _, computed, _ = _compute_results(args, manifest, matrix, args.methods)
+        results = list(computed.values())
+    _write_comparison(args, build_comparison(results), results)
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
-    """Full pipeline: compute all requested methods, then compare them."""
-    code = cmd_compute(args)
-    if code != EXIT_OK:
-        return code
-    return cmd_compare(args)
+    """Full pipeline in one pass: compute all requested methods, then compare them."""
+    _require_two_methods(args.methods)
+    manifest, matrix = _load_inputs(args)
+    records, computed, audit = _compute_results(args, manifest, matrix, args.methods)
+    results = list(computed.values())
+    report = build_comparison(results)
+    _write_computed(args, records, computed, audit)
+    _write_comparison(args, report, results)
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,16 +295,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = subparsers.add_parser("report", help="compute and compare in one run")
     add_common(p_report)
     p_report.set_defaults(func=cmd_report)
-    # report reuses cmd_compare, which looks for the flag
-    p_report.add_argument("--published", nargs="?", const=None, help=argparse.SUPPRESS)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except NoConvergenceError as exc:
+        return _fail(args, EXIT_NUMERICAL, "numerical", str(exc))
+    except CompositeIndexError as exc:
+        return _fail(args, EXIT_VALIDATION, "validation", str(exc))
+    except OSError as exc:
+        return _fail(args, EXIT_IO, "io", str(exc))
 
 
 def console_main() -> None:

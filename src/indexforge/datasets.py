@@ -48,7 +48,8 @@ def load_reference_indexes(path: str | Path | None = None) -> dict[Method, Index
     identical because the reference columns already span [0, 1].
     """
     path = data_path(REFERENCE_FILE) if path is None else Path(path)
-    columns: dict[Method, dict[str, float]] = {m: {} for m in Method}
+    regions: list[str] = []
+    columns: dict[Method, list[float]] = {m: [] for m in Method}
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         expected = {"region", *(m.value for m in Method)}
@@ -59,14 +60,10 @@ def load_reference_indexes(path: str | Path | None = None) -> dict[Method, Index
                 f"missing {sorted(missing)}"
             )
         for row in reader:
+            regions.append(row["region"])
             for method in Method:
-                columns[method][row["region"]] = float(row[method.value])
-    results = {}
-    for method, column in columns.items():
-        results[method] = IndexResult(
-            method=method,
-            raw_index=column,
-            rescaled_index=dict(column),
-            ranking=rank_regions(column),
-        )
-    return results
+                columns[method].append(float(row[method.value]))
+    return {
+        method: IndexResult(method, regions, column, column, rank_regions(regions, column))
+        for method, column in columns.items()
+    }

@@ -34,6 +34,10 @@ class AllZeroWeightsError(CompositeIndexError):
         super().__init__(f"all weights are zero in scope {scope!r}")
 
 
+class WeightFormatError(CompositeIndexError):
+    """Malformed weight override file (header, scope, pillar name or weight)."""
+
+
 class WeightManifestMismatchError(CompositeIndexError):
     def __init__(self, unknown_ids):
         self.unknown_ids = tuple(unknown_ids)
@@ -76,6 +80,20 @@ class MissingIndicatorError(CompositeIndexError):
     def __init__(self, indicator_id: str):
         self.indicator_id = indicator_id
         super().__init__(f"manifest indicator {indicator_id!r} is absent from the data file")
+
+
+class ExtraCellError(CompositeIndexError):
+    def __init__(self, region: str, expected: int, got: int):
+        self.region = region
+        self.expected = expected
+        self.got = got
+        super().__init__(f"region {region!r} has {got} values, expected {expected}")
+
+
+class TooFewRegionsError(CompositeIndexError):
+    def __init__(self, count: int):
+        self.count = count
+        super().__init__(f"dataset has {count} region(s); at least 2 are needed")
 
 
 class DuplicateRegionError(CompositeIndexError):

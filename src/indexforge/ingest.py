@@ -18,10 +18,12 @@ import numpy as np
 from .errors import (
     ConstantComponentError,
     DuplicateRegionError,
+    ExtraCellError,
     ManifestFormatError,
     MissingCellError,
     MissingIndicatorError,
     NonNumericCellError,
+    TooFewRegionsError,
     UnknownIndicatorError,
 )
 from .model import Direction, IndicatorMatrix, IndicatorSpec, Manifest, Pillar, Stage, validate_manifest
@@ -72,8 +74,9 @@ def parse_manifest(path: str | Path) -> Manifest:
 
 def _check_header(indicator_ids: Sequence[str], manifest: Manifest) -> None:
     present = set(indicator_ids)
+    known = set(manifest.ids)
     for indicator_id in indicator_ids:
-        if indicator_id not in manifest.ids:
+        if indicator_id not in known:
             raise UnknownIndicatorError(indicator_id)
     for indicator_id in manifest.ids:
         if indicator_id not in present:
@@ -84,21 +87,67 @@ def _check_header(indicator_ids: Sequence[str], manifest: Manifest) -> None:
         raise ManifestFormatError(f"duplicate indicator columns: {', '.join(duplicates)}")
 
 
+def _check_regions(regions: Sequence[str]) -> None:
+    """At least two regions, each listed once."""
+    seen: set[str] = set()
+    for region in regions:
+        if region in seen:
+            raise DuplicateRegionError(region)
+        seen.add(region)
+    if len(regions) < 2:
+        raise TooFewRegionsError(len(regions))
+
+
+def _check_finite(
+    values: np.ndarray, regions: Sequence[str], indicator_ids: Sequence[str]
+) -> None:
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise NonNumericCellError(regions[i], indicator_ids[j], str(values[i, j]))
+
+
 def parse_dataset(path: str | Path, manifest: Manifest) -> IndicatorMatrix:
     """Parse a raw dataset file (CSV or JSON by extension) against a manifest.
 
     The data columns must match the manifest ids exactly, order-insensitive;
-    column order of the file is preserved in the returned matrix. Raises
-    MissingCellError, NonNumericCellError, DuplicateRegionError,
+    column order of the file is preserved in the returned matrix. Every row
+    has exactly one finite value per column, and there are at least two
+    regions. Raises MissingCellError, ExtraCellError, NonNumericCellError
+    (also for nan and inf), DuplicateRegionError, TooFewRegionsError,
     UnknownIndicatorError or MissingIndicatorError.
     """
     path = Path(path)
     if path.suffix.lower() == ".json":
-        return _parse_dataset_json(path, manifest)
-    return _parse_dataset_csv(path, manifest)
+        regions, indicator_ids, values = _read_dataset_json(path, manifest)
+    else:
+        regions, indicator_ids, values = _read_dataset_csv(path, manifest)
+    # reshape keeps a file without data rows at shape (0, columns)
+    values = np.array(values, dtype=float).reshape(len(regions), len(indicator_ids))
+    _check_finite(values, regions, indicator_ids)
+    _check_regions(regions)
+    return IndicatorMatrix(regions, indicator_ids, values, stage=Stage.RAW)
 
 
-def _parse_dataset_csv(path: Path, manifest: Manifest) -> IndicatorMatrix:
+def _raise_cell_error(region: str, indicator_ids: Sequence[str], cells: Sequence[str]) -> None:
+    """Raise the error for the first cell of a row that does not parse as a float."""
+    for indicator_id, text in zip(indicator_ids, cells):
+        if not text.strip():
+            raise MissingCellError(region, indicator_id)
+        try:
+            float(text)
+        except ValueError:
+            raise NonNumericCellError(region, indicator_id, text.strip()) from None
+
+
+def _check_row_length(region: str, indicator_ids: Sequence[str], n_cells: int) -> None:
+    if n_cells < len(indicator_ids):
+        raise MissingCellError(region, indicator_ids[n_cells])
+    if n_cells > len(indicator_ids):
+        raise ExtraCellError(region, len(indicator_ids), n_cells)
+
+
+def _read_dataset_csv(path: Path, manifest: Manifest):
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
@@ -114,46 +163,34 @@ def _parse_dataset_csv(path: Path, manifest: Manifest) -> IndicatorMatrix:
         for row in reader:
             if not row:
                 continue
-            region = row[0]
-            if region in regions:
-                raise DuplicateRegionError(region)
+            region, cells = row[0], row[1:]
+            _check_row_length(region, indicator_ids, len(cells))
+            try:
+                values = [float(text) for text in cells]
+            except ValueError:
+                _raise_cell_error(region, indicator_ids, cells)
+                raise
             regions.append(region)
-            cells = row[1:]
-            values = []
-            for indicator_id, text in zip(indicator_ids, cells):
-                text = text.strip()
-                if not text:
-                    raise MissingCellError(region, indicator_id)
-                try:
-                    values.append(float(text))
-                except ValueError:
-                    raise NonNumericCellError(region, indicator_id, text) from None
-            if len(cells) < len(indicator_ids):
-                raise MissingCellError(region, indicator_ids[len(cells)])
             rows.append(values)
-    return IndicatorMatrix(regions, indicator_ids, rows, stage=Stage.RAW)
+    return regions, indicator_ids, rows
 
 
-def _parse_dataset_json(path: Path, manifest: Manifest) -> IndicatorMatrix:
+def _read_dataset_json(path: Path, manifest: Manifest):
     payload = json.loads(path.read_text(encoding="utf-8"))
     regions = payload["regions"]
     indicator_ids = tuple(payload["indicators"])
     values = payload["values"]
     _check_header(indicator_ids, manifest)
-    seen: set[str] = set()
-    for region in regions:
-        if region in seen:
-            raise DuplicateRegionError(region)
-        seen.add(region)
+    if len(values) != len(regions):
+        raise ManifestFormatError(f"{len(values)} value rows for {len(regions)} regions")
     for region, row in zip(regions, values):
-        if len(row) < len(indicator_ids):
-            raise MissingCellError(region, indicator_ids[len(row)])
+        _check_row_length(region, indicator_ids, len(row))
         for indicator_id, value in zip(indicator_ids, row):
             if value is None:
                 raise MissingCellError(region, indicator_id)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise NonNumericCellError(region, indicator_id, repr(value))
-    return IndicatorMatrix(regions, indicator_ids, values, stage=Stage.RAW)
+    return regions, indicator_ids, values
 
 
 def write_dataset_csv(matrix: IndicatorMatrix, path: str | Path) -> None:

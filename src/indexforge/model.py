@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -74,18 +76,19 @@ class Manifest:
 
     specs: tuple[IndicatorSpec, ...]
 
-    @property
+    @cached_property
     def ids(self) -> tuple[str, ...]:
         return tuple(spec.id for spec in self.specs)
+
+    @cached_property
+    def _by_id(self) -> dict[str, IndicatorSpec]:
+        return {spec.id: spec for spec in self.specs}
 
     def __len__(self) -> int:
         return len(self.specs)
 
     def spec(self, indicator_id: str) -> IndicatorSpec:
-        for spec in self.specs:
-            if spec.id == indicator_id:
-                return spec
-        raise KeyError(indicator_id)
+        return self._by_id[indicator_id]
 
     def pillar_ids(self, pillar: Pillar) -> tuple[str, ...]:
         return tuple(spec.id for spec in self.specs if spec.pillar is pillar)
@@ -189,7 +192,7 @@ class IndicatorMatrix:
     matrix can be shared freely once built.
     """
 
-    __slots__ = ("regions", "indicators", "values", "stage")
+    __slots__ = ("regions", "indicators", "values", "stage", "_column_of")
 
     def __init__(
         self,
@@ -208,7 +211,8 @@ class IndicatorMatrix:
             )
         if len(set(regions)) != len(regions):
             raise ValueError("region labels must be unique")
-        if len(set(indicators)) != len(indicators):
+        column_of = {indicator_id: j for j, indicator_id in enumerate(indicators)}
+        if len(column_of) != len(indicators):
             raise ValueError("indicator ids must be unique")
         if not np.all(np.isfinite(array)):
             raise ValueError("matrix contains non-finite values")
@@ -218,6 +222,7 @@ class IndicatorMatrix:
         self.regions = regions
         self.indicators = indicators
         self.values = array
+        self._column_of = column_of
         self.stage = stage
 
     def __setattr__(self, name, value):
@@ -230,14 +235,13 @@ class IndicatorMatrix:
         return self.values.shape
 
     def column(self, indicator_id: str) -> np.ndarray:
-        return self.values[:, self.indicators.index(indicator_id)]
+        return self.values[:, self._column_of[indicator_id]]
 
     def row(self, region: str) -> np.ndarray:
         return self.values[self.regions.index(region), :]
 
     def columns(self, indicator_ids: Sequence[str]) -> np.ndarray:
-        idx = [self.indicators.index(i) for i in indicator_ids]
-        return self.values[:, idx]
+        return self.values[:, [self._column_of[i] for i in indicator_ids]]
 
     def __eq__(self, other) -> bool:
         return (
@@ -253,34 +257,56 @@ class IndicatorMatrix:
         return f"IndicatorMatrix({rows} regions x {cols} indicators, stage={self.stage.value})"
 
 
-@dataclass(frozen=True)
-class PillarScores:
-    """Per-region score for each pillar under one aggregation method."""
+def _read_only(values) -> np.ndarray:
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
 
-    method: Method
-    scores: Mapping[str, Mapping[Pillar, float]]
+
+@dataclass(frozen=True, eq=False)
+class PillarScores:
+    """Per-region score of each pillar: a regions x pillars array, PILLARS order."""
+
+    regions: tuple[str, ...]
+    values: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "regions", tuple(self.regions))
+        object.__setattr__(self, "values", _read_only(self.values))
 
     def score(self, region: str, pillar: Pillar) -> float:
-        return self.scores[region][pillar]
+        return float(self.values[self.regions.index(region), PILLARS.index(pillar)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexResult:
-    """Final index of one method: raw values, [0, 1] rescaled values, ranking.
+    """Final index of one method: raw and [0, 1] rescaled vectors, ranking.
 
+    ``raw`` and ``rescaled`` are read-only vectors aligned to ``regions``.
     The ranking is in descending rescaled order; ties are broken by region
     label so that equal scores still produce a deterministic order.
     """
 
     method: Method
-    raw_index: Mapping[str, float]
-    rescaled_index: Mapping[str, float]
+    regions: tuple[str, ...]
+    raw: np.ndarray
+    rescaled: np.ndarray
     ranking: tuple[str, ...] = field(default=())
 
-    @property
-    def regions(self) -> tuple[str, ...]:
-        return tuple(self.raw_index)
+    def __post_init__(self):
+        object.__setattr__(self, "regions", tuple(self.regions))
+        object.__setattr__(self, "raw", _read_only(self.raw))
+        object.__setattr__(self, "rescaled", _read_only(self.rescaled))
+
+    @cached_property
+    def raw_index(self) -> Mapping[str, float]:
+        return MappingProxyType(dict(zip(self.regions, self.raw.tolist())))
+
+    @cached_property
+    def rescaled_index(self) -> Mapping[str, float]:
+        return MappingProxyType(dict(zip(self.regions, self.rescaled.tolist())))
 
     def rescaled_vector(self, regions: Sequence[str] | None = None) -> np.ndarray:
-        order = self.regions if regions is None else tuple(regions)
-        return np.array([self.rescaled_index[r] for r in order])
+        if regions is None or tuple(regions) == self.regions:
+            return self.rescaled
+        return np.array([self.rescaled_index[r] for r in regions])

@@ -284,17 +284,6 @@ def pca_pillar(
     return stage, stage.combined()
 
 
-def pca_stage2(
-    sub_indexes,
-    column_ids: Sequence[str] | None = None,
-    cap: int = STAGE2_CAP,
-    threshold: float = VARIANCE_THRESHOLD,
-    min_factors: int = 1,
-) -> tuple[PcaStage, np.ndarray]:
-    """Second-stage PCA over the pillar sub-index columns (cap defaults to 2)."""
-    return pca_pillar(sub_indexes, column_ids, cap=cap, threshold=threshold, min_factors=min_factors)
-
-
 @dataclass(frozen=True)
 class PcaAudit:
     """Full trace of a two-stage PCA run, exportable as JSON."""
@@ -358,7 +347,7 @@ def compute_pca(
         sub_columns.append(sub_index)
 
     sub_matrix = np.column_stack(sub_columns)
-    final_stage, raw_vector = pca_stage2(
+    final_stage, raw_vector = pca_pillar(
         sub_matrix,
         column_ids=[p.value for p in PILLARS],
         cap=stage2_cap,
@@ -366,8 +355,7 @@ def compute_pca(
         min_factors=min(min_factors, stage2_cap),
     )
 
-    raw = {region: float(raw_vector[i]) for i, region in enumerate(matrix.regions)}
-    result = build_index_result(Method.PCA, raw)
+    result = build_index_result(Method.PCA, matrix.regions, raw_vector)
 
     notes: list[str] = []
     if reference_profile is not None:

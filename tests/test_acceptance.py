@@ -23,14 +23,13 @@ from indexforge import (
     build_weight_scheme,
     describe,
     eigen_symmetric,
-    normalize_column,
     normalize_matrix,
     pearson,
-    pillar_arithmetic_means,
-    rescale_final,
     Direction,
 )
+from indexforge.aggregate import pillar_arithmetic_means
 from indexforge.cli import main as cli_main
+from indexforge.normalize import normalize_column
 from indexforge.datasets import load_nuts3_dataset
 
 from conftest import REGIONS, REFERENCE_ABREU, REFERENCE_DELPHI, REFERENCE_PCA, random_dataset

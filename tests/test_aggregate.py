@@ -1,25 +1,29 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from indexforge import (
-    PILLARS,
-    DegenerateColumnWarning,
-    Direction,
-    IndicatorMatrix,
-    Method,
-    Pillar,
-    build_weight_scheme,
+from indexforge.aggregate import (
     compute_abreu,
     compute_delphi,
     geometric_mean,
-    normalize_matrix,
     pillar_arithmetic_means,
     rescale_final,
-    validate_manifest,
-    IndicatorSpec,
 )
+from indexforge.model import (
+    PILLARS,
+    IndicatorMatrix,
+    IndicatorSpec,
+    Method,
+    Pillar,
+    Stage,
+    build_weight_scheme,
+    validate_manifest,
+)
+from indexforge.normalize import DegenerateColumnWarning, normalize_matrix
+from indexforge.stats import pearson
 from indexforge.errors import NegativeInputError, WeightManifestMismatchError
 
 from conftest import REGIONS, REFERENCE_ABREU, random_dataset
@@ -56,8 +60,6 @@ class TestPillarMeans:
         specs += [IndicatorSpec(id=f"o{k}", label="", pillar=p) for k, p in enumerate(PILLARS[1:])]
         manifest = validate_manifest(specs)
         values = np.array([[0.2, 0.4, 0.6, 0.5, 0.5, 0.5], [1, 1, 1, 1, 1, 1]])
-        from indexforge import Stage
-
         normalized = IndicatorMatrix(("a", "b"), manifest.ids, values, stage=Stage.NORMALIZED)
         scores = pillar_arithmetic_means(normalized, manifest)
         assert scores.score("a", Pillar.POPULATION) == pytest.approx(0.4, abs=1e-12)
@@ -85,6 +87,8 @@ class TestGeometricMean:
 
     def test_zero_annihilates(self):
         assert geometric_mean([0.9, 0.9, 0.9, 0.0]) == 0.0
+        rows = geometric_mean([[0.9, 0.0, 0.9, 0.9], [0.25, 0.25, 0.25, 0.25]])
+        assert rows[0] == 0.0 and rows[1] == pytest.approx(0.25, abs=1e-15)
 
     def test_hand_computed(self):
         got = geometric_mean([0.1, 0.2, 0.4, 0.8])
@@ -109,8 +113,8 @@ class TestRescaleFinal:
 
     def test_constant_input_maps_to_half(self):
         with pytest.warns(DegenerateColumnWarning):
-            out = rescale_final({"a": 5.0, "b": 5.0, "c": 5.0})
-        assert out == {"a": 0.5, "b": 0.5, "c": 0.5}
+            out = rescale_final([5.0, 5.0, 5.0])
+        assert out.tolist() == [0.5, 0.5, 0.5]
 
     def test_strictly_increasing_preserved(self):
         rng = np.random.default_rng(41)
@@ -118,22 +122,19 @@ class TestRescaleFinal:
             raw = np.sort(rng.normal(size=8))
             if np.any(np.diff(raw) == 0):
                 continue
-            out = rescale_final({f"r{i}": float(v) for i, v in enumerate(raw)})
-            values = [out[f"r{i}"] for i in range(8)]
-            assert all(x < y for x, y in zip(values, values[1:]))
+            out = rescale_final(raw)
+            assert np.all(np.diff(out) > 0)
 
     def test_order_preserved_random(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
-            raw = {f"r{i}": float(v) for i, v in enumerate(rng.normal(size=6))}
+            raw = rng.normal(size=6)
             out = rescale_final(raw)
-            order_raw = sorted(raw, key=lambda k: (-raw[k], k))
-            order_out = sorted(out, key=lambda k: (-out[k], k))
-            assert order_raw == order_out
+            assert np.array_equal(np.argsort(-raw, kind="stable"), np.argsort(-out, kind="stable"))
 
     def test_needs_two_regions(self):
         with pytest.raises(ValueError):
-            rescale_final({"only": 1.0})
+            rescale_final([1.0])
 
 
 class TestComputeAbreu:
@@ -194,6 +195,25 @@ class TestComputeAbreu:
         other = compute_abreu(norm_matrix, reweighted)
         assert base.raw_index == other.raw_index
 
+    def test_matches_per_region_loop_reference(self):
+        # Reference: the per-region loop with math.log/math.exp. Pillar means
+        # sum in the same order and must be equal; the vectorized log/exp may
+        # differ in the last bit, so the index gets a few ulps of float64.
+        rng = np.random.default_rng(48)
+        for _ in range(50):
+            manifest, matrix = random_dataset(rng, n_indicators=int(rng.integers(4, 60)))
+            normalized, _ = normalize_matrix(matrix, manifest)
+            scores = pillar_arithmetic_means(normalized, manifest)
+            result = compute_abreu(normalized, manifest)
+            for i, region in enumerate(normalized.regions):
+                means = [float(normalized.columns(manifest.pillar_ids(p))[i].mean()) for p in PILLARS]
+                assert [scores.score(region, p) for p in PILLARS] == means
+                expected = (
+                    0.0 if 0.0 in means
+                    else math.exp(sum(math.log(v) for v in means) / len(means))
+                )
+                assert result.raw_index[region] == pytest.approx(expected, rel=4e-16, abs=0)
+
     def test_amgm_and_zero_pillar_properties(self):
         rng = np.random.default_rng(44)
         for _ in range(100):
@@ -219,8 +239,6 @@ class TestComputeDelphi:
             assert delphi.rescaled_index[region] == pytest.approx(rescaled, abs=1e-6)
 
     def test_correlates_with_reference_column(self, results_all, reference_results):
-        from indexforge import pearson
-
         results, _ = results_all
         ours = results[Method.DELPHI].rescaled_vector(REGIONS)
         reference = reference_results[Method.DELPHI].rescaled_vector(REGIONS)
@@ -235,8 +253,6 @@ class TestComputeDelphi:
         ]
         manifest = validate_manifest(specs)
         rng = np.random.default_rng(45)
-        from indexforge import Stage
-
         values = rng.uniform(size=(5, 12))
         normalized = IndicatorMatrix(
             tuple(f"r{i}" for i in range(5)), manifest.ids, values, stage=Stage.NORMALIZED

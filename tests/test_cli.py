@@ -5,12 +5,14 @@ from pathlib import Path
 
 import pytest
 
+from indexforge import cli
 from indexforge.cli import main
 from indexforge.datasets import data_path
 
 FIXTURE_DATA = str(data_path("nuts3.csv"))
 FIXTURE_MANIFEST = str(data_path("manifest.csv"))
 FIXTURE_TABLE3 = str(data_path("table3.csv"))
+GOLDEN_REPORT = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "bundled-report"
 
 
 def run(argv):
@@ -41,6 +43,27 @@ class TestValidate:
         err = capsys.readouterr().err
         assert code == 2
         assert "Alto Minho" in err and "PopDens" in err
+
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            (lambda text: text.replace("103.80", "103.80,7", 1), "ExtraCellError"),
+            (lambda text: text.replace("103.80", "nan", 1), "non-numeric value 'nan'"),
+            (lambda text: text.splitlines()[0] + "\n", "at least 2 are needed"),
+        ],
+        ids=["extra-cell", "nan-cell", "header-only"],
+    )
+    def test_malformed_data_file_exit_2(self, tmp_path, capsys, edit, expected):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(edit(Path(FIXTURE_DATA).read_text(encoding="utf-8")), encoding="utf-8")
+        code = run(["validate", "--data", str(bad), "--manifest", FIXTURE_MANIFEST])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error (validation)" in err
+        if expected == "ExtraCellError":
+            assert "Alto Minho" in err and "26 values, expected 25" in err
+        else:
+            assert expected in err
 
     def test_missing_manifest_exit_3(self, tmp_path):
         code = run(["validate", "--data", FIXTURE_DATA, "--manifest", str(tmp_path / "nope.csv")])
@@ -107,6 +130,22 @@ class TestCompute:
         for child in sorted(out1.iterdir()):
             assert (out2 / child.name).read_bytes() == child.read_bytes(), child.name
 
+    @pytest.mark.parametrize(
+        "row, expected",
+        [
+            ("pillar,Economy,heavy", "non-numeric weight 'heavy'"),
+            ("pillar,Lunar,1", "unknown pillar 'Lunar'"),
+        ],
+        ids=["non-numeric-weight", "unknown-pillar"],
+    )
+    def test_malformed_weights_exit_2(self, tmp_path, capsys, row, expected):
+        weights = tmp_path / "weights.csv"
+        weights.write_text(f"scope,id,weight\n{row}\n", encoding="utf-8")
+        code = run(["compute", "--methods", "delphi", "--out", str(tmp_path / "out"),
+                    "--weights", str(weights)])
+        assert code == 2
+        assert expected in capsys.readouterr().err
+
     def test_unknown_method_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             run(["compute", "--methods", "sorcery"])
@@ -145,3 +184,38 @@ class TestReport:
         assert code == 0
         for name in ("abreu.csv", "pca_audit.json", "report.json", "parallel.svg"):
             assert (out / name).exists()
+
+    def test_bundled_artifacts_match_golden_bytes(self, tmp_path):
+        out = tmp_path / "all"
+        assert run(["report", "--methods", "all", "--out", str(out)]) == 0
+        golden = sorted(p.name for p in GOLDEN_REPORT.iterdir())
+        assert len(golden) == 13
+        assert sorted(p.name for p in out.iterdir()) == golden
+        for name in golden:
+            assert (out / name).read_bytes() == (GOLDEN_REPORT / name).read_bytes(), name
+
+    def test_single_pass(self, tmp_path, monkeypatch):
+        calls = {}
+
+        def counted(name):
+            original = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        for name in ("parse_dataset", "compute_abreu", "compute_delphi", "compute_pca"):
+            counted(name)
+        assert run(["report", "--methods", "all", "--out", str(tmp_path / "all")]) == 0
+        assert calls == {
+            "parse_dataset": 1, "compute_abreu": 1, "compute_delphi": 1, "compute_pca": 1,
+        }
+
+    def test_single_method_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "one"
+        code = run(["report", "--methods", "abreu", "--out", str(out)])
+        assert code == 2
+        assert "at least two methods" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())

@@ -1,24 +1,28 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from indexforge import (
-    Stage,
+from indexforge.ingest import (
     composite_indicator,
     parse_dataset,
     parse_manifest,
     write_dataset_csv,
     write_dataset_json,
 )
+from indexforge.model import IndicatorMatrix, Stage
 from indexforge.datasets import data_path
 from indexforge.errors import (
     ConstantComponentError,
     DuplicateRegionError,
+    ExtraCellError,
     ManifestFormatError,
     MissingCellError,
     MissingIndicatorError,
     NonNumericCellError,
+    TooFewRegionsError,
     UnknownIndicatorError,
 )
 
@@ -88,6 +92,41 @@ class TestParseDataset:
         with pytest.raises(MissingCellError):
             parse_dataset(path, small_manifest)
 
+    def test_extra_cell(self, tmp_path, small_manifest):
+        path = write_tmp_dataset(tmp_path, "region,a,b,c,d\nr1,1,2,3,4\nr2,5,6,7,8,9\n")
+        with pytest.raises(ExtraCellError) as exc_info:
+            parse_dataset(path, small_manifest)
+        assert exc_info.value.region == "r2"
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_cell(self, tmp_path, small_manifest, text):
+        path = write_tmp_dataset(tmp_path, f"region,a,b,c,d\nr1,1,2,3,4\nr2,5,{text},7,8\n")
+        with pytest.raises(NonNumericCellError) as exc_info:
+            parse_dataset(path, small_manifest)
+        assert (exc_info.value.region, exc_info.value.indicator_id) == ("r2", "b")
+
+    @pytest.mark.parametrize("rows", ["", "r1,1,2,3,4\n"], ids=["header-only", "one-region"])
+    def test_too_few_regions(self, tmp_path, small_manifest, rows):
+        path = write_tmp_dataset(tmp_path, "region,a,b,c,d\n" + rows)
+        with pytest.raises(TooFewRegionsError):
+            parse_dataset(path, small_manifest)
+
+    def test_json_shares_the_checks(self, tmp_path, small_manifest):
+        def payload(regions, values):
+            return json.dumps({"regions": regions, "indicators": list("abcd"), "values": values})
+
+        cases = [
+            (payload(["r1", "r1"], [[1, 2, 3, 4], [5, 6, 7, 8]]), DuplicateRegionError),
+            (payload(["r1", "r2"], [[1, 2, 3, 4], [5, 6, 7, 8, 9]]), ExtraCellError),
+            (payload(["r1", "r2"], [[1, 2, 3, 4], [5, 6, 7]]), MissingCellError),
+            (payload(["r1"], [[1, 2, 3, 4]]), TooFewRegionsError),
+            (payload(["r1", "r2"], [[1, 2, 3, 4]]), ManifestFormatError),
+        ]
+        for text, error in cases:
+            path = write_tmp_dataset(tmp_path, text, "data.json")
+            with pytest.raises(error):
+                parse_dataset(path, small_manifest)
+
     def test_non_numeric_cell(self, tmp_path, small_manifest):
         path = write_tmp_dataset(tmp_path, "region,a,b,c,d\nr1,1,2,x,4\n")
         with pytest.raises(NonNumericCellError) as exc_info:
@@ -134,8 +173,6 @@ class TestRoundTrip:
 
     def test_round_trip_random_values(self, tmp_path, small_manifest):
         rng = np.random.default_rng(3)
-        from indexforge import IndicatorMatrix
-
         matrix = IndicatorMatrix(
             ("r1", "r2", "r3"), ("a", "b", "c", "d"), rng.normal(size=(3, 4)) * 1e6
         )

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from indexforge import (
+from indexforge.model import (
     PILLARS,
     Direction,
     IndicatorMatrix,

@@ -3,11 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from indexforge import (
+from indexforge.model import Direction, IndicatorMatrix, Stage
+from indexforge.normalize import (
     DegenerateColumnWarning,
-    Direction,
-    IndicatorMatrix,
-    Stage,
     normalize_column,
     normalize_matrix,
     write_normalization_csv,

@@ -5,20 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from indexforge import (
-    PILLARS,
-    DegenerateColumnWarning,
-    Method,
-    Pillar,
+from indexforge.errors import ConstantColumnError, NoConvergenceError, NotSymmetricError
+from indexforge.model import PILLARS, Method, Pillar
+from indexforge.normalize import DegenerateColumnWarning
+from indexforge.pca import (
+    REFERENCE_VARIANCE_PROFILE,
+    STAGE2_CAP,
     compute_pca,
     correlation_matrix,
     eigen_symmetric,
+    orient_sign,
     pca_pillar,
-    pca_stage2,
-    REFERENCE_VARIANCE_PROFILE,
 )
-from indexforge.errors import ConstantColumnError, NoConvergenceError, NotSymmetricError
-from indexforge.pca import orient_sign
 
 from conftest import REGIONS
 
@@ -260,7 +258,7 @@ class TestPcaPillar:
 class TestPcaStage2:
     def test_four_identical_columns(self):
         col = np.array([0.1, 0.5, 0.2, 0.9, 0.4])
-        stage, raw = pca_stage2(np.column_stack([col] * 4))
+        stage, raw = pca_pillar(np.column_stack([col] * 4), cap=STAGE2_CAP)
         assert stage.retained == 1
         assert stage.cumulative_variance == pytest.approx(1.0, abs=1e-10)
         fit = np.polyfit(col, raw, 1)
@@ -268,7 +266,8 @@ class TestPcaStage2:
 
     def test_cap_default_two(self):
         rng = np.random.default_rng(60)
-        stage, _ = pca_stage2(rng.normal(size=(30, 4)))
+        assert STAGE2_CAP == 2
+        stage, _ = pca_pillar(rng.normal(size=(30, 4)), cap=STAGE2_CAP)
         assert stage.retained <= 2
 
 

@@ -3,20 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from indexforge import (
-    Method,
-    build_comparison,
-    build_index_result,
-    crossings,
-    describe,
-    pearson,
-    rank_table,
-    write_parallel_csv,
-    write_parallel_svg,
-    write_report_csv,
-    write_report_json,
-    write_scatter_csv,
-)
+from indexforge import stats
+from indexforge.aggregate import build_index_result
 from indexforge.errors import (
     ConstantVectorError,
     FewerThanTwoMethodsError,
@@ -24,7 +12,19 @@ from indexforge.errors import (
     RegionSetMismatchError,
     TooShortError,
 )
-from indexforge.stats import read_parallel_csv
+from indexforge.model import Method
+from indexforge.stats import (
+    build_comparison,
+    crossings,
+    describe,
+    pearson,
+    read_parallel_csv,
+    write_parallel_csv,
+    write_parallel_svg,
+    write_report_csv,
+    write_report_json,
+    write_scatter_csv,
+)
 
 from conftest import REGIONS, REFERENCE_ABREU, REFERENCE_DELPHI, REFERENCE_PCA
 
@@ -127,8 +127,7 @@ def reference_triple(reference_results):
 
 class TestRankTable:
     def test_reference_abreu_order(self, reference_triple):
-        table = rank_table(reference_triple)
-        assert table[Method.ABREU] == (
+        assert reference_triple[0].ranking == (
             "Região Autónoma da Madeira",
             "Algarve",
             "Região de Coimbra",
@@ -141,20 +140,18 @@ class TestRankTable:
         )
 
     def test_reference_pca_puts_coimbra_fifth(self, reference_triple):
-        table = rank_table(reference_triple)
-        pca_order = table[Method.PCA]
+        pca_order = build_comparison(reference_triple).rankings[Method.PCA]
         assert pca_order.index("Região de Coimbra") == 4
         assert pca_order.index("Alto Minho") == 3
 
     def test_single_method_two_regions(self):
-        result = build_index_result(Method.ABREU, {"a": 0.2, "b": 0.9})
-        table = rank_table([result])
-        assert table[Method.ABREU] == ("b", "a")
+        result = build_index_result(Method.ABREU, ("a", "b"), [0.2, 0.9])
+        assert result.ranking == ("b", "a")
 
     def test_region_set_mismatch(self, reference_triple):
-        other = build_index_result(Method.PCA, {"x": 0.1, "y": 0.9})
+        other = build_index_result(Method.PCA, ("x", "y"), [0.1, 0.9])
         with pytest.raises(RegionSetMismatchError):
-            rank_table([reference_triple[0], other])
+            build_comparison([reference_triple[0], other])
 
 
 class TestCrossings:
@@ -208,6 +205,22 @@ class TestComparisonReport:
     def test_needs_two_methods(self, reference_triple):
         with pytest.raises(FewerThanTwoMethodsError):
             build_comparison(reference_triple[:1])
+
+    def test_each_unordered_pair_compared_once(self, reference_triple, monkeypatch):
+        calls = []
+
+        def counting_crossings(rank_a, rank_b):
+            calls.append((rank_a, rank_b))
+            return crossings(rank_a, rank_b)
+
+        monkeypatch.setattr(stats, "crossings", counting_crossings)
+        report = build_comparison(reference_triple)
+        assert len(calls) == 3
+        for a in report.methods:
+            for b in report.methods:
+                assert report.crossings[(a, b)] == report.crossings[(b, a)]
+                assert report.pairwise_r[(a, b)] == report.pairwise_r[(b, a)]
+        assert report.crossings[(Method.ABREU, Method.PCA)] == 5
 
     def test_report_files(self, tmp_path, reference_triple):
         report = build_comparison(reference_triple)
