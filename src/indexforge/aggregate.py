@@ -171,8 +171,8 @@ def write_index_csv(result: IndexResult, path: str | Path) -> None:
 def write_index_json(result: IndexResult, path: str | Path) -> None:
     payload = {
         "method": result.method.value,
-        "raw_index": dict(zip(result.regions, result.raw.tolist())),
-        "rescaled_index": dict(zip(result.regions, result.rescaled.tolist())),
+        "raw_index": dict(result.raw_index),
+        "rescaled_index": dict(result.rescaled_index),
         "ranking": list(result.ranking),
     }
     Path(path).write_text(

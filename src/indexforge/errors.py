@@ -90,6 +90,13 @@ class ExtraCellError(CompositeIndexError):
         super().__init__(f"region {region!r} has {got} values, expected {expected}")
 
 
+class ExtraRowError(CompositeIndexError):
+    def __init__(self, rows: int, regions: int):
+        self.rows = rows
+        self.regions = regions
+        super().__init__(f"data file has {rows} value rows for {regions} regions")
+
+
 class TooFewRegionsError(CompositeIndexError):
     def __init__(self, count: int):
         self.count = count

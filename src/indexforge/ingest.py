@@ -19,6 +19,7 @@ from .errors import (
     ConstantComponentError,
     DuplicateRegionError,
     ExtraCellError,
+    ExtraRowError,
     ManifestFormatError,
     MissingCellError,
     MissingIndicatorError,
@@ -115,7 +116,8 @@ def parse_dataset(path: str | Path, manifest: Manifest) -> IndicatorMatrix:
     has exactly one finite value per column, and there are at least two
     regions. Raises MissingCellError, ExtraCellError, NonNumericCellError
     (also for nan and inf), DuplicateRegionError, TooFewRegionsError,
-    UnknownIndicatorError or MissingIndicatorError.
+    UnknownIndicatorError or MissingIndicatorError; a JSON file with more
+    value rows than regions raises ExtraRowError.
     """
     path = Path(path)
     if path.suffix.lower() == ".json":
@@ -127,17 +129,6 @@ def parse_dataset(path: str | Path, manifest: Manifest) -> IndicatorMatrix:
     _check_finite(values, regions, indicator_ids)
     _check_regions(regions)
     return IndicatorMatrix(regions, indicator_ids, values, stage=Stage.RAW)
-
-
-def _raise_cell_error(region: str, indicator_ids: Sequence[str], cells: Sequence[str]) -> None:
-    """Raise the error for the first cell of a row that does not parse as a float."""
-    for indicator_id, text in zip(indicator_ids, cells):
-        if not text.strip():
-            raise MissingCellError(region, indicator_id)
-        try:
-            float(text)
-        except ValueError:
-            raise NonNumericCellError(region, indicator_id, text.strip()) from None
 
 
 def _check_row_length(region: str, indicator_ids: Sequence[str], n_cells: int) -> None:
@@ -165,11 +156,15 @@ def _read_dataset_csv(path: Path, manifest: Manifest):
                 continue
             region, cells = row[0], row[1:]
             _check_row_length(region, indicator_ids, len(cells))
-            try:
-                values = [float(text) for text in cells]
-            except ValueError:
-                _raise_cell_error(region, indicator_ids, cells)
-                raise
+            values = []
+            for indicator_id, text in zip(indicator_ids, cells):
+                text = text.strip()
+                if not text:
+                    raise MissingCellError(region, indicator_id)
+                try:
+                    values.append(float(text))
+                except ValueError:
+                    raise NonNumericCellError(region, indicator_id, text) from None
             regions.append(region)
             rows.append(values)
     return regions, indicator_ids, rows
@@ -181,8 +176,10 @@ def _read_dataset_json(path: Path, manifest: Manifest):
     indicator_ids = tuple(payload["indicators"])
     values = payload["values"]
     _check_header(indicator_ids, manifest)
-    if len(values) != len(regions):
-        raise ManifestFormatError(f"{len(values)} value rows for {len(regions)} regions")
+    if len(values) < len(regions):
+        raise MissingCellError(regions[len(values)], indicator_ids[0])
+    if len(values) > len(regions):
+        raise ExtraRowError(len(values), len(regions))
     for region, row in zip(regions, values):
         _check_row_length(region, indicator_ids, len(row))
         for indicator_id, value in zip(indicator_ids, row):

@@ -277,6 +277,13 @@ class PillarScores:
     def score(self, region: str, pillar: Pillar) -> float:
         return float(self.values[self.regions.index(region), PILLARS.index(pillar)])
 
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, PillarScores)
+            and self.regions == other.regions
+            and np.array_equal(self.values, other.values)
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class IndexResult:
@@ -297,6 +304,16 @@ class IndexResult:
         object.__setattr__(self, "regions", tuple(self.regions))
         object.__setattr__(self, "raw", _read_only(self.raw))
         object.__setattr__(self, "rescaled", _read_only(self.rescaled))
+
+    def __eq__(self, other) -> bool:
+        # Same method, ranking and region -> value pairs, in any region order.
+        return (
+            isinstance(other, IndexResult)
+            and self.method == other.method
+            and self.ranking == other.ranking
+            and self.raw_index == other.raw_index
+            and self.rescaled_index == other.rescaled_index
+        )
 
     @cached_property
     def raw_index(self) -> Mapping[str, float]:

@@ -102,10 +102,6 @@ def _check_same_regions(results: Sequence[IndexResult]) -> tuple[str, ...]:
     return regions
 
 
-def _aligned_columns(results: Sequence[IndexResult], regions: Sequence[str]) -> list[list[float]]:
-    return [result.rescaled_vector(regions).tolist() for result in results]
-
-
 def crossings(rank_a: Sequence[str], rank_b: Sequence[str]) -> int:
     """Number of region pairs ordered oppositely by two rankings.
 
@@ -231,13 +227,14 @@ def write_report_csv(report: ComparisonReport, path: str | Path) -> None:
 def write_parallel_csv(results: Sequence[IndexResult], path: str | Path) -> None:
     """Polyline vertices: one row per (region, method axis) pair."""
     regions = _check_same_regions(results)
-    columns = _aligned_columns(results, regions)
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["region", "method", "axis", "value"])
-        for i, region in enumerate(regions):
+        for region in regions:
             for axis, result in enumerate(results):
-                writer.writerow([region, result.method.value, axis, f"{columns[axis][i]:.9f}"])
+                writer.writerow(
+                    [region, result.method.value, axis, f"{result.rescaled_index[region]:.9f}"]
+                )
 
 
 def read_parallel_csv(path: str | Path) -> dict[str, list[tuple[str, float]]]:
@@ -254,16 +251,21 @@ def read_parallel_csv(path: str | Path) -> dict[str, list[tuple[str, float]]]:
 def write_scatter_csv(results: Sequence[IndexResult], path: str | Path) -> None:
     """Point sets for every unordered method pair (scatter-matrix data)."""
     regions = _check_same_regions(results)
-    columns = _aligned_columns(results, regions)
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["method_x", "method_y", "region", "x", "y"])
         for i, a in enumerate(results):
-            for j in range(i + 1, len(results)):
-                writer.writerows(
-                    [a.method.value, results[j].method.value, region, f"{x:.6f}", f"{y:.6f}"]
-                    for region, x, y in zip(regions, columns[i], columns[j])
-                )
+            for b in results[i + 1:]:
+                for region in regions:
+                    writer.writerow(
+                        [
+                            a.method.value,
+                            b.method.value,
+                            region,
+                            f"{a.rescaled_index[region]:.6f}",
+                            f"{b.rescaled_index[region]:.6f}",
+                        ]
+                    )
 
 
 _SVG_WIDTH = 720
@@ -278,7 +280,6 @@ _POLYLINE_COLORS = (
 def write_parallel_svg(results: Sequence[IndexResult], path: str | Path) -> None:
     """Emit a minimal static parallel-coordinates SVG (axes, polylines, labels)."""
     regions = _check_same_regions(results)
-    columns = _aligned_columns(results, regions)
     n_axes = len(results)
     if n_axes < 2:
         raise FewerThanTwoMethodsError("parallel coordinates need at least two axes")
@@ -314,12 +315,13 @@ def write_parallel_svg(results: Sequence[IndexResult], path: str | Path) -> None
     for i, region in enumerate(regions):
         color = _POLYLINE_COLORS[i % len(_POLYLINE_COLORS)]
         points = " ".join(
-            f"{x_at(axis):.2f},{y_at(column[i]):.2f}" for axis, column in enumerate(columns)
+            f"{x_at(axis):.2f},{y_at(result.rescaled_index[region]):.2f}"
+            for axis, result in enumerate(results)
         )
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
-        y_label = y_at(columns[-1][i])
+        y_label = y_at(results[-1].rescaled_index[region])
         parts.append(
             f'<text x="{x_at(n_axes - 1) + 6:.2f}" y="{y_label + 4:.2f}" '
             f'font-family="sans-serif" font-size="10" fill="{color}">{_xml_escape(region)}</text>'

@@ -18,6 +18,7 @@ from indexforge.errors import (
     ConstantComponentError,
     DuplicateRegionError,
     ExtraCellError,
+    ExtraRowError,
     ManifestFormatError,
     MissingCellError,
     MissingIndicatorError,
@@ -120,7 +121,8 @@ class TestParseDataset:
             (payload(["r1", "r2"], [[1, 2, 3, 4], [5, 6, 7, 8, 9]]), ExtraCellError),
             (payload(["r1", "r2"], [[1, 2, 3, 4], [5, 6, 7]]), MissingCellError),
             (payload(["r1"], [[1, 2, 3, 4]]), TooFewRegionsError),
-            (payload(["r1", "r2"], [[1, 2, 3, 4]]), ManifestFormatError),
+            (payload(["r1", "r2"], [[1, 2, 3, 4]]), MissingCellError),
+            (payload(["r1", "r2"], [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]]), ExtraRowError),
         ]
         for text, error in cases:
             path = write_tmp_dataset(tmp_path, text, "data.json")

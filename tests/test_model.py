@@ -6,9 +6,12 @@ import pytest
 from indexforge.model import (
     PILLARS,
     Direction,
+    IndexResult,
     IndicatorMatrix,
     IndicatorSpec,
+    Method,
     Pillar,
+    PillarScores,
     Stage,
     build_weight_scheme,
     validate_manifest,
@@ -167,3 +170,18 @@ class TestIndicatorMatrix:
     def test_column_and_row_lookup(self, raw_matrix):
         assert raw_matrix.column("PopDens")[0] == pytest.approx(103.80)
         assert raw_matrix.row("Algarve")[raw_matrix.indicators.index("Unemp")] == pytest.approx(15.74)
+
+
+class TestResultEquality:
+    def test_index_results_compare_by_value(self):
+        a = IndexResult(Method.ABREU, ("x", "y"), [0.2, 0.5], [0.0, 1.0], ("y", "x"))
+        same = IndexResult(Method.ABREU, ("x", "y"), np.array([0.2, 0.5]), [0.0, 1.0], ("y", "x"))
+        reordered = IndexResult(Method.ABREU, ("y", "x"), [0.5, 0.2], [1.0, 0.0], ("y", "x"))
+        assert a == same and a == reordered
+        assert a != IndexResult(Method.DELPHI, ("x", "y"), [0.2, 0.5], [0.0, 1.0], ("y", "x"))
+        assert a != IndexResult(Method.ABREU, ("x", "y"), [0.2, 0.6], [0.0, 1.0], ("y", "x"))
+
+    def test_pillar_scores_compare_by_value(self):
+        values = np.arange(8.0).reshape(2, 4)
+        assert PillarScores(("x", "y"), values) == PillarScores(("x", "y"), values.copy())
+        assert PillarScores(("x", "y"), values) != PillarScores(("x", "y"), values + 1.0)
