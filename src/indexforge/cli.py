@@ -32,7 +32,7 @@ from .errors import (
     NoConvergenceError,
     WeightFormatError,
 )
-from .ingest import parse_dataset, parse_manifest
+from .ingest import open_input, parse_dataset, parse_manifest
 from .model import PILLARS, IndicatorMatrix, Manifest, Method, Pillar, WeightScheme
 from .normalize import normalize_matrix, write_normalization_csv
 from .pca import REFERENCE_VARIANCE_PROFILE, compute_pca, write_pca_audit
@@ -91,7 +91,7 @@ def _load_weights_csv(path: Path, manifest: Manifest) -> WeightScheme:
     """Weight override file: rows of scope,id,weight with scope pillar|indicator."""
     pillar_weights: dict[Pillar, float] = {}
     indicator_weights: dict[str, float] = {}
-    with path.open(newline="", encoding="utf-8") as handle:
+    with open_input(path) as handle:
         reader = csv.DictReader(handle)
         expected = ("scope", "id", "weight")
         if tuple(reader.fieldnames or ()) != expected:

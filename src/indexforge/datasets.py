@@ -10,11 +10,12 @@ rest of the package.
 from __future__ import annotations
 
 import csv
+import math
 from importlib import resources
 from pathlib import Path
 
-from .errors import ManifestFormatError
-from .ingest import parse_dataset, parse_manifest
+from .errors import DataFormatError, ManifestFormatError
+from .ingest import open_input, parse_dataset, parse_manifest
 from .model import IndexResult, IndicatorMatrix, Manifest, Method
 from .aggregate import rank_regions
 
@@ -45,12 +46,13 @@ def load_reference_indexes(path: str | Path | None = None) -> dict[Method, Index
 
     These are previously published values for the bundled dataset, kept as
     two-decimal numbers exactly as released; raw and rescaled values are
-    identical because the reference columns already span [0, 1].
+    identical because the reference columns already span [0, 1]. A value
+    that is not a finite number raises DataFormatError.
     """
     path = data_path(REFERENCE_FILE) if path is None else Path(path)
     regions: list[str] = []
     columns: dict[Method, list[float]] = {m: [] for m in Method}
-    with path.open(newline="", encoding="utf-8") as handle:
+    with open_input(path) as handle:
         reader = csv.DictReader(handle)
         expected = {"region", *(m.value for m in Method)}
         missing = expected - set(reader.fieldnames or ())
@@ -62,7 +64,17 @@ def load_reference_indexes(path: str | Path | None = None) -> dict[Method, Index
         for row in reader:
             regions.append(row["region"])
             for method in Method:
-                columns[method].append(float(row[method.value]))
+                text = row[method.value]
+                try:
+                    value = float(text)
+                    if not math.isfinite(value):
+                        raise ValueError(text)
+                except (TypeError, ValueError):
+                    raise DataFormatError(
+                        f"{path}: non-numeric {method.value} value {text!r} "
+                        f"for region {row['region']!r}"
+                    ) from None
+                columns[method].append(value)
     return {
         method: IndexResult(method, regions, column, column, rank_regions(regions, column))
         for method, column in columns.items()

@@ -49,8 +49,19 @@ class WeightManifestMismatchError(CompositeIndexError):
 
 # -- ingestion ---------------------------------------------------------------
 
+class FileEncodingError(CompositeIndexError):
+    def __init__(self, path, reason: str):
+        self.path = str(path)
+        self.reason = reason
+        super().__init__(f"{path} is not UTF-8 text ({reason})")
+
+
 class ManifestFormatError(CompositeIndexError):
     """Malformed manifest file (bad header, unknown pillar or direction)."""
+
+
+class DataFormatError(CompositeIndexError):
+    """Malformed data file structure: JSON syntax or layout, or a reference value."""
 
 
 class MissingCellError(CompositeIndexError):

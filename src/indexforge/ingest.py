@@ -2,14 +2,17 @@
 
 File conventions are deliberately rigid so that fixtures round-trip
 byte-for-byte: CSV files use a comma delimiter, "." as decimal separator,
-UTF-8 encoding and LF line endings. The JSON alternative for datasets is
-an object ``{"regions": [...], "indicators": [...], "values": [[...]]}``.
+UTF-8 encoding and LF line endings. Inputs may start with a UTF-8
+byte-order mark, which is skipped. The JSON alternative for datasets is
+an object ``{"regions": [...], "indicators": [...], "values": [[...]]}``
+with string region and indicator names and one list of values per region.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -17,9 +20,11 @@ import numpy as np
 
 from .errors import (
     ConstantComponentError,
+    DataFormatError,
     DuplicateRegionError,
     ExtraCellError,
     ExtraRowError,
+    FileEncodingError,
     ManifestFormatError,
     MissingCellError,
     MissingIndicatorError,
@@ -31,12 +36,27 @@ from .model import Direction, IndicatorMatrix, IndicatorSpec, Manifest, Pillar, 
 
 MANIFEST_COLUMNS = ("id", "label", "pillar", "direction", "weight", "unit")
 REGION_COLUMN = "region"
+JSON_KEYS = ("regions", "indicators", "values")
+
+
+@contextmanager
+def open_input(path: Path):
+    """Open a UTF-8 input file for reading, skipping a leading byte-order mark.
+
+    Bytes that are not UTF-8 raise FileEncodingError, also when the caller
+    meets them while reading.
+    """
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise FileEncodingError(path, exc.reason) from None
 
 
 def parse_manifest(path: str | Path) -> Manifest:
     """Load and validate a manifest CSV (columns id,label,pillar,direction,weight,unit)."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
+    with open_input(path) as handle:
         reader = csv.DictReader(handle)
         header = tuple(reader.fieldnames or ())
         if header != MANIFEST_COLUMNS:
@@ -117,7 +137,9 @@ def parse_dataset(path: str | Path, manifest: Manifest) -> IndicatorMatrix:
     regions. Raises MissingCellError, ExtraCellError, NonNumericCellError
     (also for nan and inf), DuplicateRegionError, TooFewRegionsError,
     UnknownIndicatorError or MissingIndicatorError; a JSON file with more
-    value rows than regions raises ExtraRowError.
+    value rows than regions raises ExtraRowError, and one that is not valid
+    JSON or not laid out as above raises DataFormatError. A file that is not
+    UTF-8 raises FileEncodingError.
     """
     path = Path(path)
     if path.suffix.lower() == ".json":
@@ -139,7 +161,7 @@ def _check_row_length(region: str, indicator_ids: Sequence[str], n_cells: int) -
 
 
 def _read_dataset_csv(path: Path, manifest: Manifest):
-    with path.open(newline="", encoding="utf-8") as handle:
+    with open_input(path) as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -171,16 +193,33 @@ def _read_dataset_csv(path: Path, manifest: Manifest):
 
 
 def _read_dataset_json(path: Path, manifest: Manifest):
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    with open_input(path) as handle:
+        text = handle.read()
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DataFormatError(
+            f"{path} must hold a JSON object with keys {', '.join(JSON_KEYS)}"
+        )
+    for key in JSON_KEYS:
+        if not isinstance(payload.get(key), list):
+            raise DataFormatError(f"{path} has no {key!r} list")
     regions = payload["regions"]
     indicator_ids = tuple(payload["indicators"])
     values = payload["values"]
+    for key, names in (("regions", regions), ("indicators", indicator_ids)):
+        if not all(isinstance(name, str) for name in names):
+            raise DataFormatError(f"{path}: every entry of {key!r} must be a string")
     _check_header(indicator_ids, manifest)
     if len(values) < len(regions):
         raise MissingCellError(regions[len(values)], indicator_ids[0])
     if len(values) > len(regions):
         raise ExtraRowError(len(values), len(regions))
     for region, row in zip(regions, values):
+        if not isinstance(row, list):
+            raise DataFormatError(f"{path}: the values of region {region!r} are not a list")
         _check_row_length(region, indicator_ids, len(row))
         for indicator_id, value in zip(indicator_ids, row):
             if value is None:

@@ -1,10 +1,16 @@
 """Two-stage principal-component aggregation and its eigensolver.
 
 The eigendecomposition is done in-house with a cyclic Jacobi rotation
-scheme rather than an external solver: the matrices here are tiny
-(at most 7x7 for a pillar, 4x4 for the final stage) and Jacobi handles
-the near-singular correlation/covariance matrices that arise from nine
-observations without any factorization trouble.
+scheme rather than an external solver. Jacobi handles the near-singular
+covariance matrices that arise from few observations without any
+factorization trouble, but every rotation is one Python-level step, and a
+sweep over k columns makes k(k-1)/2 of them. That is negligible on
+the bundled dataset (at most 7x7 for a pillar, 4x4 for the final stage)
+but dominates a wide table, e.g. 50x50 pillar blocks for 200 indicators.
+Swapping in ``numpy.linalg.eigh`` waits on one decision: it flips some of
+the raw eigenvector signs that ``pca_audit.json`` records as sign flips,
+so the benchmark's seed-artifact check must first say how it treats
+those solver-dependent booleans.
 
 Each PCA stage runs on the columns it is given: mean-centered covariance
 PCA. The pillar columns arrive min-max normalized to [0, 1], which puts

@@ -106,17 +106,51 @@ def crossings(rank_a: Sequence[str], rank_b: Sequence[str]) -> int:
     """Number of region pairs ordered oppositely by two rankings.
 
     This is the Kendall discordant-pair count: 0 for identical rankings,
-    n*(n-1)/2 for fully reversed ones.
+    n*(n-1)/2 for fully reversed ones. Both rankings must list the same
+    regions, each once; otherwise RegionSetMismatchError is raised. The
+    count takes O(n log n) time and O(n) memory (see ``_inversions``).
     """
-    if set(rank_a) != set(rank_b):
-        raise RegionSetMismatchError("rankings cover different region sets")
+    n = len(rank_a)
+    if len(rank_b) != n:
+        raise RegionSetMismatchError(
+            f"rankings have different lengths ({n} vs {len(rank_b)})"
+        )
     pos_b = {region: i for i, region in enumerate(rank_b)}
+    labels_a = set(rank_a)
+    if len(labels_a) != n or len(pos_b) != n:
+        raise RegionSetMismatchError("a ranking lists a region more than once")
+    if labels_a != pos_b.keys():
+        raise RegionSetMismatchError("rankings cover different region sets")
+    return _inversions(np.array([pos_b[region] for region in rank_a], dtype=np.int64))
+
+
+def _inversions(perm: np.ndarray) -> int:
+    """Pairs i < j with perm[i] > perm[j], for a permutation of 0..n-1.
+
+    A merge-sort inversion count (Knight 1966) that splits by value bits
+    instead of by position, so each level is a handful of O(n) numpy
+    passes: a most-significant-bit-first binary radix sort. Before the
+    level for ``bit``, ``order`` holds the values sorted by their bits above
+    ``bit`` and, within such a group, by position. Each pair that first
+    differs at ``bit`` lies in one group and is inverted exactly when its
+    1 comes before its 0; the level counts those pairs, then moves the 0s
+    of each group ahead of its 1s, keeping position order within each half.
+    A permutation makes every group a contiguous value range, so a group
+    starts at index ``(value >> (bit + 1)) << (bit + 1)``.
+    """
+    index = np.arange(perm.size)
+    order = perm
     count = 0
-    items = list(rank_a)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if pos_b[items[i]] > pos_b[items[j]]:
-                count += 1
+    for bit in reversed(range(max(perm.size - 1, 0).bit_length())):
+        ones = (order >> bit) & 1
+        ones_seen = np.concatenate(([0], np.cumsum(ones)))  # 1s in order[:i]
+        start = (order >> (bit + 1)) << (bit + 1)
+        ones_ahead = ones_seen[:-1] - ones_seen[start]  # 1s before i in its group
+        count += int(ones_ahead[ones == 0].sum())
+        rank = np.where(ones == 1, ones_ahead, index - start - ones_ahead)
+        merged = np.empty_like(order)
+        merged[((order >> bit) << bit) + rank] = order
+        order = merged
     return count
 
 

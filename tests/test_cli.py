@@ -65,6 +65,41 @@ class TestValidate:
         assert "error (validation)" in err
         assert expected in err
 
+    @pytest.mark.parametrize("flag", ["--data", "--manifest"])
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys, flag):
+        source = FIXTURE_DATA if flag == "--data" else FIXTURE_MANIFEST
+        lines = Path(source).read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = lines[1].replace(",", "é,", 1)
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("".join(lines).encode("latin-1"))
+        code = run(["validate", flag, str(bad)])
+        assert code == 2
+        assert "is not UTF-8 text" in capsys.readouterr().err
+
+    def test_byte_order_mark_accepted(self, tmp_path, capsys):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(FIXTURE_DATA).read_bytes())
+        assert run(["validate", "--data", str(bom)]) == 0
+        assert "9 regions, 25 indicators" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ('{"regions": ["Alto Minho", "Algarve"], "indicators": ', "is not valid JSON"),
+            ('{"regions": ["Alto Minho", "Algarve"]}', "has no 'indicators' list"),
+            ('["Alto Minho", "Algarve"]', "must hold a JSON object"),
+        ],
+        ids=["truncated", "no-indicators", "top-level-list"],
+    )
+    def test_malformed_json_data_exit_2(self, tmp_path, capsys, text, expected):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        code = run(["validate", "--data", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error (validation)" in err
+        assert expected in err
+
     def test_missing_manifest_exit_3(self, tmp_path):
         code = run(["validate", "--data", FIXTURE_DATA, "--manifest", str(tmp_path / "nope.csv")])
         assert code == 3
@@ -146,6 +181,14 @@ class TestCompute:
         assert code == 2
         assert expected in capsys.readouterr().err
 
+    def test_non_utf8_weights_exit_2(self, tmp_path, capsys):
+        weights = tmp_path / "weights.csv"
+        weights.write_bytes("scope,id,weight\nindicator,Saúde,1\n".encode("latin-1"))
+        code = run(["compute", "--methods", "delphi", "--out", str(tmp_path / "out"),
+                    "--weights", str(weights)])
+        assert code == 2
+        assert "is not UTF-8 text" in capsys.readouterr().err
+
     def test_unknown_method_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             run(["compute", "--methods", "sorcery"])
@@ -163,6 +206,14 @@ class TestCompare:
         assert payload["pairwise_r"]["delphi:pca"] == pytest.approx(0.80, abs=0.005)
         for name in ("report.csv", "parallel.svg", "parallel.csv", "scatter.csv"):
             assert (out / name).exists()
+
+    def test_published_non_numeric_value_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "table3.csv"
+        text = Path(FIXTURE_TABLE3).read_text(encoding="utf-8")
+        bad.write_text(text.replace("Alto Minho,0.34", "Alto Minho,n/a", 1), encoding="utf-8")
+        code = run(["compare", "--published", str(bad), "--out", str(tmp_path / "cmp")])
+        assert code == 2
+        assert "non-numeric abreu value 'n/a' for region 'Alto Minho'" in capsys.readouterr().err
 
     def test_computed_full_report(self, tmp_path):
         out = tmp_path / "cmp"

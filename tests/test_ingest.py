@@ -16,9 +16,11 @@ from indexforge.model import IndicatorMatrix, Stage
 from indexforge.datasets import data_path
 from indexforge.errors import (
     ConstantComponentError,
+    DataFormatError,
     DuplicateRegionError,
     ExtraCellError,
     ExtraRowError,
+    FileEncodingError,
     ManifestFormatError,
     MissingCellError,
     MissingIndicatorError,
@@ -68,6 +70,18 @@ class TestParseManifest:
         text = "id,label,pillar,direction,weight,unit\nx,X,Population,sideways,1.0,%\n"
         with pytest.raises(ManifestFormatError):
             parse_manifest(write_tmp_dataset(tmp_path, text, "m.csv"))
+
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes((SMALL_MANIFEST + "e,Épsilon,Economy,benefit,1.0,%\n").encode("latin-1"))
+        with pytest.raises(FileEncodingError) as exc_info:
+            parse_manifest(path)
+        assert exc_info.value.path == str(path)
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(SMALL_MANIFEST.encode("utf-8-sig"))
+        assert parse_manifest(path).ids == ("a", "b", "c", "d")
 
 
 class TestParseDataset:
@@ -128,6 +142,53 @@ class TestParseDataset:
             path = write_tmp_dataset(tmp_path, text, "data.json")
             with pytest.raises(error):
                 parse_dataset(path, small_manifest)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"regions": ["r1", "r2"], "indicators": ', "is not valid JSON"),
+            ('{"regions": ["r1", "r2"], "values": [[1, 2, 3, 4], [5, 6, 7, 8]]}',
+             "has no 'indicators' list"),
+            ('[["r1", 1, 2, 3, 4], ["r2", 5, 6, 7, 8]]', "must hold a JSON object"),
+            ('{"regions": "r1", "indicators": ["a"], "values": []}', "has no 'regions' list"),
+            ('{"regions": ["r1", 2], "indicators": ["a", "b", "c", "d"], "values": []}',
+             "every entry of 'regions' must be a string"),
+            ('{"regions": ["r1", "r2"], "indicators": ["a", "b", "c", ["d"]], "values": []}',
+             "every entry of 'indicators' must be a string"),
+            ('{"regions": ["r1", "r2"], "indicators": ["a", "b", "c", "d"], '
+             '"values": [[1, 2, 3, 4], {"a": 5}]}',
+             "the values of region 'r2' are not a list"),
+        ],
+        ids=["truncated", "no-indicators", "top-level-list", "regions-not-list",
+             "region-not-string", "indicator-not-string", "row-not-list"],
+    )
+    def test_malformed_json(self, tmp_path, small_manifest, text, message):
+        path = write_tmp_dataset(tmp_path, text, "data.json")
+        with pytest.raises(DataFormatError, match=message):
+            parse_dataset(path, small_manifest)
+
+    @pytest.mark.parametrize("name", ["data.csv", "data.json"])
+    def test_non_utf8_rejected(self, tmp_path, small_manifest, name):
+        path = tmp_path / name
+        if name.endswith(".json"):
+            text = json.dumps(
+                {"regions": ["Ré1", "r2"], "indicators": list("abcd"),
+                 "values": [[1, 2, 3, 4], [5, 6, 7, 8]]},
+                ensure_ascii=False,
+            )
+        else:
+            text = "region,a,b,c,d\nRé1,1,2,3,4\nr2,5,6,7,8\n"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(FileEncodingError):
+            parse_dataset(path, small_manifest)
+
+    @pytest.mark.parametrize("name", ["data.csv", "data.json"])
+    def test_byte_order_mark_skipped(self, tmp_path, small_manifest, name):
+        matrix = IndicatorMatrix(("r1", "r2"), ("a", "b", "c", "d"), [[1, 2, 3, 4], [5, 6, 7, 8]])
+        path = tmp_path / name
+        (write_dataset_json if name.endswith(".json") else write_dataset_csv)(matrix, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert parse_dataset(path, small_manifest) == matrix
 
     def test_non_numeric_cell(self, tmp_path, small_manifest):
         path = write_tmp_dataset(tmp_path, "region,a,b,c,d\nr1,1,2,x,4\n")

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indexforge import stats
 from indexforge.aggregate import build_index_result
@@ -193,6 +195,64 @@ class TestCrossings:
     def test_mismatched_sets(self):
         with pytest.raises(RegionSetMismatchError):
             crossings(("a", "b"), ("a", "c"))
+
+    @pytest.mark.parametrize(
+        "rank_a, rank_b",
+        [
+            (("a", "b", "c"), ("a", "b")),
+            (("a", "b"), ("a", "b", "c")),
+            (("a", "a", "b"), ("a", "b")),
+            (("a", "b"), ("a", "a", "b")),
+            (("a", "a", "b"), ("a", "b", "b")),
+        ],
+        ids=["longer-a", "longer-b", "repeat-in-a", "repeat-in-b", "repeats-same-length"],
+    )
+    def test_rejects_length_mismatch_and_repeated_labels(self, rank_a, rank_b):
+        with pytest.raises(RegionSetMismatchError):
+            crossings(rank_a, rank_b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 60).flatmap(
+            lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
+        )
+    )
+    def test_matches_pair_enumeration_property(self, orders):
+        order_a, order_b = orders
+        rank_a = tuple(f"r{i}" for i in order_a)
+        rank_b = tuple(f"r{i}" for i in order_b)
+        pos_b = {region: i for i, region in enumerate(rank_b)}
+        n = len(rank_a)
+        expected = sum(
+            1
+            for i in range(n)
+            for j in range(i + 1, n)
+            if pos_b[rank_a[i]] > pos_b[rank_a[j]]
+        )
+        assert crossings(rank_a, rank_b) == expected
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_rankings(self, n):
+        ranking = tuple(f"r{i}" for i in range(n))
+        assert crossings(ranking, ranking) == 0
+        assert crossings(ranking, ranking[::-1]) == n * (n - 1) // 2
+
+    def test_large_identity_and_reversal(self):
+        n = 30_000
+        ranking = tuple(f"r{i}" for i in range(n))
+        assert crossings(ranking, ranking) == 0
+        assert crossings(ranking, ranking[::-1]) == n * (n - 1) // 2 == 449_985_000
+
+    def test_large_shuffle_matches_quadratic_numpy_reference(self):
+        rng = np.random.default_rng(65)
+        n = 3_000
+        labels = np.array([f"r{i}" for i in range(n)])
+        rank_a = tuple(labels[rng.permutation(n)])
+        rank_b = tuple(labels[rng.permutation(n)])
+        pos_b = {region: i for i, region in enumerate(rank_b)}
+        b = np.array([pos_b[region] for region in rank_a])
+        expected = int(np.triu(b[:, None] > b[None, :], k=1).sum())
+        assert crossings(rank_a, rank_b) == expected
 
 
 class TestComparisonReport:
