@@ -13,7 +13,7 @@ and the worst exactly 0.
 from __future__ import annotations
 
 import csv
-import json
+import io
 import warnings
 from pathlib import Path
 from typing import Sequence
@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NegativeInputError, WeightManifestMismatchError
+from .ingest import write_json
 from .model import (
     PILLARS,
     IndexResult,
@@ -152,30 +153,38 @@ def compute_delphi(
     return build_index_result(Method.DELPHI, matrix.regions, matrix.values @ flat)
 
 
+def _fixed6(vector: np.ndarray) -> list[str]:
+    """Each value with six decimals, formatted in one pass over the vector."""
+    return ("%.6f\n" * len(vector) % tuple(vector.tolist())).split()
+
+
 def write_index_csv(result: IndexResult, path: str | Path) -> None:
     """Write one method's index as CSV (region,raw,rescaled,rank)."""
     rank = dict(zip(result.ranking, range(1, len(result.ranking) + 1)))
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["region", "raw", "rescaled", "rank"])
-        writer.writerows(
-            zip(
-                result.regions,
-                map("{:.6f}".format, result.raw.tolist()),
-                map("{:.6f}".format, result.rescaled.tolist()),
-                map(rank.get, result.regions),
-            )
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["region", "raw", "rescaled", "rank"])
+    writer.writerows(
+        zip(
+            result.regions,
+            _fixed6(result.raw),
+            _fixed6(result.rescaled),
+            map(rank.get, result.regions),
         )
+    )
+    Path(path).write_text(buffer.getvalue(), encoding="utf-8", newline="")
 
 
 def write_index_json(result: IndexResult, path: str | Path) -> None:
-    payload = {
-        "method": result.method.value,
-        "raw_index": dict(result.raw_index),
-        "rescaled_index": dict(result.rescaled_index),
-        "ranking": list(result.ranking),
-    }
-    Path(path).write_text(
-        json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
+    """Write one method's index as JSON (method, ranking, raw and rescaled by region)."""
+    order = sorted(range(len(result.regions)), key=result.regions.__getitem__)
+    labels = [result.regions[i] for i in order]
+    write_json(
+        {
+            "method": result.method.value,
+            "raw_index": dict(zip(labels, result.raw[order].tolist())),
+            "rescaled_index": dict(zip(labels, result.rescaled[order].tolist())),
+            "ranking": list(result.ranking),
+        },
+        path,
     )

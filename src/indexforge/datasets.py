@@ -14,7 +14,7 @@ import math
 from importlib import resources
 from pathlib import Path
 
-from .errors import DataFormatError, ManifestFormatError
+from .errors import DataFormatError
 from .ingest import open_input, parse_dataset, parse_manifest
 from .model import IndexResult, IndicatorMatrix, Manifest, Method
 from .aggregate import rank_regions
@@ -57,7 +57,7 @@ def load_reference_indexes(path: str | Path | None = None) -> dict[Method, Index
         expected = {"region", *(m.value for m in Method)}
         missing = expected - set(reader.fieldnames or ())
         if missing:
-            raise ManifestFormatError(
+            raise DataFormatError(
                 f"reference index file must have columns {sorted(expected)}; "
                 f"missing {sorted(missing)}"
             )

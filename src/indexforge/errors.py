@@ -61,7 +61,7 @@ class ManifestFormatError(CompositeIndexError):
 
 
 class DataFormatError(CompositeIndexError):
-    """Malformed data file structure: JSON syntax or layout, or a reference value."""
+    """Malformed data or reference file: empty, bad header, JSON syntax or layout, bad value."""
 
 
 class MissingCellError(CompositeIndexError):

@@ -6,6 +6,7 @@ UTF-8 encoding and LF line endings. Inputs may start with a UTF-8
 byte-order mark, which is skipped. The JSON alternative for datasets is
 an object ``{"regions": [...], "indicators": [...], "values": [[...]]}``
 with string region and indicator names and one list of values per region.
+JSON artifacts use the sorted-key, two-space layout of ``write_json``.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def _check_header(indicator_ids: Sequence[str], manifest: Manifest) -> None:
     if len(present) != len(indicator_ids):
         seen: set[str] = set()
         duplicates = sorted({i for i in indicator_ids if i in seen or seen.add(i)})
-        raise ManifestFormatError(f"duplicate indicator columns: {', '.join(duplicates)}")
+        raise DataFormatError(f"duplicate indicator columns: {', '.join(duplicates)}")
 
 
 def _check_regions(regions: Sequence[str]) -> None:
@@ -146,7 +147,8 @@ def parse_dataset(path: str | Path, manifest: Manifest) -> IndicatorMatrix:
         regions, indicator_ids, values = _read_dataset_json(path, manifest)
     else:
         regions, indicator_ids, values = _read_dataset_csv(path, manifest)
-    # reshape keeps a file without data rows at shape (0, columns)
+    # The CSV reader returns one flat row-major list, the JSON reader a list of
+    # rows; reshape gives both, and a file without data rows, (regions, columns).
     values = np.array(values, dtype=float).reshape(len(regions), len(indicator_ids))
     _check_finite(values, regions, indicator_ids)
     _check_regions(regions)
@@ -160,36 +162,41 @@ def _check_row_length(region: str, indicator_ids: Sequence[str], n_cells: int) -
         raise ExtraCellError(region, len(indicator_ids), n_cells)
 
 
+def _raise_cell_error(region: str, indicator_ids: Sequence[str], cells: Sequence[str]) -> None:
+    """Name the first cell of a row that float() rejects: blank or non-numeric."""
+    for indicator_id, text in zip(indicator_ids, cells):
+        try:
+            float(text)
+        except ValueError:
+            if not text.strip():
+                raise MissingCellError(region, indicator_id) from None
+            raise NonNumericCellError(region, indicator_id, text.strip()) from None
+
+
 def _read_dataset_csv(path: Path, manifest: Manifest):
     with open_input(path) as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
-            raise ManifestFormatError(f"{path} is empty") from None
+            raise DataFormatError(f"{path} is empty") from None
         if not header or header[0] != REGION_COLUMN:
-            raise ManifestFormatError(f"first data column must be {REGION_COLUMN!r}")
+            raise DataFormatError(f"first data column must be {REGION_COLUMN!r}")
         indicator_ids = tuple(header[1:])
         _check_header(indicator_ids, manifest)
         regions: list[str] = []
-        rows: list[list[float]] = []
+        values: list[float] = []  # row-major, one row of len(indicator_ids) per region
         for row in reader:
             if not row:
                 continue
             region, cells = row[0], row[1:]
             _check_row_length(region, indicator_ids, len(cells))
-            values = []
-            for indicator_id, text in zip(indicator_ids, cells):
-                text = text.strip()
-                if not text:
-                    raise MissingCellError(region, indicator_id)
-                try:
-                    values.append(float(text))
-                except ValueError:
-                    raise NonNumericCellError(region, indicator_id, text) from None
+            try:
+                values.extend(map(float, cells))
+            except ValueError:
+                _raise_cell_error(region, indicator_ids, cells)
             regions.append(region)
-            rows.append(values)
-    return regions, indicator_ids, rows
+    return regions, indicator_ids, values
 
 
 def _read_dataset_json(path: Path, manifest: Manifest):
@@ -246,6 +253,30 @@ def write_dataset_json(matrix: IndicatorMatrix, path: str | Path) -> None:
         "values": [[float(v) for v in row] for row in matrix.values],
     }
     Path(path).write_text(json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+
+
+# Items of a one-level container, one per line at the second indent level.
+_JSON_BLOCK = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",\n    ", ": "))
+
+
+def write_json(payload: Mapping[str, object], path: str | Path) -> None:
+    """Write ``payload`` exactly as ``json.dumps(payload, ensure_ascii=False,
+    indent=2, sort_keys=True) + "\n"`` would, through the C encoder.
+
+    Each value is a scalar or a one-level list or object of scalars; deeper
+    nesting is not laid out like ``indent=2``. Objects whose keys are
+    already in sorted order (code-point order, as ``sorted`` gives) cost
+    one linear pass to sort.
+    """
+    parts = []
+    for key in sorted(payload):
+        value = payload[key]
+        text = _JSON_BLOCK.encode(value)
+        if isinstance(value, (list, tuple, dict)) and value:
+            text = f"{text[0]}\n    {text[1:-1]}\n  {text[-1]}"
+        parts.append(f"  {_JSON_BLOCK.encode(key)}: {text}")
+    body = "{\n" + ",\n".join(parts) + "\n}" if parts else "{}"
+    Path(path).write_text(body + "\n", encoding="utf-8")
 
 
 def composite_indicator(components: Mapping[str, Sequence[float]]) -> np.ndarray:

@@ -1,16 +1,22 @@
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
 from indexforge.aggregate import (
+    build_index_result,
     compute_abreu,
     compute_delphi,
     geometric_mean,
     pillar_arithmetic_means,
     rescale_final,
+    write_index_csv,
+    write_index_json,
 )
 from indexforge.model import (
     PILLARS,
@@ -306,3 +312,40 @@ class TestComputeDelphi:
         scheme = build_weight_scheme(bigger)
         with pytest.raises(WeightManifestMismatchError):
             compute_delphi(norm_matrix, manifest, scheme)
+
+
+class TestIndexWriters:
+    """The writers against the plain csv.writer and indent=2 json.dumps layouts."""
+
+    @staticmethod
+    def awkward_result(n=2000):
+        stems = ("Região", "Açores", "a,b", 'say "hi"', "back\\slash", "Zeta", "alpha",
+                 "ALPHA", "line\nbreak", "\uff21", "😀", "é")
+        regions = [f"{stems[i % len(stems)]} {i}" for i in range(n)]
+        rng = np.random.default_rng(17)
+        raw = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+        raw[::50] = raw[0]  # ties, broken by label
+        return build_index_result(Method.PCA, rng.permutation(regions).tolist(), raw)
+
+    def test_csv_bytes_at_scale(self, tmp_path):
+        result = self.awkward_result()
+        rank = {region: i for i, region in enumerate(result.ranking, start=1)}
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["region", "raw", "rescaled", "rank"])
+        for region, raw, rescaled in zip(result.regions, result.raw, result.rescaled):
+            writer.writerow([region, f"{raw:.6f}", f"{rescaled:.6f}", rank[region]])
+        write_index_csv(result, tmp_path / "pca.csv")
+        assert (tmp_path / "pca.csv").read_bytes() == expected.getvalue().encode("utf-8")
+
+    def test_json_bytes_at_scale(self, tmp_path):
+        result = self.awkward_result()
+        payload = {
+            "method": "pca",
+            "raw_index": dict(zip(result.regions, result.raw.tolist())),
+            "rescaled_index": dict(zip(result.regions, result.rescaled.tolist())),
+            "ranking": list(result.ranking),
+        }
+        expected = json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+        write_index_json(result, tmp_path / "pca.json")
+        assert (tmp_path / "pca.json").read_bytes() == expected.encode("utf-8")

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from indexforge import cli
 from indexforge.cli import main
-from indexforge.datasets import data_path
+from indexforge.datasets import data_path, load_nuts3_dataset, load_reference_indexes
+from indexforge.errors import DataFormatError
 
 FIXTURE_DATA = str(data_path("nuts3.csv"))
 FIXTURE_MANIFEST = str(data_path("manifest.csv"))
@@ -215,6 +221,16 @@ class TestCompare:
         assert code == 2
         assert "non-numeric abreu value 'n/a' for region 'Alto Minho'" in capsys.readouterr().err
 
+    def test_published_missing_column_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "table3.csv"
+        text = Path(FIXTURE_TABLE3).read_text(encoding="utf-8")
+        bad.write_text(text.replace("pca", "pcb", 1), encoding="utf-8")
+        with pytest.raises(DataFormatError, match=r"missing \['pca'\]"):
+            load_reference_indexes(bad)
+        code = run(["compare", "--published", str(bad), "--out", str(tmp_path / "cmp")])
+        assert code == 2
+        assert "reference index file must have columns" in capsys.readouterr().err
+
     def test_computed_full_report(self, tmp_path):
         out = tmp_path / "cmp"
         code = run(["compare", "--methods", "all", "--out", str(out)])
@@ -270,3 +286,89 @@ class TestReport:
         assert code == 2
         assert "at least two methods" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+
+WEIGHTS = (
+    "scope,id,weight\npillar,Economy,2\npillar,Population,1\npillar,SocialWelfare,1\n"
+    "pillar,Environment,1\nindicator,PopDens,3\n"
+)
+
+
+def _bundled_inputs() -> dict[str, str]:
+    """The texts of the four input files a compute run reads, by file name."""
+    matrix = load_nuts3_dataset()[1]
+    payload = {"regions": list(matrix.regions), "indicators": list(matrix.indicators),
+               "values": matrix.values.tolist()}
+    return {
+        "data.csv": Path(FIXTURE_DATA).read_text(encoding="utf-8"),
+        "data.json": json.dumps(payload, ensure_ascii=False, indent=2) + "\n",
+        "manifest.csv": Path(FIXTURE_MANIFEST).read_text(encoding="utf-8"),
+        "weights.csv": WEIGHTS,
+    }
+
+
+BUNDLED_INPUTS = _bundled_inputs()
+DATA_FILES = ("data.csv", "data.json")
+# The CSV data file is mutated as often as the other three together: its
+# row conversion is the loop this property guards.
+TARGETS = ("data.csv",) * 3 + ("data.json", "manifest.csv", "weights.csv")
+LAYOUT_EDITS = ("drop", "duplicate", "bom", "crlf", "empty-line")  # move cells or lines
+# Texts that are not numbers to float(); the last three are JSON values.
+NOT_NUMBERS = ("x", "1.5.2", "--1", "1e", "0x1F", "n/a", "1\u00a0000", '"7"', "null", "true")
+CELL_VALUES = {  # edits that put a new value into a cell, and the values they put
+    "extend": st.sampled_from(["1.5", "", "x"]),
+    "text": st.sampled_from(NOT_NUMBERS) | st.text(min_size=1, max_size=6),
+    "nan": st.sampled_from(["nan", "NaN"]),
+    "inf": st.sampled_from(["inf", "-inf", "1e999", "Infinity"]),
+    "blank": st.sampled_from(["", " "]),
+}
+POSITION = st.integers(0, 2**16)  # taken modulo the row or cell count
+
+
+@st.composite
+def mutated_inputs(draw):
+    """The data file to run and the inputs, one file mutated by one to three edits."""
+    name = draw(st.sampled_from(TARGETS))
+    data_name = name if name in DATA_FILES else draw(st.sampled_from(DATA_FILES))
+    rows = [line.split(",") for line in BUNDLED_INPUTS[name].splitlines()]
+    prefix, newline = "", "\n"
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(LAYOUT_EDITS + tuple(CELL_VALUES)))
+        i = draw(POSITION) % len(rows)
+        row = rows[i]
+        j = draw(POSITION) % max(len(row), 1)
+        if edit == "bom":
+            prefix = "\ufeff"
+        elif edit == "crlf":
+            newline = "\r\n"
+        elif edit == "empty-line":
+            rows.insert(i, [""])
+        elif edit == "drop":
+            del row[j:j + 1]
+        elif edit == "duplicate":
+            row[j:j + 1] = row[j:j + 1] * 2
+        elif edit == "extend":
+            row.append(draw(CELL_VALUES[edit]))
+        elif row:
+            row[j] = draw(CELL_VALUES[edit])
+    texts = dict(BUNDLED_INPUTS)
+    texts[name] = prefix + newline.join(",".join(row) for row in rows) + newline
+    return data_name, texts
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mutated_inputs())
+def test_mutated_inputs_end_in_a_documented_exit_code(inputs):
+    """No edit of an input file makes compute raise or exit outside 0, 2, 3 and 4."""
+    data_name, texts = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, text in texts.items():
+            (tmp / name).write_bytes(text.encode("utf-8"))
+        argv = ["compute", "--methods", "all", "--data", str(tmp / data_name),
+                "--manifest", str(tmp / "manifest.csv"), "--weights", str(tmp / "weights.csv"),
+                "--out", str(tmp / "out")]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    event(f"exit code {code}")
+    assert code in (0, 2, 3, 4)

@@ -11,6 +11,7 @@ from indexforge.ingest import (
     parse_manifest,
     write_dataset_csv,
     write_dataset_json,
+    write_json,
 )
 from indexforge.model import IndicatorMatrix, Stage
 from indexforge.datasets import data_path
@@ -49,6 +50,14 @@ def small_manifest(tmp_path):
     path = tmp_path / "manifest.csv"
     path.write_text(SMALL_MANIFEST, encoding="utf-8")
     return parse_manifest(path)
+
+
+def tall_dataset_with(tmp_path, bad_last_cell, rows=2000, bad_row=1500):
+    """A rows-region file over a,b,c,d whose row bad_row ends in bad_last_cell."""
+    lines = ["region,a,b,c,d"]
+    lines.extend(f"r{i},{i},{i % 7}.5,-{i}e-3,{i * 3}" for i in range(1, rows + 1))
+    lines[bad_row] = f"r{bad_row},1,2,3,{bad_last_cell}"
+    return write_tmp_dataset(tmp_path, "\n".join(lines) + "\n")
 
 
 class TestParseManifest:
@@ -101,6 +110,12 @@ class TestParseDataset:
             parse_dataset(path, small_manifest)
         assert exc_info.value.region == "r1"
         assert exc_info.value.indicator_id == "c"
+        assert str(exc_info.value) == "missing value at region 'r1', indicator 'c'"
+        # The same error deep in a tall file, for a blank and a whitespace-only cell.
+        for cell in ("", "  \t "):
+            with pytest.raises(MissingCellError) as exc_info:
+                parse_dataset(tall_dataset_with(tmp_path, cell), small_manifest)
+            assert str(exc_info.value) == "missing value at region 'r1500', indicator 'd'"
 
     def test_short_row(self, tmp_path, small_manifest):
         path = write_tmp_dataset(tmp_path, "region,a,b,c,d\nr1,1,2,3\n")
@@ -196,6 +211,24 @@ class TestParseDataset:
             parse_dataset(path, small_manifest)
         assert exc_info.value.region == "r1"
         assert exc_info.value.indicator_id == "c"
+        assert str(exc_info.value) == "non-numeric value 'x' at region 'r1', indicator 'c'"
+        with pytest.raises(NonNumericCellError) as exc_info:
+            parse_dataset(tall_dataset_with(tmp_path, " x "), small_manifest)
+        assert str(exc_info.value) == "non-numeric value 'x' at region 'r1500', indicator 'd'"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "is empty"),
+            ("name,a,b,c,d\nr1,1,2,3,4\nr2,5,6,7,8\n", "first data column must be 'region'"),
+            ("region,a,b,c,d,a\nr1,1,2,3,4,1\nr2,5,6,7,8,5\n", "duplicate indicator columns: a"),
+        ],
+        ids=["empty", "no-region-column", "duplicate-column"],
+    )
+    def test_malformed_csv_header(self, tmp_path, small_manifest, text, message):
+        path = write_tmp_dataset(tmp_path, text)
+        with pytest.raises(DataFormatError, match=message):
+            parse_dataset(path, small_manifest)
 
     def test_duplicate_region(self, tmp_path, small_manifest):
         path = write_tmp_dataset(
@@ -243,6 +276,26 @@ class TestRoundTrip:
         write_dataset_csv(matrix, path)
         again = parse_dataset(path, small_manifest)
         assert np.array_equal(again.values, matrix.values)
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {},
+            {"b": [], "a": {}, "c": ()},
+            {"z": None, "y": True, "x": -3, "w": 0.1, "v": float("nan"), "u": "Açores \"q\"\n"},
+            {"list": ["é", "a,b", "back\\slash", 1e-300, -0.0, 1e22, False, None]},
+            {"obj": {"b": 2.5, "B": float("inf"), "é": "x", "a": 0, "😀": 1, "\uff21": 2}},
+            {"ranking": ("r2", "r1"), "method": "pca"},
+        ],
+        ids=["empty", "empty-containers", "scalars", "flat-list", "unsorted-object", "tuple"],
+    )
+    def test_matches_indent_2_sorted_dumps(self, tmp_path, payload):
+        path = tmp_path / "out.json"
+        write_json(payload, path)
+        expected = json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
 
 
 class TestCompositeIndicator:
