@@ -100,7 +100,7 @@ write_index_csv(delphi, out_dir / "delphi.csv")
 
 report = build_comparison([abreu, delphi])
 write_report_json(report, out_dir / "report.json")
-write_parallel_svg([abreu, delphi], out_dir / "parallel.svg")
+write_parallel_svg(report, out_dir / "parallel.svg")
 
 from indexforge import Method
 

@@ -12,8 +12,6 @@ and the worst exactly 0.
 
 from __future__ import annotations
 
-import csv
-import io
 import warnings
 from pathlib import Path
 from typing import Sequence
@@ -21,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NegativeInputError, WeightManifestMismatchError
-from .ingest import write_json
+from .ingest import format_column, write_csv, write_json
 from .model import (
     PILLARS,
     IndexResult,
@@ -153,26 +151,19 @@ def compute_delphi(
     return build_index_result(Method.DELPHI, matrix.regions, matrix.values @ flat)
 
 
-def _fixed6(vector: np.ndarray) -> list[str]:
-    """Each value with six decimals, formatted in one pass over the vector."""
-    return ("%.6f\n" * len(vector) % tuple(vector.tolist())).split()
-
-
 def write_index_csv(result: IndexResult, path: str | Path) -> None:
     """Write one method's index as CSV (region,raw,rescaled,rank)."""
     rank = dict(zip(result.ranking, range(1, len(result.ranking) + 1)))
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["region", "raw", "rescaled", "rank"])
-    writer.writerows(
+    write_csv(
+        ["region", "raw", "rescaled", "rank"],
         zip(
             result.regions,
-            _fixed6(result.raw),
-            _fixed6(result.rescaled),
+            format_column(result.raw),
+            format_column(result.rescaled),
             map(rank.get, result.regions),
-        )
+        ),
+        path,
     )
-    Path(path).write_text(buffer.getvalue(), encoding="utf-8", newline="")
 
 
 def write_index_json(result: IndexResult, path: str | Path) -> None:

@@ -88,33 +88,48 @@ def _parse_methods(text: str) -> list[Method]:
 
 
 def _load_weights_csv(path: Path, manifest: Manifest) -> WeightScheme:
-    """Weight override file: rows of scope,id,weight with scope pillar|indicator."""
+    """Weight override file: rows of scope,id,weight with scope pillar|indicator.
+
+    Each pillar or indicator may be listed once, and each row has exactly
+    three cells.
+    """
     pillar_weights: dict[Pillar, float] = {}
     indicator_weights: dict[str, float] = {}
+    expected = ("scope", "id", "weight")
     with open_input(path) as handle:
-        reader = csv.DictReader(handle)
-        expected = ("scope", "id", "weight")
-        if tuple(reader.fieldnames or ()) != expected:
+        reader = csv.reader(handle)
+        if tuple(next(reader, ())) != expected:
             raise WeightFormatError(f"weights file header must be {','.join(expected)}")
         for row in reader:
-            scope = (row["scope"] or "").strip().lower()
-            try:
-                weight = float(row["weight"])
-            except (TypeError, ValueError):
+            if not row:
+                continue
+            if len(row) != len(expected):
                 raise WeightFormatError(
-                    f"non-numeric weight {row['weight']!r} for {row['id']!r}"
+                    f"weights file line {reader.line_num} has {len(row)} cells, "
+                    f"expected {len(expected)}"
+                )
+            scope_text, target, weight_text = row
+            scope = scope_text.strip().lower()
+            try:
+                weight = float(weight_text)
+            except ValueError:
+                raise WeightFormatError(
+                    f"non-numeric weight {weight_text!r} for {target!r}"
                 ) from None
             if not math.isfinite(weight):
-                raise WeightFormatError(f"non-finite weight {weight} for {row['id']!r}")
+                raise WeightFormatError(f"non-finite weight {weight} for {target!r}")
             if scope == "pillar":
                 try:
-                    pillar_weights[Pillar(row["id"])] = weight
+                    key, weights = Pillar(target), pillar_weights
                 except ValueError:
-                    raise WeightFormatError(f"unknown pillar {row['id']!r}") from None
+                    raise WeightFormatError(f"unknown pillar {target!r}") from None
             elif scope == "indicator":
-                indicator_weights[row["id"]] = weight
+                key, weights = target, indicator_weights
             else:
-                raise WeightFormatError(f"unknown weight scope {row['scope']!r}")
+                raise WeightFormatError(f"unknown weight scope {scope_text!r}")
+            if key in weights:
+                raise WeightFormatError(f"{scope} {target!r} is listed more than once")
+            weights[key] = weight
     return build_weight_scheme(
         manifest,
         pillar_weights=pillar_weights or None,
@@ -205,14 +220,14 @@ def _write_computed(args, records, results, audit) -> None:
     print(_ok(f"computed {', '.join(m.value for m in results)} -> {out}"))
 
 
-def _write_comparison(args, report, results) -> None:
+def _write_comparison(args, report) -> None:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_report_json(report, out / "report.json")
     write_report_csv(report, out / "report.csv")
-    write_parallel_csv(results, out / "parallel.csv")
-    write_parallel_svg(results, out / "parallel.svg")
-    write_scatter_csv(results, out / "scatter.csv")
+    write_parallel_csv(report, out / "parallel.csv")
+    write_parallel_svg(report, out / "parallel.svg")
+    write_scatter_csv(report, out / "scatter.csv")
     for i, a in enumerate(report.methods):
         for b in report.methods[i + 1:]:
             print(f"pearson {a.value}:{b.value} = {report.pairwise_r[(a, b)]:.4f}")
@@ -234,7 +249,7 @@ def cmd_compare(args) -> int:
         manifest, matrix = _load_inputs(args)
         _, computed, _ = _compute_results(args, manifest, matrix, args.methods)
         results = list(computed.values())
-    _write_comparison(args, build_comparison(results), results)
+    _write_comparison(args, build_comparison(results))
     return EXIT_OK
 
 
@@ -243,10 +258,9 @@ def cmd_report(args) -> int:
     _require_two_methods(args.methods)
     manifest, matrix = _load_inputs(args)
     records, computed, audit = _compute_results(args, manifest, matrix, args.methods)
-    results = list(computed.values())
-    report = build_comparison(results)
+    report = build_comparison(list(computed.values()))
     _write_computed(args, records, computed, audit)
-    _write_comparison(args, report, results)
+    _write_comparison(args, report)
     return EXIT_OK
 
 

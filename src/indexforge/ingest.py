@@ -6,16 +6,19 @@ UTF-8 encoding and LF line endings. Inputs may start with a UTF-8
 byte-order mark, which is skipped. The JSON alternative for datasets is
 an object ``{"regions": [...], "indicators": [...], "values": [[...]]}``
 with string region and indicator names and one list of values per region.
-JSON artifacts use the sorted-key, two-space layout of ``write_json``.
+Every JSON file the package writes uses the sorted-key, two-space layout
+of ``write_json``; CSV artifacts are written through ``write_csv``.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 from contextlib import contextmanager
+from functools import lru_cache
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -55,40 +58,51 @@ def open_input(path: Path):
 
 
 def parse_manifest(path: str | Path) -> Manifest:
-    """Load and validate a manifest CSV (columns id,label,pillar,direction,weight,unit)."""
+    """Load and validate a manifest CSV (columns id,label,pillar,direction,weight,unit).
+
+    Every row has one cell per column; an empty weight cell means 1.0.
+    """
     path = Path(path)
     with open_input(path) as handle:
-        reader = csv.DictReader(handle)
-        header = tuple(reader.fieldnames or ())
+        reader = csv.reader(handle)
+        header = tuple(next(reader, ()))
         if header != MANIFEST_COLUMNS:
             raise ManifestFormatError(
                 f"manifest header must be {','.join(MANIFEST_COLUMNS)}, got {','.join(header)}"
             )
         specs = []
         for row in reader:
+            if not row:
+                continue
+            if len(row) != len(MANIFEST_COLUMNS):
+                raise ManifestFormatError(
+                    f"manifest line {reader.line_num} has {len(row)} cells, "
+                    f"expected {len(MANIFEST_COLUMNS)}"
+                )
+            indicator_id, label, pillar_text, direction_text, weight_text, unit = row
             try:
-                pillar = Pillar(row["pillar"])
+                pillar = Pillar(pillar_text)
             except ValueError:
-                raise ManifestFormatError(f"unknown pillar {row['pillar']!r}") from None
+                raise ManifestFormatError(f"unknown pillar {pillar_text!r}") from None
             try:
-                direction = Direction(row["direction"])
+                direction = Direction(direction_text)
             except ValueError:
-                raise ManifestFormatError(f"unknown direction {row['direction']!r}") from None
-            weight_text = (row["weight"] or "").strip()
+                raise ManifestFormatError(f"unknown direction {direction_text!r}") from None
+            weight_text = weight_text.strip()
             try:
                 weight = float(weight_text) if weight_text else 1.0
             except ValueError:
                 raise ManifestFormatError(
-                    f"non-numeric weight {weight_text!r} for indicator {row['id']!r}"
+                    f"non-numeric weight {weight_text!r} for indicator {indicator_id!r}"
                 ) from None
             specs.append(
                 IndicatorSpec(
-                    id=row["id"],
-                    label=row["label"],
+                    id=indicator_id,
+                    label=label,
                     pillar=pillar,
                     direction=direction,
                     weight=weight,
-                    unit=row["unit"],
+                    unit=unit,
                 )
             )
     return validate_manifest(specs)
@@ -247,36 +261,69 @@ def write_dataset_csv(matrix: IndicatorMatrix, path: str | Path) -> None:
 
 
 def write_dataset_json(matrix: IndicatorMatrix, path: str | Path) -> None:
+    """Serialize a matrix as dataset JSON in the ``write_json`` layout."""
     payload = {
         "regions": list(matrix.regions),
         "indicators": list(matrix.indicators),
-        "values": [[float(v) for v in row] for row in matrix.values],
+        "values": matrix.values.tolist(),
     }
-    Path(path).write_text(json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+    write_json(payload, path)
 
 
-# Items of a one-level container, one per line at the second indent level.
-_JSON_BLOCK = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",\n    ", ": "))
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@lru_cache(maxsize=None)
+def _json_encoder(depth: int) -> json.JSONEncoder:
+    """C-encoder for a container of scalars whose items sit at ``depth`` + 1."""
+    return json.JSONEncoder(
+        ensure_ascii=False, sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": ")
+    )
+
+
+def _json_text(value, depth: int) -> str:
+    """``value`` laid out as ``json.dumps(indent=2, sort_keys=True)`` nests it ``depth`` deep."""
+    encoder = _json_encoder(depth)
+    if not isinstance(value, (list, tuple, dict)) or not value:
+        return encoder.encode(value)
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    items = value.values() if isinstance(value, dict) else value
+    if _JSON_SCALARS.issuperset(map(type, items)):
+        text = encoder.encode(value)  # one C pass for the whole innermost container
+        return f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}"
+    if isinstance(value, dict):
+        lines = [
+            f"{encoder.encode(key)}: {_json_text(value[key], depth + 1)}" for key in sorted(value)
+        ]
+        return "{" + inner + ("," + inner).join(lines) + outer + "}"
+    lines = [_json_text(item, depth + 1) for item in value]
+    return "[" + inner + ("," + inner).join(lines) + outer + "]"
 
 
 def write_json(payload: Mapping[str, object], path: str | Path) -> None:
     """Write ``payload`` exactly as ``json.dumps(payload, ensure_ascii=False,
-    indent=2, sort_keys=True) + "\n"`` would, through the C encoder.
+    indent=2, sort_keys=True) + "\n"`` would.
 
-    Each value is a scalar or a one-level list or object of scalars; deeper
-    nesting is not laid out like ``indent=2``. Objects whose keys are
-    already in sorted order (code-point order, as ``sorted`` gives) cost
-    one linear pass to sort.
+    Containers nest to any depth; object keys are strings. Each innermost
+    non-empty container (one that holds only scalars) is encoded in one pass
+    of the C encoder, with the separators of its depth; only the containers
+    above it are laid out in Python.
     """
-    parts = []
-    for key in sorted(payload):
-        value = payload[key]
-        text = _JSON_BLOCK.encode(value)
-        if isinstance(value, (list, tuple, dict)) and value:
-            text = f"{text[0]}\n    {text[1:-1]}\n  {text[-1]}"
-        parts.append(f"  {_JSON_BLOCK.encode(key)}: {text}")
-    body = "{\n" + ",\n".join(parts) + "\n}" if parts else "{}"
-    Path(path).write_text(body + "\n", encoding="utf-8")
+    Path(path).write_text(_json_text(payload, 0) + "\n", encoding="utf-8")
+
+
+def format_column(vector: np.ndarray, spec: str = "%.6f") -> list[str]:
+    """Each value of a vector in the %-format ``spec``, formatted in one pass."""
+    return ((spec + "\n") * vector.size % tuple(vector.tolist())).split()
+
+
+def write_csv(header: Sequence[str], rows: Iterable[Sequence[object]], path: str | Path) -> None:
+    """Write a CSV artifact (UTF-8, LF line ends) through one buffered ``csv.writer``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    Path(path).write_text(buffer.getvalue(), encoding="utf-8", newline="")
 
 
 def composite_indicator(components: Mapping[str, Sequence[float]]) -> np.ndarray:

@@ -10,7 +10,6 @@ flagged as degenerate with a warning instead of failing the pipeline.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .ingest import write_csv
 from .model import Direction, IndicatorMatrix, Manifest, Stage
 
 
@@ -95,16 +95,17 @@ def normalize_matrix(
 
 def write_normalization_csv(records: Sequence[NormalizationRecord], path: str | Path) -> None:
     """Write the normalization audit (id,min,max,direction,degenerate)."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", "min", "max", "direction", "degenerate"])
-        for record in records:
-            writer.writerow(
-                [
-                    record.indicator_id,
-                    f"{record.observed_min:.6f}",
-                    f"{record.observed_max:.6f}",
-                    record.direction.value,
-                    str(record.degenerate).lower(),
-                ]
-            )
+    write_csv(
+        ["id", "min", "max", "direction", "degenerate"],
+        (
+            [
+                record.indicator_id,
+                f"{record.observed_min:.6f}",
+                f"{record.observed_max:.6f}",
+                record.direction.value,
+                str(record.degenerate).lower(),
+            ]
+            for record in records
+        ),
+        path,
+    )

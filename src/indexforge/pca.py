@@ -27,7 +27,6 @@ PCA signs are arbitrary; fixing them keeps builds deterministic.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,6 +36,7 @@ import numpy as np
 
 from .aggregate import build_index_result
 from .errors import ConstantColumnError, NoConvergenceError, NotSymmetricError
+from .ingest import write_json
 from .model import PILLARS, IndexResult, IndicatorMatrix, Manifest, Method, Pillar, Stage
 from .normalize import DegenerateColumnWarning
 
@@ -442,7 +442,4 @@ def write_pca_audit(audit: PcaAudit, path: str | Path) -> None:
         "final_stage": _stage_payload(audit.final_stage),
         "notes": list(audit.notes),
     }
-    Path(path).write_text(
-        json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(payload, path)

@@ -2,17 +2,19 @@
 
 Quartiles use Tukey's inclusive hinges (for an odd number of observations
 the median belongs to both halves) and the standard deviation uses the
-sample (n-1) denominator. Plot output is dependency-free: parallel
+sample (n-1) denominator. ``build_comparison`` aligns every result into
+one regions x methods table, and every artifact writer takes the
+resulting ``ComparisonReport``. Plot output is dependency-free: parallel
 coordinates are emitted as CSV plus a small hand-written SVG, and the
-scatter-matrix point sets as CSV.
+scatter-matrix point sets as CSV; each formats whole columns of the table
+in one pass.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain, combinations, repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -25,6 +27,7 @@ from .errors import (
     RegionSetMismatchError,
     TooShortError,
 )
+from .ingest import format_column, write_csv, write_json
 from .model import IndexResult, Method
 
 
@@ -92,16 +95,6 @@ def describe(values: Sequence[float]) -> DescriptiveStats:
     )
 
 
-def _check_same_regions(results: Sequence[IndexResult]) -> tuple[str, ...]:
-    regions = results[0].regions
-    for result in results[1:]:
-        if set(result.regions) != set(regions):
-            raise RegionSetMismatchError(
-                f"method {result.method.value!r} covers a different region set"
-            )
-    return regions
-
-
 def crossings(rank_a: Sequence[str], rank_b: Sequence[str]) -> int:
     """Number of region pairs ordered oppositely by two rankings.
 
@@ -156,10 +149,16 @@ def _inversions(perm: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Pairwise correlations, per-method stats, rankings and rank crossings."""
+    """Pairwise correlations, per-method stats, rankings and rank crossings.
+
+    ``values`` is the read-only regions x methods table of rescaled index
+    values, rows in ``regions`` order and columns in ``methods`` order; every
+    plot writer reads it.
+    """
 
     methods: tuple[Method, ...]
     regions: tuple[str, ...]
+    values: np.ndarray = field(compare=False)
     pairwise_r: Mapping[tuple[Method, Method], float]
     per_method_stats: Mapping[Method, DescriptiveStats]
     rankings: Mapping[Method, tuple[str, ...]]
@@ -173,9 +172,18 @@ def build_comparison(results: Sequence[IndexResult]) -> ComparisonReport:
     """Compare two or more method results over the same region set."""
     if len(results) < 2:
         raise FewerThanTwoMethodsError(f"got {len(results)} result(s), need at least 2")
-    regions = _check_same_regions(results)
+    regions = results[0].regions
+    region_set = set(regions)
+    for result in results[1:]:
+        if set(result.regions) != region_set:
+            raise RegionSetMismatchError(
+                f"method {result.method.value!r} covers a different region set"
+            )
     methods = tuple(result.method for result in results)
-    vectors = {result.method: result.rescaled_vector(regions) for result in results}
+    # Built one row per method and transposed, so each column is contiguous.
+    by_method = np.array([result.rescaled_vector(regions) for result in results])
+    by_method.setflags(write=False)
+    values = by_method.T
 
     # Both measures are symmetric: compute each unordered pair once, mirror it.
     pairwise: dict[tuple[Method, Method], float] = {}
@@ -183,16 +191,17 @@ def build_comparison(results: Sequence[IndexResult]) -> ComparisonReport:
     for i, a in enumerate(results):
         pairwise[(a.method, a.method)] = 1.0
         cross[(a.method, a.method)] = 0
-        for b in results[i + 1:]:
-            r = pearson(vectors[a.method], vectors[b.method])
+        for j, b in enumerate(results[i + 1:], start=i + 1):
+            r = pearson(values[:, i], values[:, j])
             n = crossings(a.ranking, b.ranking)
             pairwise[(a.method, b.method)] = pairwise[(b.method, a.method)] = r
             cross[(a.method, b.method)] = cross[(b.method, a.method)] = n
-    stats = {m: describe(vectors[m]) for m in methods}
+    stats = {m: describe(values[:, j]) for j, m in enumerate(methods)}
     rankings = {result.method: result.ranking for result in results}
     return ComparisonReport(
         methods=methods,
         regions=regions,
+        values=values,
         pairwise_r=pairwise,
         per_method_stats=stats,
         rankings=rankings,
@@ -221,85 +230,53 @@ def write_report_json(report: ComparisonReport, path: str | Path) -> None:
         },
         "rankings": {m.value: list(report.rankings[m]) for m in report.methods},
     }
-    Path(path).write_text(
-        json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(payload, path)
 
 
 def write_report_csv(report: ComparisonReport, path: str | Path) -> None:
     """Tabular report: one correlation block, one stats block, one ranking block."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["block", "key"] + [m.value for m in report.methods])
-        for a in report.methods:
-            writer.writerow(
-                ["pearson", a.value]
-                + [f"{report.pairwise_r[(a, b)]:.6f}" for b in report.methods]
-            )
-        for a in report.methods:
-            writer.writerow(
-                ["crossings", a.value]
-                + [str(report.crossings[(a, b)]) for b in report.methods]
-            )
-        stat_fields = ["min", "q1", "median", "q3", "max", "iqr", "mean", "sd"]
-        for field_name in stat_fields:
-            writer.writerow(
-                ["stats", field_name]
-                + [
-                    f"{getattr(report.per_method_stats[m], field_name):.6f}"
-                    for m in report.methods
-                ]
-            )
-        for position in range(len(report.regions)):
-            writer.writerow(
-                ["ranking", str(position + 1)]
-                + [report.rankings[m][position] for m in report.methods]
-            )
+    methods = report.methods
+    rows = [
+        ["pearson", a.value] + [f"{report.pairwise_r[(a, b)]:.6f}" for b in methods]
+        for a in methods
+    ]
+    rows += [
+        ["crossings", a.value] + [str(report.crossings[(a, b)]) for b in methods]
+        for a in methods
+    ]
+    rows += [
+        ["stats", name] + [f"{getattr(report.per_method_stats[m], name):.6f}" for m in methods]
+        for name in ("min", "q1", "median", "q3", "max", "iqr", "mean", "sd")
+    ]
+    positions = map(str, range(1, len(report.regions) + 1))
+    ranking_rows = zip(repeat("ranking"), positions, *(report.rankings[m] for m in methods))
+    write_csv(["block", "key"] + [m.value for m in methods], chain(rows, ranking_rows), path)
 
 
-def write_parallel_csv(results: Sequence[IndexResult], path: str | Path) -> None:
+def write_parallel_csv(report: ComparisonReport, path: str | Path) -> None:
     """Polyline vertices: one row per (region, method axis) pair."""
-    regions = _check_same_regions(results)
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["region", "method", "axis", "value"])
-        for region in regions:
-            for axis, result in enumerate(results):
-                writer.writerow(
-                    [region, result.method.value, axis, f"{result.rescaled_index[region]:.9f}"]
-                )
+    n_axes = len(report.methods)
+    write_csv(
+        ["region", "method", "axis", "value"],
+        zip(
+            [region for region in report.regions for _ in range(n_axes)],
+            [m.value for m in report.methods] * len(report.regions),
+            list(range(n_axes)) * len(report.regions),
+            format_column(report.values.ravel(), "%.9f"),  # row-major: region by region
+        ),
+        path,
+    )
 
 
-def read_parallel_csv(path: str | Path) -> dict[str, list[tuple[str, float]]]:
-    """Re-parse a polyline CSV into region -> [(method, value), ...]."""
-    polylines: dict[str, list[tuple[str, float]]] = {}
-    with Path(path).open(newline="", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
-            polylines.setdefault(row["region"], []).append(
-                (row["method"], float(row["value"]))
-            )
-    return polylines
-
-
-def write_scatter_csv(results: Sequence[IndexResult], path: str | Path) -> None:
+def write_scatter_csv(report: ComparisonReport, path: str | Path) -> None:
     """Point sets for every unordered method pair (scatter-matrix data)."""
-    regions = _check_same_regions(results)
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["method_x", "method_y", "region", "x", "y"])
-        for i, a in enumerate(results):
-            for b in results[i + 1:]:
-                for region in regions:
-                    writer.writerow(
-                        [
-                            a.method.value,
-                            b.method.value,
-                            region,
-                            f"{a.rescaled_index[region]:.6f}",
-                            f"{b.rescaled_index[region]:.6f}",
-                        ]
-                    )
+    names = [m.value for m in report.methods]
+    columns = [format_column(report.values[:, j], "%.6f") for j in range(len(names))]
+    rows = chain.from_iterable(
+        zip(repeat(names[i]), repeat(names[j]), report.regions, columns[i], columns[j])
+        for i, j in combinations(range(len(names)), 2)
+    )
+    write_csv(["method_x", "method_y", "region", "x", "y"], rows, path)
 
 
 _SVG_WIDTH = 720
@@ -311,19 +288,14 @@ _POLYLINE_COLORS = (
 )
 
 
-def write_parallel_svg(results: Sequence[IndexResult], path: str | Path) -> None:
+def write_parallel_svg(report: ComparisonReport, path: str | Path) -> None:
     """Emit a minimal static parallel-coordinates SVG (axes, polylines, labels)."""
-    regions = _check_same_regions(results)
-    n_axes = len(results)
-    if n_axes < 2:
-        raise FewerThanTwoMethodsError("parallel coordinates need at least two axes")
+    n_axes = len(report.methods)
     inner_w = _SVG_WIDTH - 2 * _SVG_MARGIN
     inner_h = _SVG_HEIGHT - 2 * _SVG_MARGIN
+    xs = [_SVG_MARGIN + inner_w * axis / (n_axes - 1) for axis in range(n_axes)]
 
-    def x_at(axis: int) -> float:
-        return _SVG_MARGIN + inner_w * axis / (n_axes - 1)
-
-    def y_at(value: float) -> float:
+    def y_at(value):
         return _SVG_MARGIN + inner_h * (1.0 - value)
 
     parts = [
@@ -331,33 +303,32 @@ def write_parallel_svg(results: Sequence[IndexResult], path: str | Path) -> None
         f'height="{_SVG_HEIGHT}" viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
         f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
     ]
-    for axis, result in enumerate(results):
-        x = x_at(axis)
+    for x, method in zip(xs, report.methods):
         parts.append(
             f'<line x1="{x:.2f}" y1="{y_at(1.0):.2f}" x2="{x:.2f}" y2="{y_at(0.0):.2f}" '
             'stroke="#333333" stroke-width="1"/>'
         )
         parts.append(
             f'<text x="{x:.2f}" y="{y_at(0.0) + 24:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{result.method.value}</text>'
+            f'font-family="sans-serif" font-size="13">{method.value}</text>'
         )
         for tick in (0.0, 1.0):
             parts.append(
                 f'<text x="{x - 8:.2f}" y="{y_at(tick) + 4:.2f}" text-anchor="end" '
                 f'font-family="sans-serif" font-size="10">{tick:.0f}</text>'
             )
-    for i, region in enumerate(regions):
+    ys = y_at(report.values)
+    # One "x,y x,y ..." point list per region, all formatted in one pass.
+    points_format = " ".join(f"{x:.2f},%.2f" for x in xs) + "\n"
+    points = (points_format * len(report.regions) % tuple(ys.ravel().tolist())).splitlines()
+    label_ys = format_column(ys[:, -1] + 4, "%.2f")
+    for i, region in enumerate(report.regions):
         color = _POLYLINE_COLORS[i % len(_POLYLINE_COLORS)]
-        points = " ".join(
-            f"{x_at(axis):.2f},{y_at(result.rescaled_index[region]):.2f}"
-            for axis, result in enumerate(results)
+        parts.append(
+            f'<polyline points="{points[i]}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
         parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
-        )
-        y_label = y_at(results[-1].rescaled_index[region])
-        parts.append(
-            f'<text x="{x_at(n_axes - 1) + 6:.2f}" y="{y_label + 4:.2f}" '
+            f'<text x="{xs[-1] + 6:.2f}" y="{label_ys[i]}" '
             f'font-family="sans-serif" font-size="10" fill="{color}">{_xml_escape(region)}</text>'
         )
     parts.append("</svg>")

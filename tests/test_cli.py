@@ -110,6 +110,17 @@ class TestValidate:
         code = run(["validate", "--data", FIXTURE_DATA, "--manifest", str(tmp_path / "nope.csv")])
         assert code == 3
 
+    def test_short_manifest_row_exit_2(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+        text = Path(FIXTURE_MANIFEST).read_text(encoding="utf-8")
+        row = next(line for line in text.splitlines() if line.startswith("PopDens,"))
+        manifest.write_text(
+            text.replace(row, "PopDens,Population density,Population,benefit"), encoding="utf-8"
+        )
+        code = run(["validate", "--manifest", str(manifest)])
+        assert code == 2
+        assert "has 4 cells, expected 6" in capsys.readouterr().err
+
 
 class TestCompute:
     def test_all_methods_artifacts(self, tmp_path, capsys):
@@ -176,8 +187,14 @@ class TestCompute:
         [
             ("pillar,Economy,heavy", "non-numeric weight 'heavy'"),
             ("pillar,Lunar,1", "unknown pillar 'Lunar'"),
+            ("pillar,Economy,2\npillar,Economy,3", "pillar 'Economy' is listed more than once"),
+            ("indicator,PopDens,3\nindicator,PopDens,5",
+             "indicator 'PopDens' is listed more than once"),
+            ("indicator,PopDens,3,7", "weights file line 2 has 4 cells, expected 3"),
+            ("indicator,PopDens", "weights file line 2 has 2 cells, expected 3"),
         ],
-        ids=["non-numeric-weight", "unknown-pillar"],
+        ids=["non-numeric-weight", "unknown-pillar", "duplicate-pillar", "duplicate-indicator",
+             "extra-cell", "missing-cell"],
     )
     def test_malformed_weights_exit_2(self, tmp_path, capsys, row, expected):
         weights = tmp_path / "weights.csv"

@@ -92,6 +92,26 @@ class TestParseManifest:
         path.write_bytes(SMALL_MANIFEST.encode("utf-8-sig"))
         assert parse_manifest(path).ids == ("a", "b", "c", "d")
 
+    @pytest.mark.parametrize(
+        "row, cells",
+        [
+            ("x,X,Population,benefit", 4),
+            ("x,X,Population,benefit,1.0", 5),
+            ("x,X,Population,benefit,1.0,%,extra", 7),
+        ],
+        ids=["no-weight-no-unit", "no-unit", "extra-cell"],
+    )
+    def test_row_cell_count_checked(self, tmp_path, row, cells):
+        path = write_tmp_dataset(tmp_path, SMALL_MANIFEST + row + "\n", "m.csv")
+        with pytest.raises(ManifestFormatError, match=f"line 6 has {cells} cells, expected 6"):
+            parse_manifest(path)
+
+    def test_empty_weight_cell_means_one(self, tmp_path):
+        text = SMALL_MANIFEST + "e,Epsilon,Economy,benefit,,kg\n"
+        spec = parse_manifest(write_tmp_dataset(tmp_path, text, "m.csv")).spec("e")
+        assert spec.weight == 1.0
+        assert spec.unit == "kg"
+
 
 class TestParseDataset:
     def test_bundled_dataset_spot_values(self, manifest, raw_matrix):
@@ -288,8 +308,13 @@ class TestWriteJson:
             {"list": ["é", "a,b", "back\\slash", 1e-300, -0.0, 1e22, False, None]},
             {"obj": {"b": 2.5, "B": float("inf"), "é": "x", "a": 0, "😀": 1, "\uff21": 2}},
             {"ranking": ("r2", "r1"), "method": "pca"},
+            {"stats": {"pca": {"sd": 0.5, "iqr": 1}, "abreu": {"mean": -2.0}}, "n": 2},
+            {"stage": {"loadings": [[0.25, -1.5], [1e-9, 3.0]], "retained": 2}},
+            {"a": [[], {}, [[]], {"x": []}], "b": {"c": {}, "d": [], "e": [{}]}, "f": [1, []]},
+            {"Região": {"Açores": [1, "é"], "😀": {"\uff21": None}}, "ranking": ["é", "a"]},
         ],
-        ids=["empty", "empty-containers", "scalars", "flat-list", "unsorted-object", "tuple"],
+        ids=["empty", "empty-containers", "scalars", "flat-list", "unsorted-object", "tuple",
+             "dict-of-dicts", "list-of-lists", "empty-inner-containers", "non-ascii-keys"],
     )
     def test_matches_indent_2_sorted_dumps(self, tmp_path, payload):
         path = tmp_path / "out.json"

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import csv
+import io
+import json
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +25,6 @@ from indexforge.stats import (
     crossings,
     describe,
     pearson,
-    read_parallel_csv,
     write_parallel_csv,
     write_parallel_svg,
     write_report_csv,
@@ -295,11 +299,20 @@ class TestComparisonReport:
         assert lines[0] == "block,key,abreu,delphi,pca"
 
 
+def read_polylines(path):
+    """Re-parse a polyline CSV into region -> [(method, value), ...]."""
+    polylines = {}
+    with path.open(newline="", encoding="utf-8") as handle:
+        for row in csv.DictReader(handle):
+            polylines.setdefault(row["region"], []).append((row["method"], float(row["value"])))
+    return polylines
+
+
 class TestParallelCoordinates:
     def test_csv_shape_and_round_trip(self, tmp_path, reference_triple):
         path = tmp_path / "parallel.csv"
-        write_parallel_csv(reference_triple, path)
-        polylines = read_parallel_csv(path)
+        write_parallel_csv(build_comparison(reference_triple), path)
+        polylines = read_polylines(path)
         assert len(polylines) == 9
         for region, vertices in polylines.items():
             assert len(vertices) == 3
@@ -309,7 +322,7 @@ class TestParallelCoordinates:
 
     def test_svg_contents(self, tmp_path, reference_triple):
         path = tmp_path / "parallel.svg"
-        write_parallel_svg(reference_triple, path)
+        write_parallel_svg(build_comparison(reference_triple), path)
         text = path.read_text(encoding="utf-8")
         assert text.startswith("<svg")
         assert text.count("<polyline") == 9
@@ -319,16 +332,190 @@ class TestParallelCoordinates:
 
     def test_vertices_within_axis_bounds(self, tmp_path, reference_triple):
         path = tmp_path / "parallel.csv"
-        write_parallel_csv(reference_triple, path)
-        for vertices in read_parallel_csv(path).values():
+        write_parallel_csv(build_comparison(reference_triple), path)
+        for vertices in read_polylines(path).values():
             for _, value in vertices:
                 assert 0.0 <= value <= 1.0
 
 
 def test_scatter_csv(tmp_path, reference_triple):
     path = tmp_path / "scatter.csv"
-    write_scatter_csv(reference_triple, path)
+    write_scatter_csv(build_comparison(reference_triple), path)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "method_x,method_y,region,x,y"
     # 3 unordered pairs x 9 regions
     assert len(lines) == 1 + 3 * 9
+
+
+# -- per-row references for the comparison writers ---------------------------
+# Each writes what the writer of the same name writes, one row or one region at
+# a time from the results' region -> value views.
+
+def reference_report_json(report):
+    payload = {
+        "methods": [m.value for m in report.methods],
+        "regions": list(report.regions),
+        "pairwise_r": {
+            f"{a.value}:{b.value}": report.pairwise_r[(a, b)]
+            for a in report.methods for b in report.methods
+        },
+        "crossings": {
+            f"{a.value}:{b.value}": report.crossings[(a, b)]
+            for a in report.methods for b in report.methods
+        },
+        "per_method_stats": {m.value: vars(report.per_method_stats[m]) for m in report.methods},
+        "rankings": {m.value: list(report.rankings[m]) for m in report.methods},
+    }
+    return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+
+
+def reference_report_csv(report):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["block", "key"] + [m.value for m in report.methods])
+    for a in report.methods:
+        writer.writerow(
+            ["pearson", a.value] + [f"{report.pairwise_r[(a, b)]:.6f}" for b in report.methods]
+        )
+    for a in report.methods:
+        writer.writerow(
+            ["crossings", a.value] + [str(report.crossings[(a, b)]) for b in report.methods]
+        )
+    for name in ["min", "q1", "median", "q3", "max", "iqr", "mean", "sd"]:
+        writer.writerow(
+            ["stats", name]
+            + [f"{getattr(report.per_method_stats[m], name):.6f}" for m in report.methods]
+        )
+    for position in range(len(report.regions)):
+        writer.writerow(
+            ["ranking", str(position + 1)] + [report.rankings[m][position] for m in report.methods]
+        )
+    return out.getvalue()
+
+
+def reference_parallel_csv(results):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["region", "method", "axis", "value"])
+    for region in results[0].regions:
+        for axis, result in enumerate(results):
+            writer.writerow(
+                [region, result.method.value, axis, f"{result.rescaled_index[region]:.9f}"]
+            )
+    return out.getvalue()
+
+
+def reference_scatter_csv(results):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["method_x", "method_y", "region", "x", "y"])
+    for a, b in combinations(results, 2):
+        for region in results[0].regions:
+            writer.writerow([
+                a.method.value, b.method.value, region,
+                f"{a.rescaled_index[region]:.6f}", f"{b.rescaled_index[region]:.6f}",
+            ])
+    return out.getvalue()
+
+
+def reference_parallel_svg(results):
+    n_axes = len(results)
+
+    def x_at(axis):
+        return 60 + 600 * axis / (n_axes - 1)
+
+    def y_at(value):
+        return 60 + 360 * (1.0 - value)
+
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" width="720" height="480" viewBox="0 0 720 480">',
+        '<rect width="720" height="480" fill="white"/>',
+    ]
+    for axis, result in enumerate(results):
+        x = x_at(axis)
+        parts.append(
+            f'<line x1="{x:.2f}" y1="{y_at(1.0):.2f}" x2="{x:.2f}" y2="{y_at(0.0):.2f}" '
+            'stroke="#333333" stroke-width="1"/>'
+        )
+        parts.append(
+            f'<text x="{x:.2f}" y="{y_at(0.0) + 24:.2f}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="13">{result.method.value}</text>'
+        )
+        for tick in (0.0, 1.0):
+            parts.append(
+                f'<text x="{x - 8:.2f}" y="{y_at(tick) + 4:.2f}" text-anchor="end" '
+                f'font-family="sans-serif" font-size="10">{tick:.0f}</text>'
+            )
+    colors = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
+              "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf")
+    for i, region in enumerate(results[0].regions):
+        color = colors[i % len(colors)]
+        points = " ".join(
+            f"{x_at(axis):.2f},{y_at(result.rescaled_index[region]):.2f}"
+            for axis, result in enumerate(results)
+        )
+        parts.append(
+            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+        )
+        label = region.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        parts.append(
+            f'<text x="{x_at(n_axes - 1) + 6:.2f}" '
+            f'y="{y_at(results[-1].rescaled_index[region]) + 4:.2f}" '
+            f'font-family="sans-serif" font-size="10" fill="{color}">{label}</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+AWKWARD_STEMS = ("Região", "a,b", 'say "hi"', "line\nbreak", "A&B", "<x>", "é", "😀", "\U0001d11e",
+                 "Zeta")
+
+
+def awkward_results(n_methods, n=2000, shuffle_later=False):
+    """Results over n awkward labels with tied values; later ones optionally reordered."""
+    regions = [f"{AWKWARD_STEMS[i % len(AWKWARD_STEMS)]} {i}" for i in range(n)]
+    rng = np.random.default_rng(66 + n_methods)
+    results = []
+    for k, method in enumerate((Method.ABREU, Method.DELPHI, Method.PCA)[:n_methods]):
+        raw = rng.normal(size=n)
+        raw[::40] = raw[0]  # ties within a method
+        raw[1::97] = raw[1]
+        order = rng.permutation(n) if (shuffle_later and k) else np.arange(n)
+        results.append(
+            build_index_result(method, [regions[i] for i in order], raw[order])
+        )
+    return results
+
+
+class TestComparisonWriterBytes:
+    """All five comparison artifacts against the per-row references above."""
+
+    @pytest.mark.parametrize("n_methods", [2, 3])
+    @pytest.mark.parametrize("shuffle_later", [False, True], ids=["same-order", "reordered"])
+    def test_artifacts_match_per_row_references(self, tmp_path, n_methods, shuffle_later):
+        results = awkward_results(n_methods, shuffle_later=shuffle_later)
+        report = build_comparison(results)
+        assert report.regions == results[0].regions
+        if shuffle_later:
+            assert results[1].regions != report.regions
+        writers = {
+            "report.json": (write_report_json, reference_report_json(report)),
+            "report.csv": (write_report_csv, reference_report_csv(report)),
+            "parallel.csv": (write_parallel_csv, reference_parallel_csv(results)),
+            "parallel.svg": (write_parallel_svg, reference_parallel_svg(results)),
+            "scatter.csv": (write_scatter_csv, reference_scatter_csv(results)),
+        }
+        for name, (writer, expected) in writers.items():
+            writer(report, tmp_path / name)
+            assert (tmp_path / name).read_bytes() == expected.encode("utf-8"), name
+
+    def test_values_table_is_aligned_and_read_only(self):
+        results = awkward_results(3, n=50, shuffle_later=True)
+        report = build_comparison(results)
+        assert report.values.shape == (50, 3)
+        for j, result in enumerate(results):
+            assert report.values[:, j].tolist() == [
+                result.rescaled_index[region] for region in report.regions
+            ]
+        with pytest.raises(ValueError):
+            report.values[0, 0] = 0.5
