@@ -10,11 +10,11 @@ from indexforge import (
     PILLARS,
     REFERENCE_VARIANCE_PROFILE,
     compute_pca,
-    correlation_matrix,
     eigen_symmetric,
     normalize_matrix,
 )
 from indexforge.datasets import load_nuts3_dataset
+from indexforge.pca import correlation_matrix
 
 manifest, raw = load_nuts3_dataset()
 normalized, _ = normalize_matrix(raw, manifest)

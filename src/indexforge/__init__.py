@@ -23,7 +23,7 @@ from .model import (
     validate_manifest,
 )
 from .normalize import normalize_matrix, write_normalization_csv
-from .pca import REFERENCE_VARIANCE_PROFILE, compute_pca, correlation_matrix, eigen_symmetric
+from .pca import REFERENCE_VARIANCE_PROFILE, compute_pca, eigen_symmetric
 from .stats import build_comparison, describe, pearson, write_parallel_svg, write_report_json
 
 __version__ = "0.1.0"
@@ -42,7 +42,6 @@ __all__ = [
     "compute_abreu",
     "compute_delphi",
     "compute_pca",
-    "correlation_matrix",
     "describe",
     "eigen_symmetric",
     "normalize_matrix",

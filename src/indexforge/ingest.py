@@ -1,11 +1,11 @@
-"""Reading and writing of manifest and dataset files.
+"""Reading of manifest and dataset files; the JSON and CSV artifact writers.
 
-File conventions are deliberately rigid so that fixtures round-trip
-byte-for-byte: CSV files use a comma delimiter, "." as decimal separator,
-UTF-8 encoding and LF line endings. Inputs may start with a UTF-8
-byte-order mark, which is skipped. The JSON alternative for datasets is
-an object ``{"regions": [...], "indicators": [...], "values": [[...]]}``
-with string region and indicator names and one list of values per region.
+File conventions are deliberately rigid: CSV files use a comma delimiter,
+"." as decimal separator, UTF-8 encoding and LF line endings. Inputs may
+start with a UTF-8 byte-order mark, which is skipped. The JSON alternative
+for datasets is an object
+``{"regions": [...], "indicators": [...], "values": [[...]]}`` with string
+region and indicator names and one list of values per region.
 Every JSON file the package writes uses the sorted-key, two-space layout
 of ``write_json``; CSV artifacts are written through ``write_csv``.
 """
@@ -248,26 +248,6 @@ def _read_dataset_json(path: Path, manifest: Manifest):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise NonNumericCellError(region, indicator_id, repr(value))
     return regions, indicator_ids, values
-
-
-def write_dataset_csv(matrix: IndicatorMatrix, path: str | Path) -> None:
-    """Serialize a matrix as dataset CSV with exact (shortest round-trip) floats."""
-    path = Path(path)
-    lines = [REGION_COLUMN + "," + ",".join(matrix.indicators)]
-    for i, region in enumerate(matrix.regions):
-        cells = (repr(float(v)) for v in matrix.values[i])
-        lines.append(region + "," + ",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_dataset_json(matrix: IndicatorMatrix, path: str | Path) -> None:
-    """Serialize a matrix as dataset JSON in the ``write_json`` layout."""
-    payload = {
-        "regions": list(matrix.regions),
-        "indicators": list(matrix.indicators),
-        "values": matrix.values.tolist(),
-    }
-    write_json(payload, path)
 
 
 _JSON_SCALARS = frozenset((str, int, float, bool, type(None)))

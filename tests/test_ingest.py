@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
@@ -9,8 +10,6 @@ from indexforge.ingest import (
     composite_indicator,
     parse_dataset,
     parse_manifest,
-    write_dataset_csv,
-    write_dataset_json,
     write_json,
 )
 from indexforge.model import IndicatorMatrix, Stage
@@ -29,6 +28,24 @@ from indexforge.errors import (
     TooFewRegionsError,
     UnknownIndicatorError,
 )
+
+
+def write_dataset_csv(matrix: IndicatorMatrix, path) -> None:
+    """Dataset CSV with exact (shortest round-trip) floats, quoted as needed."""
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["region", *matrix.indicators])
+        for region, row in zip(matrix.regions, matrix.values.tolist()):
+            writer.writerow([region, *row])
+
+
+def write_dataset_json(matrix: IndicatorMatrix, path) -> None:
+    payload = {
+        "regions": list(matrix.regions),
+        "indicators": list(matrix.indicators),
+        "values": matrix.values.tolist(),
+    }
+    path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
 
 
 def write_tmp_dataset(tmp_path, text, name="data.csv"):
@@ -296,6 +313,15 @@ class TestRoundTrip:
         write_dataset_csv(matrix, path)
         again = parse_dataset(path, small_manifest)
         assert np.array_equal(again.values, matrix.values)
+
+    @pytest.mark.parametrize("name", ["data.csv", "data.json"])
+    def test_round_trip_label_with_comma_and_quote(self, tmp_path, small_manifest, name):
+        matrix = IndicatorMatrix(
+            ("Lisboa, Norte", 'Porto "Sul"'), ("a", "b", "c", "d"), [[1, 2, 3, 4], [5, 6, 7, 8]]
+        )
+        path = tmp_path / name
+        (write_dataset_json if name.endswith(".json") else write_dataset_csv)(matrix, path)
+        assert parse_dataset(path, small_manifest) == matrix
 
 
 class TestWriteJson:

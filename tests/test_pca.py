@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from indexforge import pca
 from indexforge.errors import ConstantColumnError, NoConvergenceError, NotSymmetricError
 from indexforge.model import PILLARS, Method, Pillar
 from indexforge.normalize import DegenerateColumnWarning
 from indexforge.pca import (
     REFERENCE_VARIANCE_PROFILE,
     STAGE2_CAP,
+    EigenPair,
     compute_pca,
     correlation_matrix,
     eigen_symmetric,
@@ -74,6 +76,151 @@ def random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
+def reference_eigen_symmetric(
+    matrix, *, sym_tol: float = 1e-12, max_sweeps: int = 100
+) -> list[EigenPair]:
+    """The per-element Jacobi loop ``eigen_symmetric`` must match bit for bit.
+
+    Each rotation updates columns p and q of the matrix, then rows p and q,
+    then columns p and q of the rotation product, element by element.
+    """
+    a = np.array(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise NotSymmetricError(f"expected a square matrix, got shape {a.shape}")
+    scale = max(1.0, float(np.abs(a).max()))
+    if float(np.abs(a - a.T).max()) > sym_tol * scale:
+        raise NotSymmetricError("matrix is not symmetric within tolerance")
+    a = (a + a.T) / 2.0
+    n = a.shape[0]
+    if n == 1:
+        return [EigenPair(float(a[0, 0]), np.array([1.0]))]
+
+    vectors = np.eye(n)
+    frob = max(1.0, float(np.sqrt((a * a).sum())))
+    stop = 1e-15 * frob
+
+    def off_norm() -> float:
+        off = a - np.diag(np.diag(a))
+        return float(np.sqrt((off * off).sum()))
+
+    converged = False
+    for _ in range(max_sweeps):
+        if off_norm() <= stop:
+            converged = True
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                # Smaller-angle rotation zeroing a[p, q].
+                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                if tau >= 0:
+                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                col_p, col_q = a[:, p].copy(), a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                row_p, row_q = a[p, :].copy(), a[q, :].copy()
+                a[p, :] = c * row_p - s * row_q
+                a[q, :] = s * row_p + c * row_q
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                vec_p, vec_q = vectors[:, p].copy(), vectors[:, q].copy()
+                vectors[:, p] = c * vec_p - s * vec_q
+                vectors[:, q] = s * vec_p + c * vec_q
+    else:
+        converged = off_norm() <= stop
+    if not converged:
+        raise NoConvergenceError(max_sweeps, off_norm())
+
+    eigenvalues = np.diag(a)
+    order = np.argsort(-eigenvalues, kind="stable")
+    pairs = []
+    for idx in order:
+        vector = vectors[:, idx]
+        vector = vector / np.linalg.norm(vector)
+        vector.flags.writeable = False
+        pairs.append(EigenPair(float(eigenvalues[idx]), vector))
+    return pairs
+
+
+def assert_eigen_properties(a: np.ndarray) -> None:
+    """Residual, trace and orthogonality of ``eigen_symmetric(a)`` within 1e-8."""
+    n = a.shape[0]
+    pairs = eigen_symmetric(a)
+    vectors = np.column_stack([p.vector for p in pairs])
+    values = np.array([p.value for p in pairs])
+    for p in pairs:
+        assert np.linalg.norm(a @ p.vector - p.value * p.vector) <= 1e-8
+    assert abs(values.sum() - np.trace(a)) <= 1e-8
+    assert np.abs(vectors.T @ vectors - np.eye(n)).max() <= 1e-8
+
+
+def assert_bit_identical(matrix) -> None:
+    """``eigen_symmetric`` returns exactly the reference loop's bytes."""
+    got = eigen_symmetric(matrix)
+    expected = reference_eigen_symmetric(matrix)
+    assert np.array([p.value for p in got]).tobytes() == (
+        np.array([p.value for p in expected]).tobytes()
+    )
+    assert np.column_stack([p.vector for p in got]).tobytes() == (
+        np.column_stack([p.vector for p in expected]).tobytes()
+    )
+
+
+class TestBitIdentity:
+    """The row-rotation loop reproduces the per-element loop bit for bit."""
+
+    def test_bundled_pipeline_covariances(self, norm_matrix, manifest, monkeypatch):
+        seen = []
+
+        def recording(matrix, **kwargs):
+            seen.append(np.array(matrix))
+            return eigen_symmetric(matrix, **kwargs)
+
+        monkeypatch.setattr(pca, "eigen_symmetric", recording)
+        compute_pca(norm_matrix, manifest)
+        assert len(seen) == len(PILLARS) + 1
+        for covariance in seen:
+            assert_bit_identical(covariance)
+
+    def test_wide_low_rank_covariance(self):
+        # 300 regions x 50 columns: a rank-5 signal plus noise.
+        rng = np.random.default_rng(63)
+        data = rng.normal(size=(300, 5)) @ rng.normal(size=(5, 50))
+        data += 0.3 * rng.normal(size=data.shape)
+        centered = data - data.mean(axis=0)
+        assert_bit_identical((centered.T @ centered) / data.shape[0])
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_random_symmetric(self, n):
+        rng = np.random.default_rng(64 + n)
+        for _ in range(5):
+            assert_bit_identical(random_symmetric(rng, n))
+
+    def test_diagonal(self):
+        assert_bit_identical(np.diag([0.5, 3.0, -1.0, 2.0]))
+
+    def test_block_diagonal_skips_zero_couplings(self):
+        # Rotations inside one block leave the cross-block entries exactly
+        # zero, so every rotation across the blocks takes the apq == 0 skip.
+        rng = np.random.default_rng(65)
+        a = np.zeros((7, 7))
+        a[:3, :3] = random_symmetric(rng, 3)
+        a[3:, 3:] = random_symmetric(rng, 4)
+        assert_bit_identical(a)
+
+    def test_repeated_eigenvalue(self):
+        rng = np.random.default_rng(66)
+        q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        a = (q * [3.0, 3.0, 3.0, 1.0, 1.0, 0.25]) @ q.T
+        assert_bit_identical((a + a.T) / 2.0)
+
+
 class TestEigenSymmetric:
     def test_identity(self):
         pairs = eigen_symmetric(np.eye(3))
@@ -102,15 +249,13 @@ class TestEigenSymmetric:
     def test_residual_trace_orthogonality(self):
         rng = np.random.default_rng(52)
         for _ in range(50):
-            n = int(rng.integers(1, 11))
-            a = random_symmetric(rng, n)
-            pairs = eigen_symmetric(a)
-            vectors = np.column_stack([p.vector for p in pairs])
-            values = np.array([p.value for p in pairs])
-            for p in pairs:
-                assert np.linalg.norm(a @ p.vector - p.value * p.vector) <= 1e-8
-            assert abs(values.sum() - np.trace(a)) <= 1e-8
-            assert np.abs(vectors.T @ vectors - np.eye(n)).max() <= 1e-8
+            assert_eigen_properties(random_symmetric(rng, int(rng.integers(1, 11))))
+
+    def test_residual_trace_orthogonality_wide(self):
+        # The wide benchmark table runs pillar blocks of about 50x50.
+        rng = np.random.default_rng(62)
+        for _ in range(20):
+            assert_eigen_properties(random_symmetric(rng, int(rng.integers(20, 51))))
 
     def test_matches_charpoly_oracle_small(self):
         rng = np.random.default_rng(53)
