@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NegativeInputError, WeightManifestMismatchError
-from .ingest import format_column, write_csv, write_json
+from .ingest import csv_cells, write_json
 from .model import (
     PILLARS,
     IndexResult,
@@ -101,9 +101,24 @@ def rescale_final(raw) -> np.ndarray:
 
 
 def rank_regions(regions: Sequence[str], rescaled) -> tuple[str, ...]:
-    """Regions in descending index order; ties broken by label."""
-    order = np.lexsort((np.array(regions, dtype=str), -np.asarray(rescaled, dtype=float)))
-    return tuple(np.array(regions, dtype=object)[order])
+    """Regions in descending index order; ties broken by label in code-point order.
+
+    One argsort of the negated values, then each run of exactly equal values
+    (0.0 and -0.0 are equal) is sorted by label with Python's ``sorted``.
+    Every run is fully re-sorted, so the argsort need not be stable.
+    """
+    values = -np.asarray(rescaled, dtype=float)
+    order = np.argsort(values)
+    ranking = np.array(regions, dtype=object)[order].tolist()
+    ordered = values[order]
+    tied = np.flatnonzero(ordered[1:] == ordered[:-1])  # i where ordered[i + 1] ties ordered[i]
+    if tied.size:
+        gap = np.diff(tied) > 1
+        starts = tied[np.r_[True, gap]].tolist()
+        stops = (tied[np.r_[gap, True]] + 2).tolist()
+        for start, stop in zip(starts, stops):
+            ranking[start:stop] = sorted(ranking[start:stop])
+    return tuple(ranking)
 
 
 def build_index_result(method: Method, regions: Sequence[str], raw) -> IndexResult:
@@ -152,18 +167,20 @@ def compute_delphi(
 
 
 def write_index_csv(result: IndexResult, path: str | Path) -> None:
-    """Write one method's index as CSV (region,raw,rescaled,rank)."""
-    rank = dict(zip(result.ranking, range(1, len(result.ranking) + 1)))
-    write_csv(
-        ["region", "raw", "rescaled", "rank"],
-        zip(
-            result.regions,
-            format_column(result.raw),
-            format_column(result.rescaled),
-            map(rank.get, result.regions),
-        ),
-        path,
-    )
+    """Write one method's index as CSV (region,raw,rescaled,rank).
+
+    The bytes are those of ``write_csv`` with six-decimal floats; the body is
+    formatted in one ``%`` pass over all cells.
+    """
+    n = len(result.regions)
+    rank = dict(zip(result.ranking, range(1, n + 1)))
+    cells: list[object] = [None] * (4 * n)
+    cells[0::4] = csv_cells(result.regions)
+    cells[1::4] = result.raw.tolist()
+    cells[2::4] = result.rescaled.tolist()
+    cells[3::4] = map(rank.__getitem__, result.regions)
+    text = "region,raw,rescaled,rank\n" + ("%s,%.6f,%.6f,%d\n" * n) % tuple(cells)
+    Path(path).write_text(text, encoding="utf-8", newline="")
 
 
 def write_index_json(result: IndexResult, path: str | Path) -> None:

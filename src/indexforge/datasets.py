@@ -47,7 +47,8 @@ def load_reference_indexes(path: str | Path | None = None) -> dict[Method, Index
     These are previously published values for the bundled dataset, kept as
     two-decimal numbers exactly as released; raw and rescaled values are
     identical because the reference columns already span [0, 1]. A value
-    that is not a finite number raises DataFormatError.
+    that is not a finite number, or a row with more cells than the header,
+    raises DataFormatError.
     """
     path = data_path(REFERENCE_FILE) if path is None else Path(path)
     regions: list[str] = []
@@ -62,6 +63,11 @@ def load_reference_indexes(path: str | Path | None = None) -> dict[Method, Index
                 f"missing {sorted(missing)}"
             )
         for row in reader:
+            if None in row:  # DictReader's key for cells beyond the header
+                raise DataFormatError(
+                    f"{path} line {reader.line_num} has {len(reader.fieldnames) + len(row[None])} "
+                    f"cells, expected {len(reader.fieldnames)}"
+                )
             regions.append(row["region"])
             for method in Method:
                 text = row[method.value]

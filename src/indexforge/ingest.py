@@ -7,7 +7,9 @@ for datasets is an object
 ``{"regions": [...], "indicators": [...], "values": [[...]]}`` with string
 region and indicator names and one list of values per region.
 Every JSON file the package writes uses the sorted-key, two-space layout
-of ``write_json``; CSV artifacts are written through ``write_csv``.
+of ``write_json``; CSV artifacts are written through ``write_csv``, or
+with the same cells (``csv_cells`` quotes a label as ``csv.writer`` does)
+by the index writer, which formats its rows in one pass.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from array import array
 from contextlib import contextmanager
 from functools import lru_cache
 from pathlib import Path
@@ -161,8 +164,9 @@ def parse_dataset(path: str | Path, manifest: Manifest) -> IndicatorMatrix:
         regions, indicator_ids, values = _read_dataset_json(path, manifest)
     else:
         regions, indicator_ids, values = _read_dataset_csv(path, manifest)
-    # The CSV reader returns one flat row-major list, the JSON reader a list of
-    # rows; reshape gives both, and a file without data rows, (regions, columns).
+    # The CSV reader returns one flat row-major array("d"), the JSON reader a
+    # list of rows; reshape gives both, and a file without data rows,
+    # (regions, columns).
     values = np.array(values, dtype=float).reshape(len(regions), len(indicator_ids))
     _check_finite(values, regions, indicator_ids)
     _check_regions(regions)
@@ -199,17 +203,18 @@ def _read_dataset_csv(path: Path, manifest: Manifest):
         indicator_ids = tuple(header[1:])
         _check_header(indicator_ids, manifest)
         regions: list[str] = []
-        values: list[float] = []  # row-major, one row of len(indicator_ids) per region
+        values = array("d")  # row-major, one row of len(indicator_ids) per region
+        width = len(header)
         for row in reader:
             if not row:
                 continue
-            region, cells = row[0], row[1:]
-            _check_row_length(region, indicator_ids, len(cells))
+            if len(row) != width:
+                _check_row_length(row[0], indicator_ids, len(row) - 1)
             try:
-                values.extend(map(float, cells))
+                values.fromlist(list(map(float, row[1:])))
             except ValueError:
-                _raise_cell_error(region, indicator_ids, cells)
-            regions.append(region)
+                _raise_cell_error(row[0], indicator_ids, row[1:])
+            regions.append(row[0])
     return regions, indicator_ids, values
 
 
@@ -295,6 +300,31 @@ def write_json(payload: Mapping[str, object], path: str | Path) -> None:
 def format_column(vector: np.ndarray, spec: str = "%.6f") -> list[str]:
     """Each value of a vector in the %-format ``spec``, formatted in one pass."""
     return ((spec + "\n") * vector.size % tuple(vector.tolist())).split()
+
+
+#: Characters that can make csv.writer quote a cell.
+_CSV_MARKS = (",", '"', "\r", "\n")
+
+
+def csv_cells(texts: Sequence[str]) -> list[str]:
+    """Each text as ``write_csv`` writes it as one cell of a row.
+
+    A text without a delimiter, quote or line-break character is the cell
+    itself; only the others go through ``csv.writer``, one at a time.
+    """
+    cells = list(texts)
+    joined = "".join(cells)
+    if not any(mark in joined for mark in _CSV_MARKS):
+        return cells
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    for i, text in enumerate(cells):
+        if any(mark in text for mark in _CSV_MARKS):
+            buffer.seek(0)
+            buffer.truncate()
+            writer.writerow([text])
+            cells[i] = buffer.getvalue()[:-1]
+    return cells
 
 
 def write_csv(header: Sequence[str], rows: Iterable[Sequence[object]], path: str | Path) -> None:

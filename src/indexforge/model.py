@@ -290,8 +290,9 @@ class IndexResult:
     """Final index of one method: raw and [0, 1] rescaled vectors, ranking.
 
     ``raw`` and ``rescaled`` are read-only vectors aligned to ``regions``.
-    The ranking is in descending rescaled order; ties are broken by region
-    label so that equal scores still produce a deterministic order.
+    The ranking is in descending rescaled order; ties are broken by the
+    code-point order of the region labels so that equal scores still produce
+    a deterministic order.
     """
 
     method: Method

@@ -6,6 +6,10 @@ Bounds are always the observed per-column extremes of the dataset under
 analysis, which is what makes every normalized column span [0, 1] exactly.
 A constant column cannot be scaled; it maps to 0.5 everywhere and is
 flagged as degenerate with a warning instead of failing the pipeline.
+
+``normalize_matrix`` scales the whole regions x indicators array in one
+vectorized pass; ``normalize_column`` runs the same kernel on a single
+column, so both give the same bytes for the same column.
 """
 
 from __future__ import annotations
@@ -36,6 +40,40 @@ class NormalizationRecord:
     degenerate: bool
 
 
+def _scale_columns(
+    values: np.ndarray, directions: Sequence[Direction], indicator_ids: Sequence[str]
+) -> tuple[np.ndarray, list[NormalizationRecord]]:
+    """Min-max scale every column of a regions x columns array in one pass.
+
+    The one place the formulas live: benefit (x - min) / (max - min), cost
+    (max - x) / (max - min), each element in exactly these IEEE operations;
+    a constant column becomes 0.5 with a DegenerateColumnWarning, in column
+    order.
+    """
+    if values.shape[0] == 0:
+        raise ValueError("cannot normalize an empty column")
+    lo = values.min(axis=0)
+    hi = values.max(axis=0)
+    degenerate = hi == lo
+    cost = np.array([direction is Direction.COST for direction in directions], dtype=bool)
+    scaled = values - lo
+    scaled[:, cost] = hi[cost] - values[:, cost]
+    scaled /= np.where(degenerate, 1.0, hi - lo)
+    scaled[:, degenerate] = 0.5
+    records = [
+        NormalizationRecord(*fields)
+        for fields in zip(indicator_ids, lo.tolist(), hi.tolist(), directions, degenerate.tolist())
+    ]
+    for record in records:
+        if record.degenerate:
+            warnings.warn(
+                f"column {record.indicator_id or '<unnamed>'} is constant; normalized to 0.5",
+                DegenerateColumnWarning,
+                stacklevel=3,
+            )
+    return scaled, records
+
+
 def normalize_column(
     values: Sequence[float] | np.ndarray,
     direction: Direction,
@@ -46,50 +84,25 @@ def normalize_column(
     Benefit: (x - min) / (max - min). Cost: (max - x) / (max - min).
     """
     col = np.asarray(values, dtype=float)
-    if col.size == 0:
-        raise ValueError("cannot normalize an empty column")
     if not np.all(np.isfinite(col)):
         raise ValueError(f"column {indicator_id!r} contains non-finite values")
-    lo = float(col.min())
-    hi = float(col.max())
-    degenerate = hi == lo
-    if degenerate:
-        warnings.warn(
-            f"column {indicator_id or '<unnamed>'} is constant; normalized to 0.5",
-            DegenerateColumnWarning,
-            stacklevel=2,
-        )
-        scaled = np.full_like(col, 0.5)
-    elif direction is Direction.COST:
-        scaled = (hi - col) / (hi - lo)
-    else:
-        scaled = (col - lo) / (hi - lo)
-    record = NormalizationRecord(
-        indicator_id=indicator_id,
-        observed_min=lo,
-        observed_max=hi,
-        direction=direction,
-        degenerate=degenerate,
-    )
-    return scaled, record
+    scaled, records = _scale_columns(col.reshape(-1, 1), (direction,), (indicator_id,))
+    return scaled[:, 0], records[0]
 
 
 def normalize_matrix(
     matrix: IndicatorMatrix, manifest: Manifest
 ) -> tuple[IndicatorMatrix, list[NormalizationRecord]]:
-    """Normalize every column of a raw matrix per its manifest direction."""
+    """Normalize every column of a raw matrix per its manifest direction.
+
+    One vectorized pass over the whole matrix; records and warnings follow
+    the matrix's column order.
+    """
     if matrix.stage is not Stage.RAW:
         raise ValueError("normalize_matrix expects a raw-stage matrix")
-    columns = []
-    records = []
-    for indicator_id in matrix.indicators:
-        direction = manifest.spec(indicator_id).direction
-        scaled, record = normalize_column(matrix.column(indicator_id), direction, indicator_id)
-        columns.append(scaled)
-        records.append(record)
-    normalized = IndicatorMatrix(
-        matrix.regions, matrix.indicators, np.column_stack(columns), stage=Stage.NORMALIZED
-    )
+    directions = [manifest.spec(indicator_id).direction for indicator_id in matrix.indicators]
+    scaled, records = _scale_columns(matrix.values, directions, matrix.indicators)
+    normalized = IndicatorMatrix(matrix.regions, matrix.indicators, scaled, stage=Stage.NORMALIZED)
     return normalized, records
 
 

@@ -14,6 +14,7 @@ from indexforge.aggregate import (
     compute_delphi,
     geometric_mean,
     pillar_arithmetic_means,
+    rank_regions,
     rescale_final,
     write_index_csv,
     write_index_json,
@@ -48,6 +49,79 @@ FROZEN_DELPHI_RESCALED = (
     0.118047, 0.108236, 0.894207, 0.008832, 0.378768,
     0.0, 0.855245, 0.734425, 1.0,
 )
+
+
+def reference_rank_regions(regions, rescaled):
+    """The string-lexsort ranking ``rank_regions`` must match.
+
+    numpy compares its fixed-width strings without trailing NUL characters,
+    so the two differ only for labels that differ by trailing NULs alone.
+    """
+    order = np.lexsort((np.array(regions, dtype=str), -np.asarray(rescaled, dtype=float)))
+    return tuple(np.array(regions, dtype=object)[order])
+
+
+class TestRankRegions:
+    """Descending value, ties by code-point label order, as the lexsort reference."""
+
+    STEMS = ("Região", "Açores", "Zeta", "alpha", "ALPHA", "e\u0301", "é", "\uff21", "😀",
+             "𝔘", "a,b", "", " ")
+
+    @classmethod
+    def labels(cls, n, rng):
+        return rng.permutation([f"{cls.STEMS[i % len(cls.STEMS)]}{i}" for i in range(n)]).tolist()
+
+    def assert_matches_reference(self, regions, values):
+        got = rank_regions(regions, values)
+        assert got == reference_rank_regions(regions, values)
+        assert type(got) is tuple and all(type(label) is str for label in got)
+
+    @pytest.mark.parametrize("decimals", [0, 1, 2])
+    def test_rounded_ties(self, decimals):
+        rng = np.random.default_rng(61 + decimals)
+        for n in (3, 40, 700):
+            values = np.round(rng.uniform(size=n), decimals)
+            self.assert_matches_reference(self.labels(n, rng), values)
+
+    def test_all_equal(self):
+        rng = np.random.default_rng(62)
+        for n in (2, 3, 13, 500):
+            regions = self.labels(n, rng)
+            self.assert_matches_reference(regions, np.full(n, 0.5))
+            assert rank_regions(regions, np.zeros(n)) == tuple(sorted(regions))
+
+    def test_negative_and_positive_zero_tie(self):
+        regions = ["d", "b", "e", "a", "c", "f"]
+        values = [0.0, -0.0, 1.0, -0.0, 0.0, -1.0]
+        self.assert_matches_reference(regions, values)
+        assert rank_regions(regions, values) == ("e", "a", "b", "c", "d", "f")
+
+    def test_one_and_two_regions(self):
+        self.assert_matches_reference(["only"], [0.3])
+        for values in ([0.0, 1.0], [1.0, 0.0], [0.5, 0.5]):
+            for regions in (["b", "a"], ["a", "b"]):
+                self.assert_matches_reference(regions, values)
+
+    def test_non_ascii_and_non_bmp_labels(self):
+        regions = ["é", "e\u0301", "😀", "𝔘", "\uff21", "Z", "a", "Açores", "Região", "ÿ"]
+        for values in (np.zeros(len(regions)), np.arange(len(regions)) % 3):
+            self.assert_matches_reference(regions, values)
+            self.assert_matches_reference(regions[::-1], values[::-1])
+
+    @pytest.mark.parametrize("decimals", [None, 3])
+    def test_seeded_shuffle_at_scale(self, decimals):
+        rng = np.random.default_rng(63)
+        n = 30_000
+        regions = [f"R{i:05d}" for i in rng.permutation(n)]
+        values = rng.uniform(size=n)
+        if decimals is not None:
+            values = np.round(values, decimals)  # about 30 regions per tied value
+        self.assert_matches_reference(regions, values)
+
+    def test_trailing_nul_labels_in_code_point_order(self):
+        # The one input where the lexsort reference differs: numpy drops the NUL.
+        for regions in (["a\x00", "a"], ["a", "a\x00"]):
+            assert rank_regions(regions, [0.5, 0.5]) == ("a", "a\x00")
 
 
 class TestPillarMeans:
@@ -349,3 +423,16 @@ class TestIndexWriters:
         expected = json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
         write_index_json(result, tmp_path / "pca.json")
         assert (tmp_path / "pca.json").read_bytes() == expected.encode("utf-8")
+
+    def test_csv_bytes_empty_and_carriage_return_labels(self, tmp_path):
+        regions = ["", "a\rb", "\r", "tab\there", "x,\r", "plain", " ", "%s %d", "\x00"]
+        raw = [2.0, -1.5, 0.25, 7.0, 2.0, -0.0, 1e-9, 3.5, 2.0]
+        result = build_index_result(Method.ABREU, regions, raw)
+        rank = {region: i for i, region in enumerate(result.ranking, start=1)}
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["region", "raw", "rescaled", "rank"])
+        for region, value, rescaled in zip(result.regions, result.raw, result.rescaled):
+            writer.writerow([region, f"{value:.6f}", f"{rescaled:.6f}", rank[region]])
+        write_index_csv(result, tmp_path / "abreu.csv")
+        assert (tmp_path / "abreu.csv").read_bytes() == expected.getvalue().encode("utf-8")

@@ -248,6 +248,18 @@ class TestCompare:
         assert code == 2
         assert "reference index file must have columns" in capsys.readouterr().err
 
+    def test_published_extra_cell_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "table3.csv"
+        text = Path(FIXTURE_TABLE3).read_text(encoding="utf-8")
+        row = "Alto Minho,0.34,0.13,0.29"
+        bad.write_text(text.replace(row, row + ",0.99", 1), encoding="utf-8")
+        with pytest.raises(DataFormatError, match="line 2 has 5 cells, expected 4"):
+            load_reference_indexes(bad)
+        code = run(["compare", "--published", str(bad), "--out", str(tmp_path / "cmp")])
+        assert code == 2
+        assert "line 2 has 5 cells, expected 4" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
     def test_computed_full_report(self, tmp_path):
         out = tmp_path / "cmp"
         code = run(["compare", "--methods", "all", "--out", str(out)])

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from indexforge.model import Direction, IndicatorMatrix, Stage
 from indexforge.normalize import (
     DegenerateColumnWarning,
+    NormalizationRecord,
     normalize_column,
     normalize_matrix,
     write_normalization_csv,
@@ -14,6 +17,64 @@ from indexforge.normalize import (
 # Columns where the bundled dataset has tied extremes (two regions share the
 # minimum of ICT; four share the maximum of WasteW).
 TIED_EXTREME_COLUMNS = {"ICT", "WasteW"}
+
+
+def reference_normalize_column(values, direction, indicator_id=""):
+    """The per-column normalization the vectorized kernel must match byte for byte."""
+    col = np.asarray(values, dtype=float)
+    if col.size == 0:
+        raise ValueError("cannot normalize an empty column")
+    if not np.all(np.isfinite(col)):
+        raise ValueError(f"column {indicator_id!r} contains non-finite values")
+    lo = float(col.min())
+    hi = float(col.max())
+    degenerate = hi == lo
+    if degenerate:
+        warnings.warn(
+            f"column {indicator_id or '<unnamed>'} is constant; normalized to 0.5",
+            DegenerateColumnWarning,
+            stacklevel=2,
+        )
+        scaled = np.full_like(col, 0.5)
+    elif direction is Direction.COST:
+        scaled = (hi - col) / (hi - lo)
+    else:
+        scaled = (col - lo) / (hi - lo)
+    record = NormalizationRecord(
+        indicator_id=indicator_id,
+        observed_min=lo,
+        observed_max=hi,
+        direction=direction,
+        degenerate=degenerate,
+    )
+    return scaled, record
+
+
+def reference_normalize_matrix(matrix, manifest):
+    """The loop of per-column calls that ``normalize_matrix`` replaced."""
+    if matrix.stage is not Stage.RAW:
+        raise ValueError("normalize_matrix expects a raw-stage matrix")
+    columns = []
+    records = []
+    for indicator_id in matrix.indicators:
+        direction = manifest.spec(indicator_id).direction
+        scaled, record = reference_normalize_column(
+            matrix.column(indicator_id), direction, indicator_id
+        )
+        columns.append(scaled)
+        records.append(record)
+    normalized = IndicatorMatrix(
+        matrix.regions, matrix.indicators, np.column_stack(columns), stage=Stage.NORMALIZED
+    )
+    return normalized, records
+
+
+def recorded_warnings(call):
+    """``call()``'s result and the (category, text) of every warning it raised, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [(w.category, str(w.message)) for w in caught]
 
 
 class TestNormalizeColumn:
@@ -126,6 +187,82 @@ class TestNormalizeMatrix:
         matrix, _ = normalized
         with pytest.raises(ValueError):
             normalize_matrix(matrix, manifest)
+
+
+class TestMatchesPerColumnReference:
+    """The one-pass kernel gives the bytes, records and warnings of the per-column loop."""
+
+    @staticmethod
+    def seeded_matrix(manifest, n, seed, constant=()):
+        rng = np.random.default_rng(seed)
+        k = len(manifest)
+        values = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-3, 4, size=k)
+        values += rng.uniform(-500, 500, size=k)
+        values = np.round(values, rng.integers(0, 5))  # rounding ties some extremes
+        for j in constant:
+            values[:, j] = values[0, j]
+        order = rng.permutation(k)  # file column order differs from the manifest's
+        return IndicatorMatrix(
+            tuple(f"r{i}" for i in range(n)),
+            [manifest.ids[j] for j in order],
+            values[:, order],
+        )
+
+    @pytest.mark.parametrize(
+        "n, seed, constant",
+        [(2, 1, ()), (3, 2, (0,)), (9, 3, ()), (50, 4, (1, 7, 24)), (1000, 5, (0, 12)),
+         (2000, 6, (2, 3, 4, 5, 6, 7))],
+    )
+    def test_matrix_bytes_records_and_warnings(self, manifest, n, seed, constant):
+        matrix = self.seeded_matrix(manifest, n, seed, constant)
+        cost = {i for i in matrix.indicators if manifest.spec(i).direction is Direction.COST}
+        assert cost  # the bundled manifest has cost columns
+        (got, got_records), got_warnings = recorded_warnings(
+            lambda: normalize_matrix(matrix, manifest)
+        )
+        (want, want_records), want_warnings = recorded_warnings(
+            lambda: reference_normalize_matrix(matrix, manifest)
+        )
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got == want
+        assert got_records == want_records
+        assert got_warnings == want_warnings
+        assert len(got_warnings) == sum(record.degenerate for record in want_records)
+
+    def test_single_region_warns_for_every_column_in_order(self, manifest, raw_matrix):
+        single = IndicatorMatrix(
+            ("Algarve",), raw_matrix.indicators, raw_matrix.row("Algarve")[None, :]
+        )
+        (got, _), got_warnings = recorded_warnings(lambda: normalize_matrix(single, manifest))
+        (want, _), want_warnings = recorded_warnings(
+            lambda: reference_normalize_matrix(single, manifest)
+        )
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got_warnings == want_warnings
+        assert [text.split()[1] for _, text in got_warnings] == list(raw_matrix.indicators)
+
+    def test_bundled_dataset(self, manifest, raw_matrix, normalized):
+        got, records = normalized
+        want, want_records = reference_normalize_matrix(raw_matrix, manifest)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert records == want_records
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_column_bytes(self, direction):
+        rng = np.random.default_rng(41)
+        for n in (1, 2, 3, 17, 500):
+            for col in (rng.normal(size=n) * 1e3, np.round(rng.uniform(size=n), 1),
+                        np.full(n, -2.5)):
+                (got, got_record), got_warnings = recorded_warnings(
+                    lambda: normalize_column(col, direction, "c")
+                )
+                (want, want_record), want_warnings = recorded_warnings(
+                    lambda: reference_normalize_column(col, direction, "c")
+                )
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert got_record == want_record
+                assert got_warnings == want_warnings
 
 
 def test_records_csv_export(tmp_path, normalized):
