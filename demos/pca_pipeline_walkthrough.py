@@ -25,8 +25,8 @@ r = correlation_matrix(normalized.columns(population_ids), ids=population_ids)
 print(f"Population pillar correlation matrix ({', '.join(population_ids)}):")
 for row in r:
     print("   " + "  ".join(f"{v:+.2f}" for v in row))
-pairs = eigen_symmetric(r)
-print("eigenvalues:", "  ".join(f"{p.value:.3f}" for p in pairs))
+eigenvalues, _ = eigen_symmetric(r)
+print("eigenvalues:", "  ".join(f"{v:.3f}" for v in eigenvalues))
 
 print("\n=== stage 1: one PCA per pillar ===")
 result, audit = compute_pca(normalized, manifest, reference_profile=REFERENCE_VARIANCE_PROFILE)

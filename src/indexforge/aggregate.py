@@ -27,7 +27,6 @@ from .model import (
     Manifest,
     Method,
     Pillar,
-    PillarScores,
     Stage,
     WeightScheme,
     build_weight_scheme,
@@ -49,8 +48,12 @@ def delphi_default_weights(manifest: Manifest) -> WeightScheme:
     return build_weight_scheme(manifest, pillar_weights=DEFAULT_PILLAR_WEIGHTS)
 
 
-def pillar_arithmetic_means(matrix: IndicatorMatrix, manifest: Manifest) -> PillarScores:
-    """Unweighted mean of each pillar's normalized indicators, per region."""
+def pillar_arithmetic_means(matrix: IndicatorMatrix, manifest: Manifest) -> np.ndarray:
+    """Unweighted mean of each pillar's normalized indicators, per region.
+
+    Returns a regions x pillars array, rows in ``matrix.regions`` order and
+    columns in PILLARS order.
+    """
     if matrix.stage is not Stage.NORMALIZED:
         raise ValueError("pillar means are defined on a normalized matrix")
     # Row-contiguous blocks keep numpy's pairwise summation per region, the
@@ -59,7 +62,7 @@ def pillar_arithmetic_means(matrix: IndicatorMatrix, manifest: Manifest) -> Pill
         np.ascontiguousarray(matrix.columns(manifest.pillar_ids(p))).mean(axis=1)
         for p in PILLARS
     ]
-    return PillarScores(matrix.regions, np.column_stack(means))
+    return np.column_stack(means)
 
 
 def geometric_mean(values) -> np.ndarray | float:
@@ -133,8 +136,8 @@ def compute_abreu(matrix: IndicatorMatrix, manifest: Manifest) -> IndexResult:
     Indicator and pillar weights are deliberately ignored; all four pillars
     contribute equally.
     """
-    pillar_scores = pillar_arithmetic_means(matrix, manifest)
-    return build_index_result(Method.ABREU, matrix.regions, geometric_mean(pillar_scores.values))
+    pillar_means = pillar_arithmetic_means(matrix, manifest)
+    return build_index_result(Method.ABREU, matrix.regions, geometric_mean(pillar_means))
 
 
 def compute_delphi(

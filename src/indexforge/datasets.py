@@ -47,8 +47,8 @@ def load_reference_indexes(path: str | Path | None = None) -> dict[Method, Index
     These are previously published values for the bundled dataset, kept as
     two-decimal numbers exactly as released; raw and rescaled values are
     identical because the reference columns already span [0, 1]. A value
-    that is not a finite number, or a row with more cells than the header,
-    raises DataFormatError.
+    that is not a finite number, or a row with more or fewer cells than the
+    header, raises DataFormatError.
     """
     path = data_path(REFERENCE_FILE) if path is None else Path(path)
     regions: list[str] = []
@@ -63,9 +63,12 @@ def load_reference_indexes(path: str | Path | None = None) -> dict[Method, Index
                 f"missing {sorted(missing)}"
             )
         for row in reader:
-            if None in row:  # DictReader's key for cells beyond the header
+            # DictReader keys extra cells by None and fills missing ones with None.
+            missing = sum(value is None for value in row.values())
+            if None in row or missing:
+                cells = len(reader.fieldnames) + len(row.get(None, ())) - missing
                 raise DataFormatError(
-                    f"{path} line {reader.line_num} has {len(reader.fieldnames) + len(row[None])} "
+                    f"{path} line {reader.line_num} has {cells} "
                     f"cells, expected {len(reader.fieldnames)}"
                 )
             regions.append(row["region"])

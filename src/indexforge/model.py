@@ -264,28 +264,6 @@ def _read_only(values) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class PillarScores:
-    """Per-region score of each pillar: a regions x pillars array, PILLARS order."""
-
-    regions: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "regions", tuple(self.regions))
-        object.__setattr__(self, "values", _read_only(self.values))
-
-    def score(self, region: str, pillar: Pillar) -> float:
-        return float(self.values[self.regions.index(region), PILLARS.index(pillar)])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PillarScores)
-            and self.regions == other.regions
-            and np.array_equal(self.values, other.values)
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class IndexResult:
     """Final index of one method: raw and [0, 1] rescaled vectors, ranking.
 

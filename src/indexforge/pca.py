@@ -11,10 +11,12 @@ bit-for-bit reference. A rotation costs about 11 us at n = 50 (33 us for
 the per-element loop; one core of a Xeon VM), and a sweep over k columns
 makes k(k-1)/2 of them: negligible on the bundled dataset (at most 7x7),
 dominant on a wide table (50x50 pillar blocks for 200 indicators).
-Swapping in ``numpy.linalg.eigh`` waits on one decision: it flips some of
-the raw eigenvector signs that ``pca_audit.json`` records as sign flips,
-so the benchmark's seed-artifact check must first say how it treats
-those solver-dependent booleans.
+``eigen_symmetric`` returns plain arrays in the layout of
+``numpy.linalg.eigh``: the eigenvalues (here in descending order) and the
+eigenvectors as the columns of one read-only matrix. Swapping in ``eigh``
+waits on one decision: it flips some of the raw eigenvector signs that
+``pca_audit.json`` records as sign flips, so the benchmark's seed-artifact
+check must first say how it treats those solver-dependent booleans.
 
 Each PCA stage runs on the columns it is given: mean-centered covariance
 PCA. The pillar columns arrive min-max normalized to [0, 1], which puts
@@ -24,9 +26,10 @@ their factor-score scale. Retained factors are combined into a single
 column by weighting each factor score with its share of explained
 variance (renormalized over the retained set).
 
-Sign convention: an eigenvector is flipped so its loading sum is
-nonnegative (ties resolved by making the first nonzero loading positive).
-PCA signs are arbitrary; fixing them keeps builds deterministic.
+Sign convention: each retained eigenvector is flipped so its loading sum
+is nonnegative (ties resolved by making the first nonzero loading
+positive), all retained columns in one vectorized step. PCA signs are
+arbitrary; fixing them keeps builds deterministic.
 """
 
 from __future__ import annotations
@@ -58,37 +61,26 @@ VARIANCE_THRESHOLD = 0.80
 PIPELINE_MIN_FACTORS = 2
 
 
-@dataclass(frozen=True)
-class EigenPair:
-    """One eigenvalue with its unit-norm eigenvector."""
-
-    value: float
-    vector: np.ndarray
-
-
-def eigen_symmetric(
-    matrix, *, sym_tol: float = 1e-12, max_sweeps: int = 100
-) -> list[EigenPair]:
+def eigen_symmetric(matrix, *, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
     """All eigenpairs of a symmetric matrix via cyclic Jacobi rotations.
 
-    Returns pairs sorted by eigenvalue, descending. Eigenvectors are
-    orthonormal columns of the accumulated rotation product. Raises
-    NotSymmetricError when the input is not symmetric within loose
-    tolerance and NoConvergenceError if the off-diagonal mass has not
-    vanished after ``max_sweeps`` full sweeps (quadratic convergence makes
-    that effectively unreachable for well-posed inputs).
+    Returns ``(values, vectors)``, both read-only: the eigenvalues in
+    descending order, and the orthonormal eigenvectors of the accumulated
+    rotation product as the matching columns of ``vectors`` (the layout
+    ``numpy.linalg.eigh`` uses). Raises NotSymmetricError when the input is
+    not symmetric within loose tolerance and NoConvergenceError if the
+    off-diagonal mass has not vanished after ``max_sweeps`` full sweeps
+    (quadratic convergence makes that effectively unreachable for
+    well-posed inputs).
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetricError(f"expected a square matrix, got shape {a.shape}")
     scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > sym_tol * scale:
+    if float(np.abs(a - a.T).max()) > 1e-12 * scale:
         raise NotSymmetricError("matrix is not symmetric within tolerance")
     a = (a + a.T) / 2.0
     n = a.shape[0]
-    if n == 1:
-        return [EigenPair(float(a[0, 0]), np.array([1.0]))]
-
     frob = max(1.0, float(np.sqrt((a * a).sum())))
     stop = 1e-15 * frob
     # Row i holds row i of the matrix, then column i of the rotation product.
@@ -141,13 +133,13 @@ def eigen_symmetric(
 
     eigenvalues = np.diag(a)
     order = np.argsort(-eigenvalues, kind="stable")
-    pairs = []
-    for idx in order:
-        vector = rows[idx, n:]
-        vector = vector / np.linalg.norm(vector)
-        vector.flags.writeable = False
-        pairs.append(EigenPair(float(eigenvalues[idx]), vector))
-    return pairs
+    # One norm per vector: a 2-D norm along an axis rounds differently.
+    norms = np.array([np.linalg.norm(rows[i, n:]) for i in order])
+    values = eigenvalues[order]
+    vectors = (rows[order, n:] / norms[:, None]).T
+    values.flags.writeable = False
+    vectors.flags.writeable = False
+    return values, vectors
 
 
 def correlation_matrix(columns, ids: Sequence[str] | None = None) -> np.ndarray:
@@ -172,22 +164,6 @@ def correlation_matrix(columns, ids: Sequence[str] | None = None) -> np.ndarray:
     return np.clip(r, -1.0, 1.0)
 
 
-def orient_sign(vector: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Flip an eigenvector so its loading sum is nonnegative.
-
-    A zero loading sum falls back to requiring the first nonzero loading
-    to be positive. Returns (vector, flipped).
-    """
-    total = float(vector.sum())
-    if total < 0:
-        return -vector, True
-    if total == 0:
-        nonzero = np.nonzero(vector)[0]
-        if nonzero.size and vector[nonzero[0]] < 0:
-            return -vector, True
-    return vector, False
-
-
 @dataclass(frozen=True)
 class PcaStage:
     """Outcome of one PCA stage: spectrum, retained factors, factor scores."""
@@ -209,14 +185,23 @@ class PcaStage:
         return self.scores @ np.array(self.factor_weights)
 
 
-def _pca_stage(
-    data: np.ndarray,
-    column_ids: Sequence[str],
-    cap: int,
-    threshold: float,
-    min_factors: int,
-) -> PcaStage:
-    columns = np.asarray(data, dtype=float)
+def pca_pillar(
+    columns,
+    column_ids: Sequence[str] | None = None,
+    cap: int = STAGE1_CAP,
+    min_factors: int = 1,
+) -> tuple[PcaStage, np.ndarray]:
+    """PCA-aggregate one pillar's normalized columns into a sub-index column.
+
+    Retains the smallest factor count whose cumulative variance share
+    reaches VARIANCE_THRESHOLD (but never fewer than ``min_factors``),
+    capped at ``cap``; reaching the cap below the threshold is flagged, not
+    fatal. The sub-index is the variance-share weighted sum of the retained
+    factor scores. Constant columns are dropped with a warning beforehand.
+    """
+    columns = np.asarray(columns, dtype=float)
+    if column_ids is None:
+        column_ids = [str(i) for i in range(columns.shape[1])]
     names = tuple(column_ids)
 
     keep = columns.max(axis=0) > columns.min(axis=0)
@@ -225,7 +210,7 @@ def _pca_stage(
         warnings.warn(
             f"constant columns dropped from PCA: {', '.join(dropped)}",
             DegenerateColumnWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     if not keep.any():
         raise ConstantColumnError(", ".join(names))
@@ -234,72 +219,52 @@ def _pca_stage(
 
     centered = columns - columns.mean(axis=0)
     covariance = (centered.T @ centered) / columns.shape[0]
-    pairs = eigen_symmetric(covariance)
+    eigenvalues, vectors = eigen_symmetric(covariance)
 
-    eigenvalues = np.array([p.value for p in pairs])
     # Covariance matrices are PSD; clip the tiny negative roundoff residues.
     shares = np.clip(eigenvalues, 0.0, None)
     shares = shares / shares.sum()
     cumulative = np.cumsum(shares)
 
-    k = int(np.searchsorted(cumulative, threshold - 1e-12) + 1)
-    k = max(k, min(min_factors, len(pairs)))
-    cap_reached = k > cap and cumulative[cap - 1] < threshold
+    k = int(np.searchsorted(cumulative, VARIANCE_THRESHOLD - 1e-12) + 1)
+    k = max(k, min(min_factors, len(eigenvalues)))
+    cap_reached = k > cap and cumulative[cap - 1] < VARIANCE_THRESHOLD
     k = min(k, cap)
     if cap_reached:
         warnings.warn(
-            f"factor cap {cap} reached below the {threshold:.0%} variance threshold "
+            f"factor cap {cap} reached below the {VARIANCE_THRESHOLD:.0%} variance threshold "
             f"(cumulative {cumulative[cap - 1]:.4f})",
             DegenerateColumnWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
 
-    loadings = np.empty((columns.shape[1], k))
-    flips = []
-    for j in range(k):
-        vector, flipped = orient_sign(pairs[j].vector)
-        loadings[:, j] = vector
-        flips.append(flipped)
+    # Orient each retained eigenvector so its loading sum is nonnegative,
+    # falling back to a positive first nonzero loading when the sum is zero.
+    retained = vectors[:, :k].T  # one contiguous row per eigenvector
+    # Each total is a 1-D sum; a 2-D reduction may add in another order.
+    totals = np.array([vector.sum() for vector in retained])
+    leading = retained[np.arange(k), (retained != 0).argmax(axis=1)]
+    flips = (totals < 0) | ((totals == 0) & (leading < 0))
+    loadings = np.ascontiguousarray(np.where(flips[:, None], -retained, retained).T)
     scores = centered @ loadings
     retained_shares = shares[:k]
     weights = retained_shares / retained_shares.sum()
 
     loadings.flags.writeable = False
     scores.flags.writeable = False
-    return PcaStage(
+    stage = PcaStage(
         column_ids=names,
-        eigenvalues=tuple(float(v) for v in eigenvalues),
-        variance_shares=tuple(float(s) for s in shares),
+        eigenvalues=tuple(eigenvalues.tolist()),
+        variance_shares=tuple(shares.tolist()),
         retained=k,
         cumulative_variance=float(cumulative[k - 1]),
         loadings=loadings,
         scores=scores,
-        factor_weights=tuple(float(w) for w in weights),
-        sign_flips=tuple(flips),
+        factor_weights=tuple(weights.tolist()),
+        sign_flips=tuple(flips.tolist()),
         cap_reached_below_threshold=bool(cap_reached),
         dropped_columns=dropped,
     )
-
-
-def pca_pillar(
-    columns,
-    column_ids: Sequence[str] | None = None,
-    cap: int = STAGE1_CAP,
-    threshold: float = VARIANCE_THRESHOLD,
-    min_factors: int = 1,
-) -> tuple[PcaStage, np.ndarray]:
-    """PCA-aggregate one pillar's normalized columns into a sub-index column.
-
-    Retains the smallest factor count whose cumulative variance share
-    reaches ``threshold`` (but never fewer than ``min_factors``), capped at
-    ``cap``; reaching the cap below the threshold is flagged, not fatal.
-    The sub-index is the variance-share weighted sum of the retained factor
-    scores. Constant columns are dropped with a warning beforehand.
-    """
-    data = np.asarray(columns, dtype=float)
-    if column_ids is None:
-        column_ids = [str(i) for i in range(data.shape[1])]
-    stage = _pca_stage(data, column_ids, cap, threshold, min_factors)
     return stage, stage.combined()
 
 
@@ -334,10 +299,6 @@ def compute_pca(
     matrix: IndicatorMatrix,
     manifest: Manifest,
     *,
-    stage1_cap: int = STAGE1_CAP,
-    stage2_cap: int = STAGE2_CAP,
-    threshold: float = VARIANCE_THRESHOLD,
-    min_factors: int = PIPELINE_MIN_FACTORS,
     reference_profile: dict | None = None,
 ) -> tuple[IndexResult, PcaAudit]:
     """Two-stage PCA index over a normalized matrix.
@@ -358,9 +319,7 @@ def compute_pca(
         stage, sub_index = pca_pillar(
             matrix.columns(ids),
             column_ids=ids,
-            cap=stage1_cap,
-            threshold=threshold,
-            min_factors=min_factors,
+            min_factors=PIPELINE_MIN_FACTORS,
         )
         pillar_stages[pillar] = stage
         sub_columns.append(sub_index)
@@ -369,9 +328,8 @@ def compute_pca(
     final_stage, raw_vector = pca_pillar(
         sub_matrix,
         column_ids=[p.value for p in PILLARS],
-        cap=stage2_cap,
-        threshold=threshold,
-        min_factors=min(min_factors, stage2_cap),
+        cap=STAGE2_CAP,
+        min_factors=PIPELINE_MIN_FACTORS,
     )
 
     result = build_index_result(Method.PCA, matrix.regions, raw_vector)
@@ -383,10 +341,10 @@ def compute_pca(
     audit = PcaAudit(
         parameters={
             "basis": "covariance of mean-centered columns",
-            "threshold": threshold,
-            "stage1_cap": stage1_cap,
-            "stage2_cap": stage2_cap,
-            "min_factors": min_factors,
+            "threshold": VARIANCE_THRESHOLD,
+            "stage1_cap": STAGE1_CAP,
+            "stage2_cap": STAGE2_CAP,
+            "min_factors": PIPELINE_MIN_FACTORS,
             "score_convention": "centered data times unit eigenvector",
             "sign_convention": "loading sum nonnegative",
             "factor_weighting": "variance shares renormalized over retained factors",

@@ -65,12 +65,25 @@ class DescriptiveStats:
     whisker_high: float
 
 
+def _sorted_median(ordered: np.ndarray) -> float:
+    """Median of an ascending array: the middle element, or (a + b) / 2.
+
+    The same IEEE operations as ``np.median``, whose first call imports
+    ``numpy.ma`` (about 16 ms of a fresh process). Like ``np.median``'s
+    mean, the sum starts from 0.0, so a median of signed zeros is 0.0.
+    """
+    middle, odd = divmod(ordered.size, 2)
+    if odd:
+        return float(0.0 + ordered[middle])
+    return float((0.0 + ordered[middle - 1] + ordered[middle]) / 2)
+
+
 def _tukey_hinges(sorted_values: np.ndarray) -> tuple[float, float]:
     n = sorted_values.size
     half = (n + 1) // 2  # odd n: median included in both halves
     lower = sorted_values[:half]
     upper = sorted_values[n - half:]
-    return float(np.median(lower)), float(np.median(upper))
+    return _sorted_median(lower), _sorted_median(upper)
 
 
 def describe(values: Sequence[float]) -> DescriptiveStats:
@@ -84,7 +97,7 @@ def describe(values: Sequence[float]) -> DescriptiveStats:
     return DescriptiveStats(
         min=float(ordered[0]),
         q1=q1,
-        median=float(np.median(ordered)),
+        median=_sorted_median(ordered),
         q3=q3,
         max=float(ordered[-1]),
         iqr=iqr,

@@ -3,6 +3,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -260,6 +263,19 @@ class TestCompare:
         assert "line 2 has 5 cells, expected 4" in capsys.readouterr().err
         assert not (tmp_path / "cmp").exists()
 
+    @pytest.mark.parametrize("short, cells", [("Alto Minho,0.34,0.13", 3), ("Alto Minho", 1)])
+    def test_published_short_row_exit_2(self, tmp_path, capsys, short, cells):
+        bad = tmp_path / "table3.csv"
+        text = Path(FIXTURE_TABLE3).read_text(encoding="utf-8")
+        bad.write_text(text.replace("Alto Minho,0.34,0.13,0.29", short, 1), encoding="utf-8")
+        message = f"line 2 has {cells} cells, expected 4"
+        with pytest.raises(DataFormatError, match=message):
+            load_reference_indexes(bad)
+        code = run(["compare", "--published", str(bad), "--out", str(tmp_path / "cmp")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
     def test_computed_full_report(self, tmp_path):
         out = tmp_path / "cmp"
         code = run(["compare", "--methods", "all", "--out", str(out)])
@@ -401,3 +417,19 @@ def test_mutated_inputs_end_in_a_documented_exit_code(inputs):
             code = main(argv)
     event(f"exit code {code}")
     assert code in (0, 2, 3, 4)
+
+
+def test_report_never_imports_numpy_ma(tmp_path):
+    # numpy.ma costs 16-18 ms of start-up; np.median would import it lazily.
+    code = (
+        "import sys\n"
+        "from indexforge import cli\n"
+        f"assert cli.main(['report', '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    completed = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.splitlines()[-1] == "False"

@@ -11,7 +11,6 @@ from indexforge.model import (
     IndicatorSpec,
     Method,
     Pillar,
-    PillarScores,
     Stage,
     build_weight_scheme,
     validate_manifest,
@@ -180,8 +179,3 @@ class TestResultEquality:
         assert a == same and a == reordered
         assert a != IndexResult(Method.DELPHI, ("x", "y"), [0.2, 0.5], [0.0, 1.0], ("y", "x"))
         assert a != IndexResult(Method.ABREU, ("x", "y"), [0.2, 0.6], [0.0, 1.0], ("y", "x"))
-
-    def test_pillar_scores_compare_by_value(self):
-        values = np.arange(8.0).reshape(2, 4)
-        assert PillarScores(("x", "y"), values) == PillarScores(("x", "y"), values.copy())
-        assert PillarScores(("x", "y"), values) != PillarScores(("x", "y"), values + 1.0)

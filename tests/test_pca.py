@@ -12,11 +12,9 @@ from indexforge.normalize import DegenerateColumnWarning
 from indexforge.pca import (
     REFERENCE_VARIANCE_PROFILE,
     STAGE2_CAP,
-    EigenPair,
     compute_pca,
     correlation_matrix,
     eigen_symmetric,
-    orient_sign,
     pca_pillar,
 )
 
@@ -76,24 +74,24 @@ def random_symmetric(rng: np.random.Generator, n: int) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def reference_eigen_symmetric(
-    matrix, *, sym_tol: float = 1e-12, max_sweeps: int = 100
-) -> list[EigenPair]:
+def reference_eigen_symmetric(matrix, *, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
     """The per-element Jacobi loop ``eigen_symmetric`` must match bit for bit.
 
     Each rotation updates columns p and q of the matrix, then rows p and q,
-    then columns p and q of the rotation product, element by element.
+    then columns p and q of the rotation product, element by element. Each
+    eigenvector is normalized on its own; the result is (values descending,
+    vectors as columns).
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetricError(f"expected a square matrix, got shape {a.shape}")
     scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > sym_tol * scale:
+    if float(np.abs(a - a.T).max()) > 1e-12 * scale:
         raise NotSymmetricError("matrix is not symmetric within tolerance")
     a = (a + a.T) / 2.0
     n = a.shape[0]
     if n == 1:
-        return [EigenPair(float(a[0, 0]), np.array([1.0]))]
+        return np.array([a[0, 0]]), np.array([[1.0]])
 
     vectors = np.eye(n)
     frob = max(1.0, float(np.sqrt((a * a).sum())))
@@ -139,37 +137,29 @@ def reference_eigen_symmetric(
 
     eigenvalues = np.diag(a)
     order = np.argsort(-eigenvalues, kind="stable")
-    pairs = []
+    columns = []
     for idx in order:
         vector = vectors[:, idx]
-        vector = vector / np.linalg.norm(vector)
-        vector.flags.writeable = False
-        pairs.append(EigenPair(float(eigenvalues[idx]), vector))
-    return pairs
+        columns.append(vector / np.linalg.norm(vector))
+    return eigenvalues[order], np.column_stack(columns)
 
 
 def assert_eigen_properties(a: np.ndarray) -> None:
     """Residual, trace and orthogonality of ``eigen_symmetric(a)`` within 1e-8."""
     n = a.shape[0]
-    pairs = eigen_symmetric(a)
-    vectors = np.column_stack([p.vector for p in pairs])
-    values = np.array([p.value for p in pairs])
-    for p in pairs:
-        assert np.linalg.norm(a @ p.vector - p.value * p.vector) <= 1e-8
+    values, vectors = eigen_symmetric(a)
+    for value, vector in zip(values, vectors.T):
+        assert np.linalg.norm(a @ vector - value * vector) <= 1e-8
     assert abs(values.sum() - np.trace(a)) <= 1e-8
     assert np.abs(vectors.T @ vectors - np.eye(n)).max() <= 1e-8
 
 
 def assert_bit_identical(matrix) -> None:
     """``eigen_symmetric`` returns exactly the reference loop's bytes."""
-    got = eigen_symmetric(matrix)
-    expected = reference_eigen_symmetric(matrix)
-    assert np.array([p.value for p in got]).tobytes() == (
-        np.array([p.value for p in expected]).tobytes()
-    )
-    assert np.column_stack([p.vector for p in got]).tobytes() == (
-        np.column_stack([p.vector for p in expected]).tobytes()
-    )
+    values, vectors = eigen_symmetric(matrix)
+    expected_values, expected_vectors = reference_eigen_symmetric(matrix)
+    assert values.tobytes() == expected_values.tobytes()
+    assert vectors.tobytes() == expected_vectors.tobytes()
 
 
 class TestBitIdentity:
@@ -223,27 +213,33 @@ class TestBitIdentity:
 
 class TestEigenSymmetric:
     def test_identity(self):
-        pairs = eigen_symmetric(np.eye(3))
-        assert [p.value for p in pairs] == [1.0, 1.0, 1.0]
+        values, vectors = eigen_symmetric(np.eye(3))
+        assert values.tolist() == [1.0, 1.0, 1.0]
+        assert vectors.tolist() == np.eye(3).tolist()
 
     def test_analytic_2x2(self):
-        pairs = eigen_symmetric([[1.0, 0.5], [0.5, 1.0]])
-        assert pairs[0].value == pytest.approx(1.5, abs=1e-12)
-        assert pairs[1].value == pytest.approx(0.5, abs=1e-12)
+        values, vectors = eigen_symmetric([[1.0, 0.5], [0.5, 1.0]])
+        assert values[0] == pytest.approx(1.5, abs=1e-12)
+        assert values[1] == pytest.approx(0.5, abs=1e-12)
         expected_first = np.array([1.0, 1.0]) / math.sqrt(2.0)
         expected_second = np.array([1.0, -1.0]) / math.sqrt(2.0)
-        assert abs(abs(pairs[0].vector @ expected_first) - 1.0) < 1e-12
-        assert abs(abs(pairs[1].vector @ expected_second) - 1.0) < 1e-12
+        assert abs(abs(vectors[:, 0] @ expected_first) - 1.0) < 1e-12
+        assert abs(abs(vectors[:, 1] @ expected_second) - 1.0) < 1e-12
 
     def test_single_element(self):
-        pairs = eigen_symmetric([[4.25]])
-        assert pairs[0].value == 4.25
-        assert pairs[0].vector.tolist() == [1.0]
+        values, vectors = eigen_symmetric([[4.25]])
+        assert values.tolist() == [4.25]
+        assert vectors.tolist() == [[1.0]]
+
+    def test_returns_read_only_arrays(self):
+        values, vectors = eigen_symmetric(random_symmetric(np.random.default_rng(50), 5))
+        assert values.shape == (5,) and vectors.shape == (5, 5)
+        assert not values.flags.writeable and not vectors.flags.writeable
 
     def test_sorted_descending(self):
         rng = np.random.default_rng(51)
         for _ in range(20):
-            values = [p.value for p in eigen_symmetric(random_symmetric(rng, 6))]
+            values = eigen_symmetric(random_symmetric(rng, 6))[0].tolist()
             assert values == sorted(values, reverse=True)
 
     def test_residual_trace_orthogonality(self):
@@ -262,7 +258,7 @@ class TestEigenSymmetric:
         for _ in range(200):
             n = int(rng.integers(1, 4))
             a = random_symmetric(rng, n)
-            got = [p.value for p in eigen_symmetric(a)]
+            got = eigen_symmetric(a)[0]
             expected = charpoly_eigenvalues(a)
             assert np.allclose(got, expected, atol=1e-8)
 
@@ -307,16 +303,76 @@ class TestCorrelationMatrix:
         assert exc_info.value.column == "flat"
 
 
-class TestOrientSign:
-    def test_negative_sum_flipped(self):
-        v, flipped = orient_sign(np.array([-0.8, -0.6]))
-        assert flipped and v[0] > 0
+def reference_orient_sign(vector: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The per-vector sign rule ``pca_pillar`` applies to all retained columns at once.
 
-    def test_zero_sum_tiebreak(self):
-        v, flipped = orient_sign(np.array([-0.70710678, 0.70710678]))
-        assert flipped and v[0] > 0
-        v2, flipped2 = orient_sign(np.array([0.70710678, -0.70710678]))
-        assert not flipped2 and v2[0] > 0
+    Flip so the loading sum is nonnegative; a zero sum falls back to making
+    the first nonzero loading positive. Returns (vector, flipped).
+    """
+    total = float(vector.sum())
+    if total < 0:
+        return -vector, True
+    if total == 0:
+        nonzero = np.nonzero(vector)[0]
+        if nonzero.size and vector[nonzero[0]] < 0:
+            return -vector, True
+    return vector, False
+
+
+def orient_through_pca_pillar(monkeypatch, block) -> tuple[np.ndarray, tuple[bool, ...]]:
+    """``pca_pillar``'s loadings and sign flips when the solver returns ``block``.
+
+    Every column is retained; the block is laid out as ``eigen_symmetric``
+    lays out its vectors (columns contiguous).
+    """
+    vectors = np.asfortranarray(block, dtype=float)
+    n = vectors.shape[0]
+    monkeypatch.setattr(pca, "eigen_symmetric", lambda covariance: (np.ones(n), vectors))
+    data = np.random.default_rng(0).uniform(size=(6, n))
+    stage, _ = pca_pillar(data, cap=n, min_factors=n)
+    return stage.loadings, stage.sign_flips
+
+
+def assert_oriented_like_reference(monkeypatch, block) -> tuple[np.ndarray, tuple[bool, ...]]:
+    loadings, flips = orient_through_pca_pillar(monkeypatch, block)
+    columns = np.asfortranarray(block, dtype=float).T
+    expected = [reference_orient_sign(column) for column in columns]
+    assert loadings.tobytes() == np.column_stack([v for v, _ in expected]).tobytes()
+    assert flips == tuple(flipped for _, flipped in expected)
+    assert all(type(flipped) is bool for flipped in flips)  # the JSON writer needs bools
+    return loadings, flips
+
+
+class TestOrientSign:
+    def test_negative_sum_flipped(self, monkeypatch):
+        block = np.array([[-0.8, 0.6], [-0.6, 0.8]])
+        loadings, flips = assert_oriented_like_reference(monkeypatch, block)
+        assert flips == (True, False)
+        assert loadings[:, 0].tolist() == [0.8, 0.6]
+
+    def test_zero_sum_tiebreak(self, monkeypatch):
+        block = np.array([[-0.70710678, 0.70710678], [0.70710678, -0.70710678]])
+        loadings, flips = assert_oriented_like_reference(monkeypatch, block)
+        assert flips == (True, False)
+        assert (loadings[0] > 0).all()
+
+    def test_zero_sum_with_leading_zeros(self, monkeypatch):
+        block = np.array([
+            [0.0, 0.0, -0.0, 0.0],
+            [0.0, 0.5, -0.5, 0.0],
+            [-0.5, -0.5, 0.5, 0.0],
+            [0.5, 0.0, 0.0, 0.0],
+        ])
+        _, flips = assert_oriented_like_reference(monkeypatch, block)
+        assert flips == (True, False, True, False)
+
+    def test_random_blocks_match_reference(self, monkeypatch):
+        rng = np.random.default_rng(67)
+        for n in range(1, 9):
+            for _ in range(10):
+                assert_oriented_like_reference(monkeypatch, rng.normal(size=(n, n)))
+                # Small integers give many zero sums, zero loadings and ties.
+                assert_oriented_like_reference(monkeypatch, rng.integers(-1, 2, size=(n, n)))
 
 
 class TestPcaPillar:

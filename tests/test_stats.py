@@ -121,6 +121,31 @@ class TestDescribe:
         with pytest.raises(TooShortError):
             describe([1.0])
 
+    def test_median_and_hinges_bitwise_equal_np_median(self):
+        rng = np.random.default_rng(70)
+        cases = [
+            [0.3, 0.1, 0.2],
+            [0.4, 0.1, 0.3, 0.2],
+            [0.1, 0.2],
+            [0.5, 0.5, 0.5, 0.1, 0.9],
+            [0.5, 0.5, 0.1, 0.9, 0.9, 0.9],
+            [-0.0, -0.0],
+            [-0.0, 0.0],
+            [0.0, -0.0, 1.0],
+            [-0.0, -0.0, -0.0, 0.0, 1.0, 1.0],
+            [-0.0, -0.0, -0.0, 0.5, 0.5, 1.0, 1.0],
+        ]
+        # One-decimal normals: odd and even lengths, ties and -0.0.
+        cases += [np.round(rng.normal(size=n), 1).tolist() for n in range(2, 26)]
+        for values in cases:
+            ordered = np.sort(values)
+            half = (ordered.size + 1) // 2
+            expected = np.array([
+                np.median(ordered[:half]), np.median(ordered), np.median(ordered[ordered.size - half:])
+            ])
+            got = describe(values)
+            assert np.array([got.q1, got.median, got.q3]).tobytes() == expected.tobytes(), values
+
 
 @pytest.fixture()
 def reference_triple(reference_results):
