@@ -6,6 +6,16 @@ start with a UTF-8 byte-order mark, which is skipped. The JSON alternative
 for datasets is an object
 ``{"regions": [...], "indicators": [...], "values": [[...]]}`` with string
 region and indicator names and one list of values per region.
+
+A CSV dataset body is parsed in C by one ``np.loadtxt`` pass (``csv.reader``
+reads only the header), which splits cells as ``csv.reader`` does and
+converts numbers bit for bit as float() does. A body that pass rejects is
+read again by the ``csv.reader`` row loop, which names the first bad row or
+cell, or accepts the few number spellings only float() takes (``1_000``,
+non-ASCII digits); a body that cannot be read twice, from a pipe, goes to
+that loop alone. A JSON row is checked cell by cell only when its types
+are not all int and float.
+
 Every JSON file the package writes uses the sorted-key, two-space layout
 of ``write_json``; CSV artifacts are written through ``write_csv``, or
 with the same cells (``csv_cells`` quotes a label as ``csv.writer`` does)
@@ -128,11 +138,12 @@ def _check_header(indicator_ids: Sequence[str], manifest: Manifest) -> None:
 
 def _check_regions(regions: Sequence[str]) -> None:
     """At least two regions, each listed once."""
-    seen: set[str] = set()
-    for region in regions:
-        if region in seen:
-            raise DuplicateRegionError(region)
-        seen.add(region)
+    if len(set(regions)) != len(regions):
+        seen: set[str] = set()
+        for region in regions:
+            if region in seen:
+                raise DuplicateRegionError(region)
+            seen.add(region)
     if len(regions) < 2:
         raise TooFewRegionsError(len(regions))
 
@@ -158,19 +169,19 @@ def parse_dataset(path: str | Path, manifest: Manifest) -> IndicatorMatrix:
     value rows than regions raises ExtraRowError, and one that is not valid
     JSON or not laid out as above raises DataFormatError. A file that is not
     UTF-8 raises FileEncodingError.
+
+    A CSV body is read in one ``np.loadtxt`` pass; only a file that pass
+    rejects is read again row by row, to name the first bad row or cell (or
+    to take the few number spellings float() accepts and numpy does not).
     """
     path = Path(path)
     if path.suffix.lower() == ".json":
         regions, indicator_ids, values = _read_dataset_json(path, manifest)
     else:
         regions, indicator_ids, values = _read_dataset_csv(path, manifest)
-    # The CSV reader returns one flat row-major array("d"), the JSON reader a
-    # list of rows; reshape gives both, and a file without data rows,
-    # (regions, columns).
-    values = np.array(values, dtype=float).reshape(len(regions), len(indicator_ids))
     _check_finite(values, regions, indicator_ids)
     _check_regions(regions)
-    return IndicatorMatrix(regions, indicator_ids, values, stage=Stage.RAW)
+    return IndicatorMatrix.from_checked(tuple(regions), indicator_ids, values, stage=Stage.RAW)
 
 
 def _check_row_length(region: str, indicator_ids: Sequence[str], n_cells: int) -> None:
@@ -191,9 +202,28 @@ def _raise_cell_error(region: str, indicator_ids: Sequence[str], cells: Sequence
             raise NonNumericCellError(region, indicator_id, text.strip()) from None
 
 
+def _lines_without_separators(handle):
+    """The lines of ``handle``, with a ValueError at the first that holds a
+    character in U+001C..U+001F.
+
+    numpy strips these ASCII information separators from around a number as
+    whitespace, and float() does not, so such a file goes to the row loop.
+    """
+    for line in handle:
+        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            raise ValueError("information separator in the data")
+        yield line
+
+
 def _read_dataset_csv(path: Path, manifest: Manifest):
+    """Regions, indicator ids and the regions x indicators values of a CSV file.
+
+    A body the ``np.loadtxt`` pass rejects is read again by ``_read_csv_rows``,
+    which also reads a body that cannot be read twice.
+    """
     with open_input(path) as handle:
-        reader = csv.reader(handle)
+        # readline, unlike iterating the handle, keeps handle.tell() usable.
+        reader = csv.reader(iter(handle.readline, ""))
         try:
             header = next(reader)
         except StopIteration:
@@ -202,20 +232,51 @@ def _read_dataset_csv(path: Path, manifest: Manifest):
             raise DataFormatError(f"first data column must be {REGION_COLUMN!r}")
         indicator_ids = tuple(header[1:])
         _check_header(indicator_ids, manifest)
-        regions: list[str] = []
-        values = array("d")  # row-major, one row of len(indicator_ids) per region
-        width = len(header)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != width:
-                _check_row_length(row[0], indicator_ids, len(row) - 1)
-            try:
-                values.fromlist(list(map(float, row[1:])))
-            except ValueError:
-                _raise_cell_error(row[0], indicator_ids, row[1:])
-            regions.append(row[0])
-    return regions, indicator_ids, values
+        if not handle.seekable():  # a pipe: no second read, so only the row loop
+            return _read_csv_rows(handle, indicator_ids)
+        body = handle.tell()
+        # loadtxt warns on a body without rows, so such a body never reaches it.
+        if not any(line.strip("\r\n") for line in iter(handle.readline, "")):
+            return [], indicator_ids, np.empty((0, len(indicator_ids)))
+        handle.seek(body)
+        row_type = [("region", object), ("values", float, (len(indicator_ids),))]
+        try:
+            table = np.loadtxt(
+                _lines_without_separators(handle),
+                dtype=row_type,
+                delimiter=",",
+                quotechar='"',
+                comments=None,
+                ndmin=1,
+            )
+        except UnicodeDecodeError:
+            raise  # a ValueError too; open_input makes it a FileEncodingError
+        except ValueError:
+            handle.seek(body)
+            return _read_csv_rows(handle, indicator_ids)
+    return table["region"].tolist(), indicator_ids, table["values"]
+
+
+def _read_csv_rows(handle, indicator_ids: tuple[str, ...]):
+    """The row loop: names the first bad row or cell, else returns what it read."""
+    regions: list[str] = []
+    values = array("d")  # row-major, one row of len(indicator_ids) per region
+    width = len(indicator_ids) + 1
+    for row in csv.reader(handle):
+        if not row:
+            continue
+        if len(row) != width:
+            _check_row_length(row[0], indicator_ids, len(row) - 1)
+        try:
+            values.fromlist(list(map(float, row[1:])))
+        except ValueError:
+            _raise_cell_error(row[0], indicator_ids, row[1:])
+        regions.append(row[0])
+    return regions, indicator_ids, np.frombuffer(values).reshape(len(regions), width - 1)
+
+
+#: The types of the numbers ``json.loads`` returns; bool is a type of its own.
+_JSON_NUMBERS = frozenset((int, float))
 
 
 def _read_dataset_json(path: Path, manifest: Manifest):
@@ -247,12 +308,21 @@ def _read_dataset_json(path: Path, manifest: Manifest):
         if not isinstance(row, list):
             raise DataFormatError(f"{path}: the values of region {region!r} are not a list")
         _check_row_length(region, indicator_ids, len(row))
-        for indicator_id, value in zip(indicator_ids, row):
-            if value is None:
-                raise MissingCellError(region, indicator_id)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise NonNumericCellError(region, indicator_id, repr(value))
-    return regions, indicator_ids, values
+        if not _JSON_NUMBERS.issuperset(map(type, row)):
+            _raise_json_cell_error(region, indicator_ids, row)
+    # A file without regions gives (0,) here; reshape makes every shape 2-D.
+    return regions, indicator_ids, np.array(values, dtype=float).reshape(
+        len(regions), len(indicator_ids)
+    )
+
+
+def _raise_json_cell_error(region: str, indicator_ids: Sequence[str], row: list) -> None:
+    """Name the first cell of a row that is not an int or a float."""
+    for indicator_id, value in zip(indicator_ids, row):
+        if value is None:
+            raise MissingCellError(region, indicator_id)
+        if type(value) not in _JSON_NUMBERS:
+            raise NonNumericCellError(region, indicator_id, repr(value))
 
 
 _JSON_SCALARS = frozenset((str, int, float, bool, type(None)))

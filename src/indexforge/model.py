@@ -204,16 +204,37 @@ class IndicatorMatrix:
         regions = tuple(regions)
         indicators = tuple(indicators)
         array = np.array(values, dtype=float)
-        if array.shape != (len(regions), len(indicators)):
-            raise ValueError(
-                f"values shape {array.shape} does not match "
-                f"{len(regions)} regions x {len(indicators)} indicators"
-            )
+        _check_shape(array, regions, indicators)
         if len(set(regions)) != len(regions):
             raise ValueError("region labels must be unique")
         column_of = {indicator_id: j for j, indicator_id in enumerate(indicators)}
         if len(column_of) != len(indicators):
             raise ValueError("indicator ids must be unique")
+        self._freeze(regions, indicators, array, stage, column_of)
+
+    @classmethod
+    def from_checked(
+        cls,
+        regions: tuple[str, ...],
+        indicators: tuple[str, ...],
+        values: np.ndarray,
+        stage: Stage = Stage.RAW,
+    ) -> IndicatorMatrix:
+        """A matrix over labels the caller has already checked to be unique.
+
+        Only the values are checked: their shape, that they are finite and,
+        for a normalized matrix, that they lie in [0, 1]. ``values`` becomes
+        the matrix's read-only buffer; it is copied only if it is not a
+        C-contiguous float array, so a caller hands over an array it owns.
+        """
+        array = np.ascontiguousarray(values, dtype=float)
+        _check_shape(array, regions, indicators)
+        matrix = cls.__new__(cls)
+        column_of = {indicator_id: j for j, indicator_id in enumerate(indicators)}
+        matrix._freeze(regions, indicators, array, stage, column_of)
+        return matrix
+
+    def _freeze(self, regions, indicators, array: np.ndarray, stage: Stage, column_of) -> None:
         if not np.all(np.isfinite(array)):
             raise ValueError("matrix contains non-finite values")
         if stage is Stage.NORMALIZED and (array.min() < -1e-9 or array.max() > 1 + 1e-9):
@@ -255,6 +276,14 @@ class IndicatorMatrix:
     def __repr__(self) -> str:
         rows, cols = self.shape
         return f"IndicatorMatrix({rows} regions x {cols} indicators, stage={self.stage.value})"
+
+
+def _check_shape(array: np.ndarray, regions: tuple, indicators: tuple) -> None:
+    if array.shape != (len(regions), len(indicators)):
+        raise ValueError(
+            f"values shape {array.shape} does not match "
+            f"{len(regions)} regions x {len(indicators)} indicators"
+        )
 
 
 def _read_only(values) -> np.ndarray:

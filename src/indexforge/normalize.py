@@ -102,7 +102,9 @@ def normalize_matrix(
         raise ValueError("normalize_matrix expects a raw-stage matrix")
     directions = [manifest.spec(indicator_id).direction for indicator_id in matrix.indicators]
     scaled, records = _scale_columns(matrix.values, directions, matrix.indicators)
-    normalized = IndicatorMatrix(matrix.regions, matrix.indicators, scaled, stage=Stage.NORMALIZED)
+    normalized = IndicatorMatrix.from_checked(
+        matrix.regions, matrix.indicators, scaled, stage=Stage.NORMALIZED
+    )
     return normalized, records
 
 

@@ -28,6 +28,17 @@ def run(argv):
     return main(argv)
 
 
+def validate_in_process_of_its_own(data: str, stdin: str | None = None):
+    """``indexforge validate --data data`` as a fresh process, warnings shown."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+           "PYTHONWARNINGS": "default"}
+    return subprocess.run(
+        [sys.executable, "-m", "indexforge.cli", "validate", "--data", data,
+         "--manifest", FIXTURE_MANIFEST],
+        env=env, input=stdin, capture_output=True, text=True, timeout=120,
+    )
+
+
 class TestValidate:
     def test_bundled_fixture_valid(self, capsys):
         code = run(["validate", "--data", FIXTURE_DATA, "--manifest", FIXTURE_MANIFEST])
@@ -73,6 +84,33 @@ class TestValidate:
         assert code == 2
         assert "error (validation)" in err
         assert expected in err
+
+    @pytest.mark.parametrize("body", ["", "\n\r\n"], ids=["header-only", "blank-lines"])
+    def test_dataset_without_rows_prints_one_error_line(self, tmp_path, body):
+        # In a fresh process, so that a warning would reach stderr, not pytest.
+        bad = tmp_path / "empty.csv"
+        header = Path(FIXTURE_DATA).read_text(encoding="utf-8").splitlines()[0]
+        bad.write_bytes((header + "\n" + body).encode("utf-8"))
+        completed = validate_in_process_of_its_own(str(bad))
+        assert completed.returncode == 2
+        assert completed.stderr.splitlines() == [
+            "error (validation): dataset has 0 region(s); at least 2 are needed"
+        ]
+
+    @pytest.mark.parametrize(
+        "edit, code, expected",
+        [
+            (lambda text: text, 0, "9 regions, 25 indicators"),
+            (lambda text: text.replace("103.80", "oops", 1), 2,
+             "non-numeric value 'oops' at region 'Alto Minho', indicator 'PopDens'"),
+        ],
+        ids=["valid", "bad-cell"],
+    )
+    def test_data_from_a_pipe(self, edit, code, expected):
+        text = edit(Path(FIXTURE_DATA).read_text(encoding="utf-8"))
+        completed = validate_in_process_of_its_own("/dev/stdin", stdin=text)
+        assert completed.returncode == code
+        assert expected in completed.stdout + completed.stderr
 
     @pytest.mark.parametrize("flag", ["--data", "--manifest"])
     def test_non_utf8_file_exit_2(self, tmp_path, capsys, flag):

@@ -1,13 +1,25 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
+import tempfile
+from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from indexforge.ingest import (
+    REGION_COLUMN,
+    _check_header,
+    _check_row_length,
+    _raise_cell_error,
+    _read_dataset_csv,
     composite_indicator,
+    open_input,
     parse_dataset,
     parse_manifest,
     write_json,
@@ -15,6 +27,7 @@ from indexforge.ingest import (
 from indexforge.model import IndicatorMatrix, Stage
 from indexforge.datasets import data_path
 from indexforge.errors import (
+    CompositeIndexError,
     ConstantComponentError,
     DataFormatError,
     DuplicateRegionError,
@@ -67,6 +80,43 @@ def small_manifest(tmp_path):
     path = tmp_path / "manifest.csv"
     path.write_text(SMALL_MANIFEST, encoding="utf-8")
     return parse_manifest(path)
+
+
+def reference_read_dataset_csv(path: Path, manifest):
+    """The csv.reader loop that read every CSV body before the loadtxt pass, verbatim."""
+    with open_input(path) as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataFormatError(f"{path} is empty") from None
+        if not header or header[0] != REGION_COLUMN:
+            raise DataFormatError(f"first data column must be {REGION_COLUMN!r}")
+        indicator_ids = tuple(header[1:])
+        _check_header(indicator_ids, manifest)
+        regions: list[str] = []
+        values = array("d")  # row-major, one row of len(indicator_ids) per region
+        width = len(header)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != width:
+                _check_row_length(row[0], indicator_ids, len(row) - 1)
+            try:
+                values.fromlist(list(map(float, row[1:])))
+            except ValueError:
+                _raise_cell_error(row[0], indicator_ids, row[1:])
+            regions.append(row[0])
+    return regions, indicator_ids, values
+
+
+def read_outcome(reader, path, manifest):
+    """Regions, ids and value bytes a CSV reader returns, or the (class, message) it raises."""
+    try:
+        regions, indicator_ids, values = reader(path, manifest)
+    except CompositeIndexError as exc:
+        return type(exc), str(exc)
+    return list(regions), indicator_ids, np.asarray(values, dtype=float).tobytes()
 
 
 def tall_dataset_with(tmp_path, bad_last_cell, rows=2000, bad_row=1500):
@@ -196,6 +246,26 @@ class TestParseDataset:
                 parse_dataset(path, small_manifest)
 
     @pytest.mark.parametrize(
+        "row, error, message",
+        [
+            ([5, None, "7", 8], MissingCellError, "missing value at region 'r2', indicator 'b'"),
+            ([5, 6.5, True, None], NonNumericCellError,
+             "non-numeric value 'True' at region 'r2', indicator 'c'"),
+            ([5, 6, 7, "8"], NonNumericCellError,
+             "non-numeric value \"'8'\" at region 'r2', indicator 'd'"),
+            ({"a": 5}, DataFormatError, "{path}: the values of region 'r2' are not a list"),
+        ],
+        ids=["null", "bool", "string", "row-not-list"],
+    )
+    def test_json_bad_cell_messages(self, tmp_path, small_manifest, row, error, message):
+        payload = {"regions": ["r1", "r2"], "indicators": list("abcd"),
+                   "values": [[1, 2.5, 3, 4], row]}
+        path = write_tmp_dataset(tmp_path, json.dumps(payload), "data.json")
+        with pytest.raises(error) as exc_info:
+            parse_dataset(path, small_manifest)
+        assert str(exc_info.value) == message.format(path=path)
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ('{"regions": ["r1", "r2"], "indicators": ', "is not valid JSON"),
@@ -289,6 +359,195 @@ class TestParseDataset:
         matrix = parse_dataset(path, small_manifest)
         assert matrix.indicators == ("d", "c", "b", "a")
         assert matrix.column("a")[0] == pytest.approx(1.0)
+
+
+CSV_HEADER = "region,a,b,c,d\n"
+R2 = "r2,5,6,7,8\n"
+#: Dataset bodies (after CSV_HEADER) that the loadtxt pass and the row loop
+#: must read alike: the same regions and value bytes, or the same error.
+DIFFERENTIAL_BODIES = {
+    "quoted-comma": '"Lisboa, Norte",1,2,3,4\n' + R2,
+    "quoted-doubled-quote": '"Porto ""Sul""",1,2,3,4\n' + R2,
+    "quoted-newline": '"two\nlines",1,2,3,4\n' + R2,
+    "quoted-crlf": '"two\r\nlines",1,2,3,4\r\n' + R2,
+    "quoted-lone-cr": '"lone\rcr",1,2,3,4\n' + R2,
+    "quote-inside-label": 'a"b,1,2,3,4\n"a"b"c",5,6,7,8\n',
+    "unclosed-quote": 'r1,1,2,3,4\n"r2,5,6,7,8\n',
+    "spaced-label": "  r1  ,1,2,3,4\n r2,5,6,7,8\n",
+    "tab-label": "r\t1,1,2,3,4\n\tr2,5,6,7,8\n",
+    "hash-label": "#r1,1,2,3,4\n# r2,5,6,7,8\n",
+    "empty-label": ",1,2,3,4\n" + R2,
+    "quoted-empty-label": '"",1,2,3,4\n' + R2,
+    "separator-in-label": "r\x1d1,1,2,3,4\n" + R2,
+    "crlf": "r1,1,2,3,4\r\nr2,5,6,7,8\r\n",
+    "lone-cr": "r1,1,2,3,4\rr2,5,6,7,8\r",
+    "no-final-newline": "r1,1,2,3,4\nr2,5,6,7,8",
+    "blank-lines": "\nr1,1,2,3,4\n\n\r\n" + R2 + "\n\n",
+    "space-line": "r1,1,2,3,4\n \n" + R2,
+    "tab-line": "r1,1,2,3,4\n\t\n" + R2,
+    "quoted-empty-line": 'r1,1,2,3,4\n""\n' + R2,
+    "header-only": "",
+    "blank-body": "\n\r\n\r",
+    "one-region": "r1,1,2,3,4\n",
+    "quoted-numbers": 'r1,"1.5",2,"-3e2",4\nr2,5,6,7,"8"\n',
+    "quote-then-digits": 'r1,"1"2,2,3,4\n' + R2,
+    "empty-cell": "r1,1,,3,4\n" + R2,
+    "quoted-empty-cell": 'r1,1,"",3,4\n' + R2,
+    "blank-cell": "r1,1,2,3,4\nr2,5,6, \t,8\n",
+    "short-row": "r1,1,2,3\n" + R2,
+    "label-only-row": "r1,1,2,3,4\nr2\n",
+    "extra-cell": "r1,1,2,3,4\nr2,5,6,7,8,9\n",
+    "extra-empty-cell": "r1,1,2,3,4,\n" + R2,
+    "non-numeric": "r1,1,2,x,4\n" + R2,
+    "hex": "r1,0x10,2,3,4\n" + R2,
+    "nan": "r1,nan,2,3,4\n" + R2,
+    "inf": "r1,1,2,3,-inf\nr2,5,Infinity,7,8\n",
+    "overflow": "r1,1,2,3,4\nr2,5,6,1e999,8\n",
+    "underscore": "r1,1_0,2,3,4\nr2,5,6,7,1_000.5\n",
+    "bad-underscore": "r1,1__0,2,3,4\n" + R2,
+    "spaces-around-number": "r1, 1.5 ,2,3,4\nr2,5,\xa06 ,7,8\n",
+    "arabic-indic-digits": "r1,١٢,2,3,4\nr2,5,6,7,٣.٥\n",
+    "separator-after-number": "r1,1,2,3,4\x1c\n" + R2,
+    "separator-before-number": "r1,1,2,3,4\nr2,\x1f5,6,7,8\n",
+    "nul-in-number": "r1,1\x00,2,3,4\n" + R2,
+}
+
+
+
+
+def differential_files() -> dict[str, bytes]:
+    files = {name: (CSV_HEADER + body).encode() for name, body in DIFFERENTIAL_BODIES.items()}
+    files["empty-file"] = b""
+    files["bad-header"] = b"name,a,b,c,d\nr1,1,2,3,4\n"
+    files["byte-order-mark"] = b"\xef\xbb\xbf" + files["quoted-comma"]
+    files["non-utf8-header"] = "region,a,b,c,d\xe9\nr1,1,2,3,4\n".encode("latin-1")
+    lines = [CSV_HEADER.rstrip("\n")]
+    lines.extend(f"r{i},{i},{i % 7}.5,-{i}e-3,{i * 3}" for i in range(1, 2001))
+    files["tall"] = ("\n".join(lines) + "\n").encode("utf-8")
+    latin = lines.copy()
+    latin[1600] = "Ré1600,1,2,3,4"
+    files["non-utf8-past-row-1500"] = ("\n".join(latin) + "\n").encode("latin-1")
+    early = latin.copy()
+    early[10] = "r10,1,2,3"
+    files["bad-row-then-non-utf8"] = ("\n".join(early) + "\n").encode("latin-1")
+    late = latin.copy()
+    late[1900] = "r1900,1,2,3"
+    files["non-utf8-then-bad-row"] = ("\n".join(late) + "\n").encode("latin-1")
+    return files
+
+
+DIFFERENTIAL_FILES = differential_files()
+
+
+def seeded_table(seed: int, n: int) -> bytes:
+    """An n-row table of random labels and number spellings, written by csv.writer."""
+    rng = np.random.default_rng([seed, n])
+    alphabet = list('abcXYZ019 ,"#\t\n\ré-')
+    # csv.writer quotes a lone "\r" only when the line terminator holds one.
+    quoting, terminator = ((csv.QUOTE_MINIMAL, "\r\n"), (csv.QUOTE_ALL, "\n"))[seed % 2]
+    spellings = ("{!r}", "{:.4f}", "{:g}", " {} ", "{:.3e}", "{:+.1f}")
+    rows = [["region", "a", "b", "c", "d"]]
+    for i in range(n):
+        label = "".join(rng.choice(alphabet, size=int(rng.integers(0, 8)))) + f"#{i}"
+        values = rng.normal(size=4) * 10.0 ** rng.integers(-3, 6, size=4)
+        cells = [spellings[int(rng.integers(len(spellings)))].format(v) for v in values.tolist()]
+        rows.append([label, *cells])
+    buffer = io.StringIO()
+    csv.writer(buffer, quoting=quoting, lineterminator=terminator).writerows(rows)
+    return buffer.getvalue().encode("utf-8")
+
+
+class TestCsvReaderMatchesReference:
+    """The loadtxt pass returns what the row loop it replaced returned, or raises its error."""
+
+    def check(self, tmp_path, manifest, data: bytes):
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        outcome = read_outcome(_read_dataset_csv, path, manifest)
+        assert outcome == read_outcome(reference_read_dataset_csv, path, manifest)
+        return outcome
+
+    @pytest.mark.parametrize("name", DIFFERENTIAL_FILES)
+    def test_case(self, tmp_path, small_manifest, name):
+        self.check(tmp_path, small_manifest, DIFFERENTIAL_FILES[name])
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 250, 2000])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_seeded_table(self, tmp_path, small_manifest, seed, n):
+        outcome = self.check(tmp_path, small_manifest, seeded_table(seed, n))
+        assert len(outcome) == 3 and len(outcome[0]) == n
+
+    def test_bundled_and_its_edits(self, tmp_path, manifest):
+        text = data_path("nuts3.csv").read_text(encoding="utf-8")
+        self.check(tmp_path, manifest, text.encode("utf-8"))
+        for old, new in [("103.80", "1_03.80"), ("103.80", "103.80\x1e"), ("103.80", '"103.80"'),
+                         ("Alto Minho", '"Alto\nMinho"'), ("\n", "\r\n")]:
+            self.check(tmp_path, manifest, text.replace(old, new).encode("utf-8"))
+
+
+#: Characters that move cells, rows or quotes, or that float() and numpy read apart.
+EDIT_ALPHABET = ',"\n\r \t#_.-e1x\x1c\x1f\xa0١'
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(edits=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 3),
+                                st.text(EDIT_ALPHABET, max_size=3)), min_size=1, max_size=3))
+def test_edited_bundled_csv_matches_reference(manifest, edits):
+    """Each edit replaces up to three characters of the bundled body with up to three others."""
+    text = data_path("nuts3.csv").read_text(encoding="utf-8")
+    body = text.index("\n") + 1
+    for position, width, insert in edits:
+        position = body + position % (len(text) - body)
+        text = text[:position] + insert + text[position + width:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        outcome = read_outcome(_read_dataset_csv, path, manifest)
+        assert outcome == read_outcome(reference_read_dataset_csv, path, manifest)
+    event("read" if len(outcome) == 3 else outcome[0].__name__)
+
+
+class TestCsvFastPath:
+    """A well-formed body is read by loadtxt alone: csv.reader yields the header row only."""
+
+    @pytest.fixture
+    def csv_rows(self, monkeypatch):
+        """Every row a csv.reader yields from here on."""
+        rows = []
+        real_reader = csv.reader
+
+        def counting_reader(*args, **kwargs):
+            for row in real_reader(*args, **kwargs):
+                rows.append(row)
+                yield row
+
+        monkeypatch.setattr(csv, "reader", counting_reader)
+        return rows
+
+    def test_bundled_dataset(self, manifest, csv_rows):
+        assert parse_dataset(data_path("nuts3.csv"), manifest).shape == (9, 25)
+        assert csv_rows == [["region", *manifest.ids]]
+
+    def test_quoted_labels(self, tmp_path, small_manifest, csv_rows):
+        rng = np.random.default_rng(7)
+        regions = tuple(f'Região {i}, "sul"' for i in range(2000))
+        matrix = IndicatorMatrix(regions, ("a", "b", "c", "d"), rng.normal(size=(2000, 4)))
+        path = tmp_path / "quoted.csv"
+        write_dataset_csv(matrix, path)
+        assert parse_dataset(path, small_manifest) == matrix
+        assert csv_rows == [["region", "a", "b", "c", "d"]]
+
+    def test_non_utf8_body_is_not_read_again(self, tmp_path, small_manifest, csv_rows):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(DIFFERENTIAL_FILES["non-utf8-past-row-1500"])
+        with pytest.raises(FileEncodingError):
+            parse_dataset(path, small_manifest)
+        assert csv_rows == [["region", "a", "b", "c", "d"]]
+
+    def test_rejected_body_goes_to_the_row_loop(self, tmp_path, small_manifest, csv_rows):
+        path = write_tmp_dataset(tmp_path, CSV_HEADER + "r1,1_0,2,3,4\n" + R2)
+        assert parse_dataset(path, small_manifest).row("r1").tolist() == [10.0, 2.0, 3.0, 4.0]
+        assert len(csv_rows) == 3
 
 
 class TestRoundTrip:

@@ -159,6 +159,60 @@ class TestIndicatorMatrix:
         with pytest.raises(ValueError):
             IndicatorMatrix(("a", "b"), ("x",), [[0.1], [1.4]], stage=Stage.NORMALIZED)
 
+    @pytest.mark.parametrize(
+        "regions, indicators, values, stage, message",
+        [
+            (("a", "b"), ("x",), [[1.0], [2.0], [3.0]], Stage.RAW,
+             "values shape (3, 1) does not match 2 regions x 1 indicators"),
+            (("a", "a"), ("x",), [[1.0], [2.0]], Stage.RAW, "region labels must be unique"),
+            (("a", "b"), ("x", "x"), [[1.0, 1.0], [2.0, 2.0]], Stage.RAW,
+             "indicator ids must be unique"),
+            (("a", "b"), ("x",), [[1.0], [float("inf")]], Stage.RAW,
+             "matrix contains non-finite values"),
+            (("a", "b"), ("x",), [[-0.1], [1.0]], Stage.NORMALIZED,
+             "normalized matrix has values outside [0, 1]"),
+            # The shape is checked first, then the labels, then the values.
+            (("a", "a"), ("x",), [[1.0]], Stage.RAW,
+             "values shape (1, 1) does not match 2 regions x 1 indicators"),
+            (("a", "a"), ("x",), [[1.0], [float("nan")]], Stage.RAW,
+             "region labels must be unique"),
+        ],
+        ids=["shape", "regions", "indicators", "finite", "bounds", "shape-first", "labels-first"],
+    )
+    def test_constructor_messages(self, regions, indicators, values, stage, message):
+        with pytest.raises(ValueError) as exc_info:
+            IndicatorMatrix(regions, indicators, values, stage=stage)
+        assert str(exc_info.value) == message
+
+    def test_from_checked_takes_over_an_owned_array(self):
+        values = np.array([[0.0, 1.0], [0.5, 0.25]])
+        matrix = IndicatorMatrix.from_checked(("a", "b"), ("x", "y"), values, Stage.NORMALIZED)
+        assert matrix.values is values and not values.flags.writeable
+        assert matrix.column("y").tolist() == [1.0, 0.25]
+        assert matrix == IndicatorMatrix(("a", "b"), ("x", "y"), values, stage=Stage.NORMALIZED)
+
+    def test_from_checked_copies_a_strided_view_once(self):
+        table = np.arange(12.0).reshape(3, 4)
+        matrix = IndicatorMatrix.from_checked(("a", "b", "c"), ("x", "y"), table[:, 1:3])
+        assert matrix.values.flags.c_contiguous and not np.shares_memory(matrix.values, table)
+        assert matrix.values.tolist() == [[1.0, 2.0], [5.0, 6.0], [9.0, 10.0]]
+
+    @pytest.mark.parametrize(
+        "values, stage, message",
+        [
+            (np.ones((3, 1)), Stage.RAW,
+             "values shape (3, 1) does not match 2 regions x 1 indicators"),
+            (np.array([[1.0], [np.nan]]), Stage.RAW, "matrix contains non-finite values"),
+            (np.array([[0.1], [1.4]]), Stage.NORMALIZED,
+             "normalized matrix has values outside [0, 1]"),
+        ],
+        ids=["shape", "finite", "bounds"],
+    )
+    def test_from_checked_still_checks_values(self, values, stage, message):
+        with pytest.raises(ValueError) as exc_info:
+            IndicatorMatrix.from_checked(("a", "b"), ("x",), values, stage)
+        assert str(exc_info.value) == message
+
     def test_values_are_read_only(self):
         matrix = IndicatorMatrix(("a", "b"), ("x",), [[1.0], [2.0]])
         with pytest.raises(ValueError):

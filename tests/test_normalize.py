@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+from indexforge.datasets import data_path
+from indexforge.ingest import parse_dataset
 from indexforge.model import Direction, IndicatorMatrix, Stage
 from indexforge.normalize import (
     DegenerateColumnWarning,
@@ -152,6 +154,19 @@ class TestNormalizeMatrix:
             assert zeros >= 1 and ones >= 1
             if indicator_id not in TIED_EXTREME_COLUMNS:
                 assert zeros == 1 and ones == 1
+
+    def test_labels_are_checked_once(self, manifest, monkeypatch):
+        # parse_dataset checks the labels itself and normalize_matrix reuses
+        # them, so neither runs the validating constructor again.
+        def validating_constructor(*args, **kwargs):
+            raise AssertionError("IndicatorMatrix() called")
+
+        monkeypatch.setattr(IndicatorMatrix, "__init__", validating_constructor)
+        raw = parse_dataset(data_path("nuts3.csv"), manifest)
+        matrix, _ = normalize_matrix(raw, manifest)
+        assert matrix.regions is raw.regions and matrix.indicators is raw.indicators
+        assert not matrix.values.flags.writeable
+        assert not np.shares_memory(matrix.values, raw.values)
 
     def test_no_degenerate_columns_in_bundle(self, normalized):
         _, records = normalized
