@@ -10,30 +10,22 @@ environment variable INDEXFORGE_NO_COLOR disables ANSI styling.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import math
 import os
 import sys
 from pathlib import Path
 
 from . import datasets
 from .aggregate import (
-    build_weight_scheme,
     compute_abreu,
     compute_delphi,
     delphi_default_weights,
     write_index_csv,
     write_index_json,
 )
-from .errors import (
-    CompositeIndexError,
-    FewerThanTwoMethodsError,
-    NoConvergenceError,
-    WeightFormatError,
-)
-from .ingest import open_input, parse_dataset, parse_manifest
-from .model import PILLARS, IndicatorMatrix, Manifest, Method, Pillar, WeightScheme
+from .errors import CompositeIndexError, FewerThanTwoMethodsError, NoConvergenceError
+from .ingest import parse_dataset, parse_manifest, parse_weights
+from .model import PILLARS, IndicatorMatrix, Manifest, Method
 from .normalize import normalize_matrix, write_normalization_csv
 from .pca import REFERENCE_VARIANCE_PROFILE, compute_pca, write_pca_audit
 from .stats import (
@@ -85,56 +77,6 @@ def _parse_methods(text: str) -> list[Method]:
         if method not in methods:
             methods.append(method)
     return methods
-
-
-def _load_weights_csv(path: Path, manifest: Manifest) -> WeightScheme:
-    """Weight override file: rows of scope,id,weight with scope pillar|indicator.
-
-    Each pillar or indicator may be listed once, and each row has exactly
-    three cells.
-    """
-    pillar_weights: dict[Pillar, float] = {}
-    indicator_weights: dict[str, float] = {}
-    expected = ("scope", "id", "weight")
-    with open_input(path) as handle:
-        reader = csv.reader(handle)
-        if tuple(next(reader, ())) != expected:
-            raise WeightFormatError(f"weights file header must be {','.join(expected)}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(expected):
-                raise WeightFormatError(
-                    f"weights file line {reader.line_num} has {len(row)} cells, "
-                    f"expected {len(expected)}"
-                )
-            scope_text, target, weight_text = row
-            scope = scope_text.strip().lower()
-            try:
-                weight = float(weight_text)
-            except ValueError:
-                raise WeightFormatError(
-                    f"non-numeric weight {weight_text!r} for {target!r}"
-                ) from None
-            if not math.isfinite(weight):
-                raise WeightFormatError(f"non-finite weight {weight} for {target!r}")
-            if scope == "pillar":
-                try:
-                    key, weights = Pillar(target), pillar_weights
-                except ValueError:
-                    raise WeightFormatError(f"unknown pillar {target!r}") from None
-            elif scope == "indicator":
-                key, weights = target, indicator_weights
-            else:
-                raise WeightFormatError(f"unknown weight scope {scope_text!r}")
-            if key in weights:
-                raise WeightFormatError(f"{scope} {target!r} is listed more than once")
-            weights[key] = weight
-    return build_weight_scheme(
-        manifest,
-        pillar_weights=pillar_weights or None,
-        indicator_weights=indicator_weights or None,
-    )
 
 
 def _load_inputs(args) -> tuple[Manifest, IndicatorMatrix]:
@@ -196,7 +138,7 @@ def _compute_results(args, manifest, matrix, methods):
             results[method] = compute_abreu(normalized, manifest)
         elif method is Method.DELPHI:
             if getattr(args, "weights", None):
-                scheme = _load_weights_csv(Path(args.weights), manifest)
+                scheme = parse_weights(args.weights, manifest)
             else:
                 scheme = delphi_default_weights(manifest)
             results[method] = compute_delphi(normalized, manifest, scheme)

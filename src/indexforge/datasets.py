@@ -9,13 +9,13 @@ rest of the package.
 
 from __future__ import annotations
 
-import csv
-import math
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DataFormatError
-from .ingest import open_input, parse_dataset, parse_manifest
+from .ingest import open_input, parse_dataset, parse_manifest, read_csv_input
 from .model import IndexResult, IndicatorMatrix, Manifest, Method
 from .aggregate import rank_regions
 
@@ -54,31 +54,24 @@ def load_reference_indexes(path: str | Path | None = None) -> dict[Method, Index
     regions: list[str] = []
     columns: dict[Method, list[float]] = {m: [] for m in Method}
     with open_input(path) as handle:
-        reader = csv.DictReader(handle)
+        header, rows = read_csv_input(handle, DataFormatError, str(path))
         expected = {"region", *(m.value for m in Method)}
-        missing = expected - set(reader.fieldnames or ())
+        missing = expected - set(header)
         if missing:
             raise DataFormatError(
                 f"reference index file must have columns {sorted(expected)}; "
                 f"missing {sorted(missing)}"
             )
-        for row in reader:
-            # DictReader keys extra cells by None and fills missing ones with None.
-            missing = sum(value is None for value in row.values())
-            if None in row or missing:
-                cells = len(reader.fieldnames) + len(row.get(None, ())) - missing
-                raise DataFormatError(
-                    f"{path} line {reader.line_num} has {cells} "
-                    f"cells, expected {len(reader.fieldnames)}"
-                )
+        for cells in rows:
+            row = dict(zip(header, cells))
             regions.append(row["region"])
             for method in Method:
                 text = row[method.value]
                 try:
                     value = float(text)
-                    if not math.isfinite(value):
+                    if not np.isfinite(value):
                         raise ValueError(text)
-                except (TypeError, ValueError):
+                except ValueError:
                     raise DataFormatError(
                         f"{path}: non-numeric {method.value} value {text!r} "
                         f"for region {row['region']!r}"

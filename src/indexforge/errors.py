@@ -28,6 +28,13 @@ class NegativeWeightError(CompositeIndexError):
         super().__init__(f"indicator {indicator_id!r} has negative weight {weight}")
 
 
+class NonFiniteWeightError(CompositeIndexError):
+    def __init__(self, indicator_id: str, weight: float):
+        self.indicator_id = indicator_id
+        self.weight = weight
+        super().__init__(f"indicator {indicator_id!r} has weight {weight}, which is not finite")
+
+
 class AllZeroWeightsError(CompositeIndexError):
     def __init__(self, scope: str):
         self.scope = scope

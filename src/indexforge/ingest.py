@@ -1,9 +1,11 @@
-"""Reading of manifest and dataset files; the JSON and CSV artifact writers.
+"""Reading of every input file; the JSON and CSV artifact writers.
 
 File conventions are deliberately rigid: CSV files use a comma delimiter,
 "." as decimal separator, UTF-8 encoding and LF line endings. Inputs may
-start with a UTF-8 byte-order mark, which is skipped. The JSON alternative
-for datasets is an object
+start with a UTF-8 byte-order mark, which is skipped. The small CSV inputs
+(manifest, weight overrides, reference indexes) go through one reader,
+``read_csv_input``: one cell per header column, errors that name the line.
+The JSON alternative for datasets is an object
 ``{"regions": [...], "indicators": [...], "values": [[...]]}`` with string
 region and indicator names and one list of values per region.
 
@@ -17,19 +19,18 @@ that loop alone. A JSON row is checked cell by cell only when its types
 are not all int and float.
 
 Every JSON file the package writes uses the sorted-key, two-space layout
-of ``write_json``; CSV artifacts are written through ``write_csv``, or
-with the same cells (``csv_cells`` quotes a label as ``csv.writer`` does)
-by the index writer, which formats its rows in one pass.
+of ``write_json``; every CSV artifact has the cells of ``csv_cells``, which
+quotes a text holding a comma, quote or line break.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 from array import array
 from contextlib import contextmanager
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -48,10 +49,13 @@ from .errors import (
     NonNumericCellError,
     TooFewRegionsError,
     UnknownIndicatorError,
+    WeightFormatError,
 )
-from .model import Direction, IndicatorMatrix, IndicatorSpec, Manifest, Pillar, Stage, validate_manifest
+from .model import Direction, IndicatorMatrix, IndicatorSpec, Manifest, Pillar, Stage, WeightScheme
+from .model import build_weight_scheme, validate_manifest
 
 MANIFEST_COLUMNS = ("id", "label", "pillar", "direction", "weight", "unit")
+WEIGHT_COLUMNS = ("scope", "id", "weight")
 REGION_COLUMN = "region"
 JSON_KEYS = ("regions", "indicators", "values")
 
@@ -70,6 +74,39 @@ def open_input(path: Path):
         raise FileEncodingError(path, exc.reason) from None
 
 
+def read_csv_input(handle, error: type[Exception], what: str):
+    """The header tuple of a small CSV input and a lazy iterator over its non-blank rows.
+
+    A row with more or fewer cells than the header, or a line ``_csv_rows``
+    cannot split, raises ``error`` naming ``what`` and the line as it is read.
+    """
+    reader = csv.reader(handle)
+    parsed = _csv_rows(reader, error, what)
+    header = tuple(next(parsed, ()))
+
+    def rows():
+        for row in filter(None, parsed):  # a blank line is an empty row
+            if len(row) != len(header):
+                raise error(
+                    f"{what} line {reader.line_num} has {len(row)} cells, expected {len(header)}"
+                )
+            yield row
+
+    return header, rows()
+
+
+def _csv_rows(reader, error: type[Exception], what: str, ahead=None):
+    """The rows of a ``csv.reader``; a line it cannot split (a cell over
+    ``csv.field_size_limit()``) raises ``error`` naming ``what`` and the line,
+    counting the lines that ``ahead``, a reader of the same file, read before it.
+    """
+    try:
+        yield from reader
+    except csv.Error as exc:
+        line = reader.line_num + (ahead.line_num if ahead else 0)
+        raise error(f"{what} line {line}: {exc}") from None
+
+
 def parse_manifest(path: str | Path) -> Manifest:
     """Load and validate a manifest CSV (columns id,label,pillar,direction,weight,unit).
 
@@ -77,22 +114,13 @@ def parse_manifest(path: str | Path) -> Manifest:
     """
     path = Path(path)
     with open_input(path) as handle:
-        reader = csv.reader(handle)
-        header = tuple(next(reader, ()))
+        header, rows = read_csv_input(handle, ManifestFormatError, "manifest")
         if header != MANIFEST_COLUMNS:
             raise ManifestFormatError(
                 f"manifest header must be {','.join(MANIFEST_COLUMNS)}, got {','.join(header)}"
             )
         specs = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(MANIFEST_COLUMNS):
-                raise ManifestFormatError(
-                    f"manifest line {reader.line_num} has {len(row)} cells, "
-                    f"expected {len(MANIFEST_COLUMNS)}"
-                )
-            indicator_id, label, pillar_text, direction_text, weight_text, unit = row
+        for indicator_id, label, pillar_text, direction_text, weight_text, unit in rows:
             try:
                 pillar = Pillar(pillar_text)
             except ValueError:
@@ -119,6 +147,37 @@ def parse_manifest(path: str | Path) -> Manifest:
                 )
             )
     return validate_manifest(specs)
+
+
+def parse_weights(path: str | Path, manifest: Manifest) -> WeightScheme:
+    """Load a weight override CSV (columns scope,id,weight; scope pillar|indicator).
+
+    Each pillar or indicator may be listed once; ``build_weight_scheme``
+    checks the weights and renormalizes them against ``manifest``.
+    """
+    weights: dict[str, dict] = {"pillar": {}, "indicator": {}}  # by scope, then key
+    with open_input(Path(path)) as handle:
+        header, rows = read_csv_input(handle, WeightFormatError, "weights file")
+        if header != WEIGHT_COLUMNS:
+            raise WeightFormatError(f"weights file header must be {','.join(WEIGHT_COLUMNS)}")
+        for scope_text, target, weight_text in rows:
+            scope = scope_text.strip().lower()
+            try:
+                weight = float(weight_text)
+            except ValueError:
+                raise WeightFormatError(
+                    f"non-numeric weight {weight_text!r} for {target!r}"
+                ) from None
+            if scope not in weights:
+                raise WeightFormatError(f"unknown weight scope {scope_text!r}")
+            try:
+                key = Pillar(target) if scope == "pillar" else target
+            except ValueError:
+                raise WeightFormatError(f"unknown pillar {target!r}") from None
+            if key in weights[scope]:
+                raise WeightFormatError(f"{scope} {target!r} is listed more than once")
+            weights[scope][key] = weight
+    return build_weight_scheme(manifest, weights["pillar"] or None, weights["indicator"] or None)
 
 
 def _check_header(indicator_ids: Sequence[str], manifest: Manifest) -> None:
@@ -223,17 +282,16 @@ def _read_dataset_csv(path: Path, manifest: Manifest):
     """
     with open_input(path) as handle:
         # readline, unlike iterating the handle, keeps handle.tell() usable.
-        reader = csv.reader(iter(handle.readline, ""))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path} is empty") from None
+        header_reader = csv.reader(iter(handle.readline, ""))
+        header = next(_csv_rows(header_reader, DataFormatError, str(path)), None)
+        if header is None:
+            raise DataFormatError(f"{path} is empty")
         if not header or header[0] != REGION_COLUMN:
             raise DataFormatError(f"first data column must be {REGION_COLUMN!r}")
         indicator_ids = tuple(header[1:])
         _check_header(indicator_ids, manifest)
         if not handle.seekable():  # a pipe: no second read, so only the row loop
-            return _read_csv_rows(handle, indicator_ids)
+            return _read_csv_rows(handle, indicator_ids, path, header_reader)
         body = handle.tell()
         # loadtxt warns on a body without rows, so such a body never reaches it.
         if not any(line.strip("\r\n") for line in iter(handle.readline, "")):
@@ -253,16 +311,16 @@ def _read_dataset_csv(path: Path, manifest: Manifest):
             raise  # a ValueError too; open_input makes it a FileEncodingError
         except ValueError:
             handle.seek(body)
-            return _read_csv_rows(handle, indicator_ids)
+            return _read_csv_rows(handle, indicator_ids, path, header_reader)
     return table["region"].tolist(), indicator_ids, table["values"]
 
 
-def _read_csv_rows(handle, indicator_ids: tuple[str, ...]):
+def _read_csv_rows(handle, indicator_ids: tuple[str, ...], path: Path, header_reader):
     """The row loop: names the first bad row or cell, else returns what it read."""
     regions: list[str] = []
     values = array("d")  # row-major, one row of len(indicator_ids) per region
     width = len(indicator_ids) + 1
-    for row in csv.reader(handle):
+    for row in _csv_rows(csv.reader(handle), DataFormatError, str(path), header_reader):
         if not row:
             continue
         if len(row) != width:
@@ -284,7 +342,7 @@ def _read_dataset_json(path: Path, manifest: Manifest):
         text = handle.read()
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int of over 4,300 digits
         raise DataFormatError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise DataFormatError(
@@ -310,10 +368,12 @@ def _read_dataset_json(path: Path, manifest: Manifest):
         _check_row_length(region, indicator_ids, len(row))
         if not _JSON_NUMBERS.issuperset(map(type, row)):
             _raise_json_cell_error(region, indicator_ids, row)
+    try:
+        table = np.array(values, dtype=float)
+    except OverflowError:  # an int beyond the float range reads as ±inf, as in a CSV file
+        table = np.array([[float(str(value)) for value in row] for row in values])
     # A file without regions gives (0,) here; reshape makes every shape 2-D.
-    return regions, indicator_ids, np.array(values, dtype=float).reshape(
-        len(regions), len(indicator_ids)
-    )
+    return regions, indicator_ids, table.reshape(len(regions), len(indicator_ids))
 
 
 def _raise_json_cell_error(region: str, indicator_ids: Sequence[str], row: list) -> None:
@@ -372,38 +432,31 @@ def format_column(vector: np.ndarray, spec: str = "%.6f") -> list[str]:
     return ((spec + "\n") * vector.size % tuple(vector.tolist())).split()
 
 
-#: Characters that can make csv.writer quote a cell.
+#: The characters that make a text need quotes as a CSV cell.
 _CSV_MARKS = (",", '"', "\r", "\n")
 
 
-def csv_cells(texts: Sequence[str]) -> list[str]:
-    """Each text as ``write_csv`` writes it as one cell of a row.
+def csv_cells(texts: Iterable[str]) -> list[str]:
+    """Each text as one cell of a CSV row.
 
-    A text without a delimiter, quote or line-break character is the cell
-    itself; only the others go through ``csv.writer``, one at a time.
+    A text holding a delimiter, quote or line-break character is wrapped in
+    quotes, with its own quotes doubled; any other text is the cell itself.
     """
     cells = list(texts)
     joined = "".join(cells)
-    if not any(mark in joined for mark in _CSV_MARKS):
+    # The test of _CSV_MARKS spelled out: twice as fast as any() for the common row.
+    if "," not in joined and '"' not in joined and "\r" not in joined and "\n" not in joined:
         return cells
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    for i, text in enumerate(cells):
-        if any(mark in text for mark in _CSV_MARKS):
-            buffer.seek(0)
-            buffer.truncate()
-            writer.writerow([text])
-            cells[i] = buffer.getvalue()[:-1]
-    return cells
+    return [
+        '"' + text.replace('"', '""') + '"' if any(mark in text for mark in _CSV_MARKS) else text
+        for text in cells
+    ]
 
 
 def write_csv(header: Sequence[str], rows: Iterable[Sequence[object]], path: str | Path) -> None:
-    """Write a CSV artifact (UTF-8, LF line ends) through one buffered ``csv.writer``."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    Path(path).write_text(buffer.getvalue(), encoding="utf-8", newline="")
+    """Write a CSV artifact (UTF-8, LF line ends): each value as ``str``, in ``csv_cells``."""
+    lines = [",".join(csv_cells(map(str, row))) for row in chain([header], rows)]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
 
 
 def composite_indicator(components: Mapping[str, Sequence[float]]) -> np.ndarray:

@@ -22,6 +22,7 @@ from .errors import (
     DuplicateIndicatorIdError,
     EmptyPillarError,
     NegativeWeightError,
+    NonFiniteWeightError,
     WeightManifestMismatchError,
 )
 
@@ -98,10 +99,10 @@ class Manifest:
 
 
 def validate_manifest(specs: Iterable[IndicatorSpec]) -> Manifest:
-    """Check uniqueness, weight signs and pillar coverage; return a Manifest.
+    """Check uniqueness, weights and pillar coverage; return a Manifest.
 
-    Raises DuplicateIndicatorIdError, NegativeWeightError or EmptyPillarError.
-    Every pillar must contain at least one indicator with positive weight.
+    Raises DuplicateIndicatorIdError, NonFiniteWeightError, NegativeWeightError or
+    EmptyPillarError; every pillar needs at least one indicator with positive weight.
     """
     specs = tuple(specs)
     if not specs:
@@ -111,8 +112,7 @@ def validate_manifest(specs: Iterable[IndicatorSpec]) -> Manifest:
         if spec.id in seen:
             raise DuplicateIndicatorIdError(spec.id)
         seen.add(spec.id)
-        if spec.weight < 0:
-            raise NegativeWeightError(spec.id, spec.weight)
+        _check_weight(spec.id, spec.weight)
     manifest = Manifest(specs)
     for pillar in PILLARS:
         ids = manifest.pillar_ids(pillar)
@@ -121,6 +121,13 @@ def validate_manifest(specs: Iterable[IndicatorSpec]) -> Manifest:
         if all(manifest.spec(i).weight == 0 for i in ids):
             raise AllZeroWeightsError(pillar.value)
     return manifest
+
+
+def _check_weight(name: str, weight: float) -> None:
+    if not np.isfinite(weight):
+        raise NonFiniteWeightError(name, weight)
+    if weight < 0:
+        raise NegativeWeightError(name, weight)
 
 
 @dataclass(frozen=True)
@@ -154,8 +161,7 @@ def build_weight_scheme(
     else:
         raw_pillar = {pillar: float(pillar_weights.get(pillar, 0.0)) for pillar in PILLARS}
     for pillar, value in raw_pillar.items():
-        if value < 0:
-            raise NegativeWeightError(pillar.value, value)
+        _check_weight(pillar.value, value)
     total = sum(raw_pillar.values())
     if total <= 0:
         raise AllZeroWeightsError("pillars")
@@ -172,8 +178,7 @@ def build_weight_scheme(
         raw = {}
         for indicator_id in ids:
             value = float(overrides.get(indicator_id, manifest.spec(indicator_id).weight))
-            if value < 0:
-                raise NegativeWeightError(indicator_id, value)
+            _check_weight(indicator_id, value)
             raw[indicator_id] = value
         subtotal = sum(raw.values())
         if subtotal <= 0:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -17,6 +18,7 @@ from indexforge import cli
 from indexforge.cli import main
 from indexforge.datasets import data_path, load_nuts3_dataset, load_reference_indexes
 from indexforge.errors import DataFormatError
+from indexforge.ingest import parse_dataset
 
 FIXTURE_DATA = str(data_path("nuts3.csv"))
 FIXTURE_MANIFEST = str(data_path("manifest.csv"))
@@ -162,6 +164,21 @@ class TestValidate:
         assert code == 2
         assert "has 4 cells, expected 6" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_manifest_weight_exit_2(self, tmp_path, capsys, weight):
+        manifest = tmp_path / "manifest.csv"
+        text = Path(FIXTURE_MANIFEST).read_text(encoding="utf-8")
+        row = next(line for line in text.splitlines() if line.startswith("PopDens,"))
+        cells = row.split(",")
+        cells[4] = weight
+        manifest.write_text(text.replace(row, ",".join(cells)), encoding="utf-8")
+        out = tmp_path / "out"
+        code = run(["compute", "--methods", "delphi", "--manifest", str(manifest),
+                    "--out", str(out)])
+        assert code == 2
+        assert f"'PopDens' has weight {weight}, which is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompute:
     def test_all_methods_artifacts(self, tmp_path, capsys):
@@ -233,9 +250,10 @@ class TestCompute:
              "indicator 'PopDens' is listed more than once"),
             ("indicator,PopDens,3,7", "weights file line 2 has 4 cells, expected 3"),
             ("indicator,PopDens", "weights file line 2 has 2 cells, expected 3"),
+            ("pillar,Economy,nan", "'Economy' has weight nan, which is not finite"),
         ],
         ids=["non-numeric-weight", "unknown-pillar", "duplicate-pillar", "duplicate-indicator",
-             "extra-cell", "missing-cell"],
+             "extra-cell", "missing-cell", "non-finite-weight"],
     )
     def test_malformed_weights_exit_2(self, tmp_path, capsys, row, expected):
         weights = tmp_path / "weights.csv"
@@ -369,6 +387,90 @@ class TestReport:
         assert code == 2
         assert "at least two methods" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+
+def _with_first_label(label: str, path: Path) -> Path:
+    """A copy of the bundled data whose first region label is ``label``, quoted."""
+    lines = Path(FIXTURE_DATA).read_text(encoding="utf-8").splitlines(keepends=True)
+    first = lines[1].split(",", 1)
+    lines[1] = '"' + label.replace('"', '""') + '",' + first[1]
+    path.write_text("".join(lines), encoding="utf-8", newline="")
+    return path
+
+
+HUGE = "x" * 200_000  # longer than csv.field_size_limit()
+
+
+def _oversized_input(case: str, tmp: Path) -> list[str]:
+    """The arguments of a run whose ``case`` input holds a 200,000-character cell."""
+    if case == "manifest":
+        manifest = tmp / "manifest.csv"
+        text = Path(FIXTURE_MANIFEST).read_text(encoding="utf-8")
+        manifest.write_text(text.replace("Population density", HUGE, 1), encoding="utf-8")
+        return ["validate", "--manifest", str(manifest)]
+    if case == "weights":
+        weights = tmp / "weights.csv"
+        weights.write_text(f"scope,id,weight\npillar,{HUGE},1\n", encoding="utf-8")
+        return ["compute", "--methods", "delphi", "--weights", str(weights),
+                "--out", str(tmp / "out")]
+    if case == "published":
+        published = tmp / "table3.csv"
+        text = Path(FIXTURE_TABLE3).read_text(encoding="utf-8")
+        published.write_text(text.replace("Alto Minho", HUGE, 1), encoding="utf-8")
+        return ["compare", "--published", str(published), "--out", str(tmp / "out")]
+    data = tmp / "data.csv"
+    if case == "data-header":
+        text = Path(FIXTURE_DATA).read_text(encoding="utf-8")
+        data.write_text(text.replace("region", HUGE, 1), encoding="utf-8")
+    else:  # the extra cell sends the body from the loadtxt pass to the row loop
+        lines = _with_first_label(HUGE, data).read_text(encoding="utf-8").splitlines()
+        lines[3] += ",1.0"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return ["validate", "--data", str(data)]
+
+
+@pytest.mark.parametrize(
+    "case, line",
+    [("manifest", 5), ("weights", 2), ("published", 2), ("data-header", 1),
+     ("data-body", 2)],
+)
+def test_oversized_cell_is_a_validation_error(tmp_path, capsys, case, line):
+    argv = _oversized_input(case, tmp_path)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error (validation): ")
+    assert lines[0].endswith(f"line {line}: field larger than field limit (131072)")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_carriage_return_label_round_trips_through_every_csv_artifact(tmp_path):
+    data = _with_first_label("Alto\rMinho", tmp_path / "data.csv")
+    regions = list(parse_dataset(data, load_nuts3_dataset()[0]).regions)
+    assert regions[0] == "Alto\rMinho"
+    computed = ["abreu.csv", "delphi.csv", "normalization.csv", "pca.csv"]
+    compared = ["parallel.csv", "report.csv", "scatter.csv"]
+    for command, names in (("compute", computed), ("report", computed + compared)):
+        out = tmp_path / command
+        assert run([command, "--methods", "all", "--data", str(data), "--out", str(out)]) == 0
+        assert sorted(path.name for path in out.glob("*.csv")) == sorted(names)
+        for name in names:
+            with (out / name).open(newline="", encoding="utf-8") as handle:
+                rows = list(csv.reader(handle))
+            assert all(len(row) == len(rows[0]) for row in rows), name
+            if name in ("abreu.csv", "delphi.csv", "pca.csv"):
+                assert sorted(row[0] for row in rows[1:]) == sorted(regions), name
+            elif name == "parallel.csv":
+                assert [row[0] for row in rows[1::3]] == regions
+            elif name == "scatter.csv":
+                assert [row[2] for row in rows[1:]] == regions * 3
+            elif name == "report.csv":
+                ranked = [row[2:] for row in rows if row[0] == "ranking"]
+                assert len(ranked) == len(regions)
+                assert all(sorted(column) == sorted(regions) for column in zip(*ranked))
+            else:
+                assert len(rows) == 26
 
 
 WEIGHTS = (

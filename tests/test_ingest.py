@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import csv
 import io
 import json
@@ -254,8 +255,13 @@ class TestParseDataset:
             ([5, 6, 7, "8"], NonNumericCellError,
              "non-numeric value \"'8'\" at region 'r2', indicator 'd'"),
             ({"a": 5}, DataFormatError, "{path}: the values of region 'r2' are not a list"),
+            ([5, 6, 10**400, 8], NonNumericCellError,
+             "non-numeric value 'inf' at region 'r2', indicator 'c'"),
+            ([-10**400, 6, 7, 8], NonNumericCellError,
+             "non-numeric value '-inf' at region 'r2', indicator 'a'"),
         ],
-        ids=["null", "bool", "string", "row-not-list"],
+        ids=["null", "bool", "string", "row-not-list", "int-beyond-float",
+             "negative-int-beyond-float"],
     )
     def test_json_bad_cell_messages(self, tmp_path, small_manifest, row, error, message):
         payload = {"regions": ["r1", "r2"], "indicators": list("abcd"),
@@ -280,9 +286,12 @@ class TestParseDataset:
             ('{"regions": ["r1", "r2"], "indicators": ["a", "b", "c", "d"], '
              '"values": [[1, 2, 3, 4], {"a": 5}]}',
              "the values of region 'r2' are not a list"),
+            ('{"regions": ["r1", "r2"], "indicators": ["a", "b", "c", "d"], '
+             '"values": [[1, 2, 3, 4], [5, 6, 7, ' + "9" * 5000 + ']]}',
+             "is not valid JSON: Exceeds the limit"),
         ],
         ids=["truncated", "no-indicators", "top-level-list", "regions-not-list",
-             "region-not-string", "indicator-not-string", "row-not-list"],
+             "region-not-string", "indicator-not-string", "row-not-list", "int-of-5000-digits"],
     )
     def test_malformed_json(self, tmp_path, small_manifest, text, message):
         path = write_tmp_dataset(tmp_path, text, "data.json")
@@ -641,3 +650,21 @@ class TestCompositeIndicator:
     def test_needs_two_components(self):
         with pytest.raises(ValueError):
             composite_indicator({"only": [1, 2]})
+
+
+def test_only_ingest_imports_csv():
+    """Every CSV input goes through ingest's reader: no other module imports csv."""
+    package = Path(data_path("manifest.csv")).parents[1]
+    importers = set()
+    for module in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name == "csv" or name.startswith("csv.") for name in names):
+                importers.add(module.name)
+    assert len(list(package.glob("*.py"))) >= 10
+    assert importers == {"ingest.py"}

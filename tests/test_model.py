@@ -20,6 +20,7 @@ from indexforge.errors import (
     DuplicateIndicatorIdError,
     EmptyPillarError,
     NegativeWeightError,
+    NonFiniteWeightError,
     WeightManifestMismatchError,
 )
 
@@ -64,6 +65,14 @@ class TestValidateManifest:
         specs = [spec(i, pillar) for i, pillar in enumerate(PILLARS)]
         specs[2] = spec(2, PILLARS[2], weight=-0.5)
         with pytest.raises(NegativeWeightError):
+            validate_manifest(specs)
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_rejected(self, weight):
+        specs = [spec(i, pillar) for i, pillar in enumerate(PILLARS)]
+        specs[2] = spec(2, PILLARS[2], weight=weight)
+        message = f"'i2' has weight {weight}, which is not finite"
+        with pytest.raises(NonFiniteWeightError, match=message):
             validate_manifest(specs)
 
     def test_all_zero_weights_in_pillar_rejected(self):
@@ -136,6 +145,17 @@ class TestBuildWeightScheme:
     def test_all_zero_pillar_weights_rejected(self):
         with pytest.raises(AllZeroWeightsError):
             build_weight_scheme(small_manifest(), {p: 0.0 for p in PILLARS})
+
+    def test_nan_pillar_weight_rejected(self):
+        weights = {pillar: 1.0 for pillar in PILLARS}
+        weights[Pillar.ECONOMY] = float("nan")
+        message = "'Economy' has weight nan, which is not finite"
+        with pytest.raises(NonFiniteWeightError, match=message):
+            build_weight_scheme(small_manifest(), weights)
+
+    def test_inf_indicator_weight_rejected(self):
+        with pytest.raises(NonFiniteWeightError, match="'i1' has weight inf, which is not finite"):
+            build_weight_scheme(small_manifest(), indicator_weights={"i1": float("inf")})
 
     def test_unknown_indicator_override_rejected(self):
         with pytest.raises(WeightManifestMismatchError):
