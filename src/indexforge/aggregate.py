@@ -13,6 +13,7 @@ and the worst exactly 0.
 from __future__ import annotations
 
 import warnings
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -186,10 +187,26 @@ def write_index_csv(result: IndexResult, path: str | Path) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="")
 
 
+@lru_cache(maxsize=1)
+def _label_order(regions: tuple[str, ...]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The positions of ``regions`` in label order, and the labels in that order.
+
+    Every method of a run shares one regions tuple, so the sort runs once per
+    run. Both results are read-only, since every caller gets the same ones.
+    """
+    order = sorted(range(len(regions)), key=regions.__getitem__)
+    positions = np.array(order, dtype=np.intp)
+    positions.flags.writeable = False
+    return positions, tuple(map(regions.__getitem__, order))
+
+
 def write_index_json(result: IndexResult, path: str | Path) -> None:
-    """Write one method's index as JSON (method, ranking, raw and rescaled by region)."""
-    order = sorted(range(len(result.regions)), key=result.regions.__getitem__)
-    labels = [result.regions[i] for i in order]
+    """Write one method's index as JSON (method, ranking, raw and rescaled by region).
+
+    The two per-region mappings are built in label order, which ``write_json``
+    lays out without sorting them again.
+    """
+    order, labels = _label_order(result.regions)
     write_json(
         {
             "method": result.method.value,

@@ -46,9 +46,9 @@ def load_reference_indexes(path: str | Path | None = None) -> dict[Method, Index
 
     These are previously published values for the bundled dataset, kept as
     two-decimal numbers exactly as released; raw and rescaled values are
-    identical because the reference columns already span [0, 1]. A value
-    that is not a finite number, or a row with more or fewer cells than the
-    header, raises DataFormatError.
+    identical because the reference columns already span [0, 1]. A header
+    that names a column twice, a value that is not a finite number, or a row
+    with more or fewer cells than the header raises DataFormatError.
     """
     path = data_path(REFERENCE_FILE) if path is None else Path(path)
     regions: list[str] = []
@@ -61,6 +61,11 @@ def load_reference_indexes(path: str | Path | None = None) -> dict[Method, Index
             raise DataFormatError(
                 f"reference index file must have columns {sorted(expected)}; "
                 f"missing {sorted(missing)}"
+            )
+        duplicates = sorted({name for name in header if header.count(name) > 1})
+        if duplicates:
+            raise DataFormatError(
+                f"reference index file has duplicate columns: {', '.join(duplicates)}"
             )
         for cells in rows:
             row = dict(zip(header, cells))

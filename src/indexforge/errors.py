@@ -22,17 +22,23 @@ class EmptyPillarError(CompositeIndexError):
 
 
 class NegativeWeightError(CompositeIndexError):
-    def __init__(self, indicator_id: str, weight: float):
-        self.indicator_id = indicator_id
+    """A negative weight; ``scope`` is "indicator" or "pillar", ``name`` its id."""
+
+    def __init__(self, name: str, weight: float, scope: str = "indicator"):
+        self.name = name
         self.weight = weight
-        super().__init__(f"indicator {indicator_id!r} has negative weight {weight}")
+        self.scope = scope
+        super().__init__(f"{scope} {name!r} has negative weight {weight}")
 
 
 class NonFiniteWeightError(CompositeIndexError):
-    def __init__(self, indicator_id: str, weight: float):
-        self.indicator_id = indicator_id
+    """A nan or inf weight; ``scope`` is "indicator" or "pillar", ``name`` its id."""
+
+    def __init__(self, name: str, weight: float, scope: str = "indicator"):
+        self.name = name
         self.weight = weight
-        super().__init__(f"indicator {indicator_id!r} has weight {weight}, which is not finite")
+        self.scope = scope
+        super().__init__(f"{scope} {name!r} has weight {weight}, which is not finite")
 
 
 class AllZeroWeightsError(CompositeIndexError):

@@ -19,8 +19,12 @@ that loop alone. A JSON row is checked cell by cell only when its types
 are not all int and float.
 
 Every JSON file the package writes uses the sorted-key, two-space layout
-of ``write_json``; every CSV artifact has the cells of ``csv_cells``, which
-quotes a text holding a comma, quote or line break.
+of ``write_json``. An innermost dict of finite floats whose str keys are
+already in ascending order is laid out in one ``%`` pass (key escaped as
+json escapes it, value as its ``repr``); any other innermost container,
+with unsorted keys, a nan or inf, or a value that is not an exact float,
+goes through the C JSON encoder. Every CSV artifact has the cells of
+``csv_cells``, which quotes a text holding a comma, quote or line break.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from array import array
 from contextlib import contextmanager
 from functools import lru_cache
 from itertools import chain
+from json.encoder import encode_basestring
+from math import isfinite
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -386,6 +392,8 @@ def _raise_json_cell_error(region: str, indicator_ids: Sequence[str], row: list)
 
 
 _JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+_FLOATS = frozenset((float,))
+_STRINGS = frozenset((str,))
 
 
 @lru_cache(maxsize=None)
@@ -396,12 +404,35 @@ def _json_encoder(depth: int) -> json.JSONEncoder:
     )
 
 
+def _is_presorted_floats(value: dict) -> bool:
+    """Whether ``value`` maps str keys, already in ascending order, to finite floats.
+
+    Only exact ``str`` and ``float`` qualify: a float subclass (``np.float64``)
+    or a bool has a ``repr`` of its own.
+    """
+    if not _FLOATS.issuperset(map(type, value.values())):
+        return False
+    # A nan or inf term makes the sum non-finite too; a sum that overflows only
+    # sends finite values to the C encoder.
+    if not isfinite(sum(value.values())):
+        return False
+    keys = list(value)
+    return _STRINGS.issuperset(map(type, keys)) and keys == sorted(keys)
+
+
 def _json_text(value, depth: int) -> str:
     """``value`` laid out as ``json.dumps(indent=2, sort_keys=True)`` nests it ``depth`` deep."""
     encoder = _json_encoder(depth)
     if not isinstance(value, (list, tuple, dict)) or not value:
         return encoder.encode(value)
     inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    if type(value) is dict and _is_presorted_floats(value):
+        # One % pass; json writes a finite float as its repr and escapes a key so.
+        cells = [None] * (2 * len(value))
+        cells[0::2] = map(encode_basestring, value)
+        cells[1::2] = value.values()
+        layout = "{" + inner + ("%s: %r," + inner) * (len(value) - 1) + "%s: %r" + outer + "}"
+        return layout % tuple(cells)
     items = value.values() if isinstance(value, dict) else value
     if _JSON_SCALARS.issuperset(map(type, items)):
         text = encoder.encode(value)  # one C pass for the whole innermost container
@@ -419,10 +450,15 @@ def write_json(payload: Mapping[str, object], path: str | Path) -> None:
     """Write ``payload`` exactly as ``json.dumps(payload, ensure_ascii=False,
     indent=2, sort_keys=True) + "\n"`` would.
 
-    Containers nest to any depth; object keys are strings. Each innermost
-    non-empty container (one that holds only scalars) is encoded in one pass
-    of the C encoder, with the separators of its depth; only the containers
-    above it are laid out in Python.
+    Containers nest to any depth; object keys are strings. An innermost
+    dict whose keys are ``str`` in ascending order and whose values are all
+    finite ``float`` (the per-region index mappings) is laid out in one ``%``
+    pass, each key escaped by ``json.encoder.encode_basestring`` and each
+    value written as its ``repr``; it is not sorted again. Every other
+    non-empty innermost container (unsorted keys, a nan or inf, an int, bool
+    or float subclass among the values, any non-float scalar) is encoded in
+    one pass of the C encoder, with the separators of its depth. Only the
+    containers above those are laid out in Python.
     """
     Path(path).write_text(_json_text(payload, 0) + "\n", encoding="utf-8")
 

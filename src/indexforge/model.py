@@ -123,11 +123,11 @@ def validate_manifest(specs: Iterable[IndicatorSpec]) -> Manifest:
     return manifest
 
 
-def _check_weight(name: str, weight: float) -> None:
+def _check_weight(name: str, weight: float, scope: str = "indicator") -> None:
     if not np.isfinite(weight):
-        raise NonFiniteWeightError(name, weight)
+        raise NonFiniteWeightError(name, weight, scope)
     if weight < 0:
-        raise NegativeWeightError(name, weight)
+        raise NegativeWeightError(name, weight, scope)
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ def build_weight_scheme(
     else:
         raw_pillar = {pillar: float(pillar_weights.get(pillar, 0.0)) for pillar in PILLARS}
     for pillar, value in raw_pillar.items():
-        _check_weight(pillar.value, value)
+        _check_weight(pillar.value, value, "pillar")
     total = sum(raw_pillar.values())
     if total <= 0:
         raise AllZeroWeightsError("pillars")

@@ -10,6 +10,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -250,10 +251,13 @@ class TestCompute:
              "indicator 'PopDens' is listed more than once"),
             ("indicator,PopDens,3,7", "weights file line 2 has 4 cells, expected 3"),
             ("indicator,PopDens", "weights file line 2 has 2 cells, expected 3"),
-            ("pillar,Economy,nan", "'Economy' has weight nan, which is not finite"),
+            ("pillar,Economy,nan", "pillar 'Economy' has weight nan, which is not finite"),
+            ("pillar,Economy,-1", "pillar 'Economy' has negative weight -1.0"),
+            ("indicator,PopDens,-1", "indicator 'PopDens' has negative weight -1.0"),
         ],
         ids=["non-numeric-weight", "unknown-pillar", "duplicate-pillar", "duplicate-indicator",
-             "extra-cell", "missing-cell", "non-finite-weight"],
+             "extra-cell", "missing-cell", "non-finite-weight", "negative-pillar-weight",
+             "negative-indicator-weight"],
     )
     def test_malformed_weights_exit_2(self, tmp_path, capsys, row, expected):
         weights = tmp_path / "weights.csv"
@@ -275,6 +279,36 @@ class TestCompute:
         with pytest.raises(SystemExit) as exc_info:
             run(["compute", "--methods", "sorcery"])
         assert exc_info.value.code == 2
+
+
+    def test_two_thousand_regions_json_and_csv_agree(self, tmp_path):
+        """At scale each <method>.json has json.dumps' own layout and its CSV twin agrees."""
+        manifest, _ = load_nuts3_dataset()
+        rng = np.random.default_rng(2000)
+        labels = [f"R{i:04d}" for i in rng.permutation(2000)]
+        labels[:4] = ['Região "Norte", PT', "Ñuble", "😀 coast", "back\\slash"]
+        values = rng.uniform(1.0, 100.0, size=(2000, len(manifest.ids))).round(3).tolist()
+        data = tmp_path / "data.csv"
+        with data.open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(["region", *manifest.ids])
+            writer.writerows([label, *row] for label, row in zip(labels, values))
+        out = tmp_path / "out"
+        assert run(["compute", "--methods", "all", "--data", str(data), "--out", str(out)]) == 0
+        for method in ("abreu", "delphi", "pca"):
+            text = (out / f"{method}.json").read_text(encoding="utf-8")
+            payload = json.loads(text)
+            assert text == json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+            assert sorted(payload["raw_index"]) == sorted(labels)
+            with (out / f"{method}.csv").open(newline="", encoding="utf-8") as handle:
+                header, *rows = csv.reader(handle)
+            assert header == ["region", "raw", "rescaled", "rank"]
+            assert len(rows) == 2000
+            rank_of = {region: rank for rank, region in enumerate(payload["ranking"], 1)}
+            for region, raw, rescaled, rank in rows:
+                assert raw == f"{payload['raw_index'][region]:.6f}", (method, region)
+                assert rescaled == f"{payload['rescaled_index'][region]:.6f}", (method, region)
+                assert int(rank) == rank_of[region], (method, region)
 
 
 class TestCompare:
@@ -317,6 +351,20 @@ class TestCompare:
         code = run(["compare", "--published", str(bad), "--out", str(tmp_path / "cmp")])
         assert code == 2
         assert "line 2 has 5 cells, expected 4" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
+    def test_published_duplicate_column_exit_2(self, tmp_path, capsys):
+        # A second abreu column used to win silently: r(abreu, delphi) read 0.58, not 0.96.
+        bad = tmp_path / "table3.csv"
+        lines = Path(FIXTURE_TABLE3).read_text(encoding="utf-8").splitlines()
+        lines = [lines[0] + ",abreu"] + [f"{line},0.{i}" for i, line in enumerate(lines[1:], 1)]
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        message = "reference index file has duplicate columns: abreu"
+        with pytest.raises(DataFormatError, match=message):
+            load_reference_indexes(bad)
+        code = run(["compare", "--published", str(bad), "--out", str(tmp_path / "cmp")])
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "cmp").exists()
 
     @pytest.mark.parametrize("short, cells", [("Alto Minho,0.34,0.13", 3), ("Alto Minho", 1)])

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from indexforge.ingest import (
     REGION_COLUMN,
     _check_header,
+    _is_presorted_floats,
     _check_row_length,
     _raise_cell_error,
     _read_dataset_csv,
@@ -616,6 +617,64 @@ class TestWriteJson:
         expected = json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
         assert path.read_bytes() == expected.encode("utf-8")
 
+    # Innermost float mappings: the one-pass layout (True) or the C encoder (False).
+    FLOAT_MAPPINGS = {
+        "presorted": ({"a": 0.25, "b": -1.5, "c": 3.0}, True),
+        "one-entry": ({"only": 0.1}, True),
+        "unsorted": ({"b": 0.25, "a": -1.5, "c": 3.0}, False),
+        "nan": ({"a": 0.5, "b": float("nan")}, False),
+        "inf": ({"a": float("inf"), "b": 0.5}, False),
+        "-inf": ({"a": 0.5, "b": float("-inf")}, False),
+        "sum-overflows": ({"a": 1e308, "b": 1e308}, False),
+        "float-edges": ({"a": -0.0, "b": 5e-324, "c": 1e16, "d": 1e22, "e": 1e-7}, True),
+        "with-int": ({"a": 0.5, "b": 2}, False),
+        "with-bool": ({"a": 0.5, "b": True}, False),
+        "np-float64": ({"a": np.float64(0.1), "b": 0.5}, False),
+        "int-keys": ({1: 0.5, 2: 1.5}, False),
+        "escaped-keys": (
+            dict.fromkeys(sorted(['"', "\\", "\n", "\x00", "\u2028", "é", "😀", "a#"]), 0.5),
+            True,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(FLOAT_MAPPINGS))
+    def test_float_mapping_layout_and_branch(self, tmp_path, name):
+        mapping, one_pass = self.FLOAT_MAPPINGS[name]
+        assert _is_presorted_floats(mapping) is one_pass
+        for payload in ({"index": mapping, "method": "m"}, {"a": {"b": [mapping, {}]}}):
+            path = tmp_path / "out.json"
+            write_json(payload, path)
+            expected = json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+            assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_key_escapes_keep_the_order_of_the_raw_keys(self, tmp_path):
+        # '"' sorts before '#', but its escape '\\"' sorts after: order by the raw key.
+        path = tmp_path / "out.json"
+        write_json({"m": {'a"': 1.5, "a#": 2.5}}, path)
+        expected = '{\n  "m": {\n    "a\\"": 1.5,\n    "a#": 2.5\n  }\n}\n'
+        assert path.read_text(encoding="utf-8") == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mapping=st.dictionaries(st.text(max_size=4), st.floats(), max_size=8)
+       | st.dictionaries(st.text(max_size=4), st.floats() | st.integers(-3, 3) | st.booleans(),
+                         max_size=8),
+       presort=st.booleans(), depth=st.integers(0, 2))
+def test_write_json_float_mappings_match_dumps(mapping, presort, depth):
+    """Any dict[str, float], presorted or not, nested 0-2 deep: the bytes of json.dumps."""
+    if presort:
+        mapping = dict(sorted(mapping.items()))
+    event(f"one pass: {bool(mapping) and _is_presorted_floats(mapping)}")
+    payload = mapping
+    for level in range(depth):
+        payload = {f"level{level}": payload, "n": level}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.json"
+        write_json(payload, path)
+        written = path.read_bytes()
+    expected = json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    assert written == expected.encode("utf-8")
+
 
 class TestCompositeIndicator:
     def test_region_best_in_both_components_gets_one(self):
@@ -652,9 +711,10 @@ class TestCompositeIndicator:
             composite_indicator({"only": [1, 2]})
 
 
-def test_only_ingest_imports_csv():
-    """Every CSV input goes through ingest's reader: no other module imports csv."""
+def _importers(name: str) -> set[str]:
+    """The package modules that import ``name`` or one of its submodules."""
     package = Path(data_path("manifest.csv")).parents[1]
+    assert len(list(package.glob("*.py"))) >= 10
     importers = set()
     for module in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
@@ -664,7 +724,16 @@ def test_only_ingest_imports_csv():
                 names = [node.module or ""]
             else:
                 continue
-            if any(name == "csv" or name.startswith("csv.") for name in names):
+            if any(n == name or n.startswith(name + ".") for n in names):
                 importers.add(module.name)
-    assert len(list(package.glob("*.py"))) >= 10
-    assert importers == {"ingest.py"}
+    return importers
+
+
+def test_only_ingest_imports_csv():
+    """Every CSV input goes through ingest's reader: no other module imports csv."""
+    assert _importers("csv") == {"ingest.py"}
+
+
+def test_only_ingest_and_cli_import_json():
+    """Every JSON artifact is laid out by ingest.write_json; cli prints stdout diagnostics."""
+    assert _importers("json") == {"ingest.py", "cli.py"}

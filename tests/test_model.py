@@ -149,13 +149,22 @@ class TestBuildWeightScheme:
     def test_nan_pillar_weight_rejected(self):
         weights = {pillar: 1.0 for pillar in PILLARS}
         weights[Pillar.ECONOMY] = float("nan")
-        message = "'Economy' has weight nan, which is not finite"
-        with pytest.raises(NonFiniteWeightError, match=message):
+        message = "^pillar 'Economy' has weight nan, which is not finite$"
+        with pytest.raises(NonFiniteWeightError, match=message) as exc_info:
+            build_weight_scheme(small_manifest(), weights)
+        assert (exc_info.value.scope, exc_info.value.name) == ("pillar", "Economy")
+
+    def test_negative_pillar_weight_rejected(self):
+        weights = {pillar: 1.0 for pillar in PILLARS}
+        weights[Pillar.ECONOMY] = -2.0
+        with pytest.raises(NegativeWeightError, match="^pillar 'Economy' has negative weight -2.0$"):
             build_weight_scheme(small_manifest(), weights)
 
     def test_inf_indicator_weight_rejected(self):
-        with pytest.raises(NonFiniteWeightError, match="'i1' has weight inf, which is not finite"):
+        message = "^indicator 'i1' has weight inf, which is not finite$"
+        with pytest.raises(NonFiniteWeightError, match=message) as exc_info:
             build_weight_scheme(small_manifest(), indicator_weights={"i1": float("inf")})
+        assert (exc_info.value.scope, exc_info.value.name) == ("indicator", "i1")
 
     def test_unknown_indicator_override_rejected(self):
         with pytest.raises(WeightManifestMismatchError):
