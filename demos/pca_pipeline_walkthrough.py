@@ -14,14 +14,13 @@ from indexforge import (
     normalize_matrix,
 )
 from indexforge.datasets import load_nuts3_dataset
-from indexforge.pca import correlation_matrix
 
 manifest, raw = load_nuts3_dataset()
 normalized, _ = normalize_matrix(raw, manifest)
 
 print("=== correlation structure (why PCA makes sense here) ===")
 population_ids = manifest.pillar_ids(PILLARS[0])
-r = correlation_matrix(normalized.columns(population_ids), ids=population_ids)
+r = np.corrcoef(normalized.columns(population_ids), rowvar=False)
 print(f"Population pillar correlation matrix ({', '.join(population_ids)}):")
 for row in r:
     print("   " + "  ".join(f"{v:+.2f}" for v in row))

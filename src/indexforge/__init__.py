@@ -11,7 +11,6 @@ and so on).
 """
 
 from .aggregate import compute_abreu, compute_delphi, write_index_csv
-from .ingest import composite_indicator
 from .model import (
     PILLARS,
     Direction,
@@ -22,7 +21,7 @@ from .model import (
     build_weight_scheme,
     validate_manifest,
 )
-from .normalize import normalize_matrix, write_normalization_csv
+from .normalize import composite_indicator, normalize_matrix, write_normalization_csv
 from .pca import REFERENCE_VARIANCE_PROFILE, compute_pca, eigen_symmetric
 from .stats import build_comparison, describe, pearson, write_parallel_svg, write_report_json
 

@@ -7,12 +7,11 @@ single pillar pulls the whole index down instead of being compensated by
 the others. The weighted method is a two-level weighted arithmetic mean
 (pillar weights times within-pillar indicator weights). Every method's
 raw index is finally min-max rescaled so the best region scores exactly 1
-and the worst exactly 0.
+and the worst exactly 0, by the normalization kernel of ``normalize``.
 """
 
 from __future__ import annotations
 
-import warnings
 from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
@@ -23,6 +22,7 @@ from .errors import NegativeInputError, WeightManifestMismatchError
 from .ingest import csv_cells, write_json
 from .model import (
     PILLARS,
+    Direction,
     IndexResult,
     IndicatorMatrix,
     Manifest,
@@ -32,7 +32,7 @@ from .model import (
     WeightScheme,
     build_weight_scheme,
 )
-from .normalize import DegenerateColumnWarning
+from .normalize import normalize_column
 
 #: Default pillar weighting for the weighted-mean method, as elicited from
 #: an expert panel (percentages; renormalized because they sum to 99.6).
@@ -42,11 +42,6 @@ DEFAULT_PILLAR_WEIGHTS: dict[Pillar, float] = {
     Pillar.ENVIRONMENT: 24.0,
     Pillar.POPULATION: 21.0,
 }
-
-
-def delphi_default_weights(manifest: Manifest) -> WeightScheme:
-    """Weight scheme used by compute_delphi when no override is supplied."""
-    return build_weight_scheme(manifest, pillar_weights=DEFAULT_PILLAR_WEIGHTS)
 
 
 def pillar_arithmetic_means(matrix: IndicatorMatrix, manifest: Manifest) -> np.ndarray:
@@ -87,21 +82,14 @@ def geometric_mean(values) -> np.ndarray | float:
 def rescale_final(raw) -> np.ndarray:
     """Min-max rescale a raw index vector so it spans [0, 1] over the regions.
 
-    An all-equal input cannot be spanned; it maps to 0.5 everywhere with a
-    DegenerateColumnWarning.
+    The normalization kernel with the raw index as one benefit column: an
+    all-equal input maps to 0.5 everywhere with a DegenerateColumnWarning,
+    and a non-finite value raises ValueError.
     """
     values = np.asarray(raw, dtype=float)
     if values.size < 2:
         raise ValueError("rescaling needs at least two regions")
-    lo, hi = values.min(), values.max()
-    if hi == lo:
-        warnings.warn(
-            "raw index is constant across regions; rescaled to 0.5",
-            DegenerateColumnWarning,
-            stacklevel=2,
-        )
-        return np.full_like(values, 0.5)
-    return (values - lo) / (hi - lo)
+    return normalize_column(values, Direction.BENEFIT, "raw index")[0]
 
 
 def rank_regions(regions: Sequence[str], rescaled) -> tuple[str, ...]:
@@ -152,7 +140,7 @@ def compute_delphi(
     if matrix.stage is not Stage.NORMALIZED:
         raise ValueError("the weighted index is defined on a normalized matrix")
     if weights is None:
-        weights = delphi_default_weights(manifest)
+        weights = build_weight_scheme(manifest, pillar_weights=DEFAULT_PILLAR_WEIGHTS)
     unknown = set(weights.indicator_weights) - set(manifest.ids)
     if unknown:
         raise WeightManifestMismatchError(unknown)

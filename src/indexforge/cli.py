@@ -3,15 +3,13 @@
 Exit codes: 0 success, 2 validation or usage failure, 3 I/O failure,
 4 numerical failure (eigensolver non-convergence). All file artifacts are
 byte-reproducible for identical inputs and flags: CSV floats use a fixed
-six-decimal format and JSON is written with sorted keys. Setting the
-environment variable INDEXFORGE_NO_COLOR disables ANSI styling.
+six-decimal format and JSON is written with sorted keys.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -19,7 +17,6 @@ from . import datasets
 from .aggregate import (
     compute_abreu,
     compute_delphi,
-    delphi_default_weights,
     write_index_csv,
     write_index_json,
 )
@@ -41,22 +38,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_NUMERICAL = 4
-
-
-def _use_color() -> bool:
-    return sys.stdout.isatty() and not os.environ.get("INDEXFORGE_NO_COLOR")
-
-
-def _style(text: str, code: str) -> str:
-    return f"\x1b[{code}m{text}\x1b[0m" if _use_color() else text
-
-
-def _ok(text: str) -> str:
-    return _style(text, "32")
-
-
-def _err(text: str) -> str:
-    return _style(text, "31")
 
 
 def _parse_methods(text: str) -> list[Method]:
@@ -113,7 +94,7 @@ def cmd_validate(args) -> int:
     if args.json:
         print(json.dumps({"status": "ok", **summary}, ensure_ascii=False, sort_keys=True))
     else:
-        print(_ok(f"{summary['regions']} regions, {summary['indicators']} indicators"))
+        print(f"{summary['regions']} regions, {summary['indicators']} indicators")
         per_pillar = ", ".join(f"{p.value}={sizes[p]}" for p in PILLARS)
         print(f"pillars: {per_pillar}")
         print(f"cost indicators: {', '.join(summary['cost_indicators'])}")
@@ -124,7 +105,7 @@ def _fail(args, code: int, kind: str, message: str) -> int:
     if getattr(args, "json", False):
         print(json.dumps({"status": "error", "kind": kind, "message": message}, ensure_ascii=False))
     else:
-        print(_err(f"error ({kind}): {message}"), file=sys.stderr)
+        print(f"error ({kind}): {message}", file=sys.stderr)
     return code
 
 
@@ -137,10 +118,7 @@ def _compute_results(args, manifest, matrix, methods):
         if method is Method.ABREU:
             results[method] = compute_abreu(normalized, manifest)
         elif method is Method.DELPHI:
-            if getattr(args, "weights", None):
-                scheme = parse_weights(args.weights, manifest)
-            else:
-                scheme = delphi_default_weights(manifest)
+            scheme = parse_weights(args.weights, manifest) if args.weights else None
             results[method] = compute_delphi(normalized, manifest, scheme)
         elif method is Method.PCA:
             profile = REFERENCE_VARIANCE_PROFILE if _is_bundled_dataset(args) else None
@@ -159,7 +137,7 @@ def _write_computed(args, records, results, audit) -> None:
         write_index_json(result, out / f"{method.value}.json")
     if audit is not None:
         write_pca_audit(audit, out / "pca_audit.json")
-    print(_ok(f"computed {', '.join(m.value for m in results)} -> {out}"))
+    print(f"computed {', '.join(m.value for m in results)} -> {out}")
 
 
 def _write_comparison(args, report) -> None:
@@ -173,7 +151,7 @@ def _write_comparison(args, report) -> None:
     for i, a in enumerate(report.methods):
         for b in report.methods[i + 1:]:
             print(f"pearson {a.value}:{b.value} = {report.pairwise_r[(a, b)]:.4f}")
-    print(_ok(f"comparison artifacts -> {args.out}"))
+    print(f"comparison artifacts -> {args.out}")
 
 
 def cmd_compute(args) -> int:

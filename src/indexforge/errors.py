@@ -164,9 +164,11 @@ class NoConvergenceError(CompositeIndexError):
 
 
 class ConstantColumnError(CompositeIndexError):
+    """Every column of a PCA stage is constant, so no factor can be extracted."""
+
     def __init__(self, column: str):
-        self.column = column
-        super().__init__(f"column {column!r} is constant; correlation undefined")
+        self.column = column  # the stage's column ids, comma-separated
+        super().__init__(f"every column of the PCA stage is constant: {column}")
 
 
 # -- statistics --------------------------------------------------------------

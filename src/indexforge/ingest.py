@@ -1,4 +1,5 @@
-"""Reading of every input file; the JSON and CSV artifact writers.
+"""Reading of every input file; the JSON and CSV artifact writers. File I/O only:
+min-max scaling, derived columns included, lives in ``normalize``.
 
 File conventions are deliberately rigid: CSV files use a comma delimiter,
 "." as decimal separator, UTF-8 encoding and LF line endings. Inputs may
@@ -43,7 +44,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
-    ConstantComponentError,
     DataFormatError,
     DuplicateRegionError,
     ExtraCellError,
@@ -420,6 +420,14 @@ def _is_presorted_floats(value: dict) -> bool:
     return _STRINGS.issuperset(map(type, keys)) and keys == sorted(keys)
 
 
+def _json_key(key) -> str:
+    """An object key as json writes it: a str escaped, and an int, float, bool or
+    None as its JSON text, escaped as a str; any other key raises TypeError."""
+    if not isinstance(key, (str, int, float)) and key is not None:  # bool is an int
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring(key if isinstance(key, str) else _json_encoder(0).encode(key))
+
+
 def _json_text(value, depth: int) -> str:
     """``value`` laid out as ``json.dumps(indent=2, sort_keys=True)`` nests it ``depth`` deep."""
     encoder = _json_encoder(depth)
@@ -438,9 +446,7 @@ def _json_text(value, depth: int) -> str:
         text = encoder.encode(value)  # one C pass for the whole innermost container
         return f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}"
     if isinstance(value, dict):
-        lines = [
-            f"{encoder.encode(key)}: {_json_text(value[key], depth + 1)}" for key in sorted(value)
-        ]
+        lines = [f"{_json_key(key)}: {_json_text(value[key], depth + 1)}" for key in sorted(value)]
         return "{" + inner + ("," + inner).join(lines) + outer + "}"
     lines = [_json_text(item, depth + 1) for item in value]
     return "[" + inner + ("," + inner).join(lines) + outer + "]"
@@ -450,11 +456,13 @@ def write_json(payload: Mapping[str, object], path: str | Path) -> None:
     """Write ``payload`` exactly as ``json.dumps(payload, ensure_ascii=False,
     indent=2, sort_keys=True) + "\n"`` would.
 
-    Containers nest to any depth; object keys are strings. An innermost
-    dict whose keys are ``str`` in ascending order and whose values are all
-    finite ``float`` (the per-region index mappings) is laid out in one ``%``
-    pass, each key escaped by ``json.encoder.encode_basestring`` and each
-    value written as its ``repr``; it is not sorted again. Every other
+    Containers nest to any depth. An object key is a str, or an int, float,
+    bool or None, written as its JSON text in quotes as json writes it; any
+    other key raises TypeError. An innermost dict whose keys are ``str`` in
+    ascending order and whose values are all finite ``float`` (the
+    per-region index mappings) is laid out in one ``%`` pass, each key
+    escaped by ``json.encoder.encode_basestring`` and each value written as
+    its ``repr``; it is not sorted again. Every other
     non-empty innermost container (unsorted keys, a nan or inf, an int, bool
     or float subclass among the values, any non-float scalar) is encoded in
     one pass of the C encoder, with the separators of its depth. Only the
@@ -493,28 +501,3 @@ def write_csv(header: Sequence[str], rows: Iterable[Sequence[object]], path: str
     """Write a CSV artifact (UTF-8, LF line ends): each value as ``str``, in ``csv_cells``."""
     lines = [",".join(csv_cells(map(str, row))) for row in chain([header], rows)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
-
-
-def composite_indicator(components: Mapping[str, Sequence[float]]) -> np.ndarray:
-    """Combine component columns into one derived indicator column.
-
-    Each component is min-max normalized to [0, 1] across regions and the
-    normalized components are averaged per region with equal weight. The
-    result is a raw-stage derived column; it takes part in the usual
-    normalization later like any other indicator.
-
-    Raises ConstantComponentError if a component has max equal to min.
-    """
-    if len(components) < 2:
-        raise ValueError("need at least two component columns")
-    columns = {name: np.asarray(values, dtype=float) for name, values in components.items()}
-    lengths = {len(col) for col in columns.values()}
-    if len(lengths) != 1:
-        raise ValueError("component columns must cover the same regions")
-    normalized = []
-    for name, col in columns.items():
-        lo, hi = col.min(), col.max()
-        if hi == lo:
-            raise ConstantComponentError(name)
-        normalized.append((col - lo) / (hi - lo))
-    return np.mean(normalized, axis=0)

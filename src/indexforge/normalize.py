@@ -1,4 +1,4 @@
-"""Min-max normalization of indicator columns to [0, 1].
+"""Min-max scaling to [0, 1]: indicator columns, derived columns, the final index.
 
 Benefit columns map the observed minimum to 0 and the maximum to 1;
 cost columns are inverted so the worst (highest) observation gets 0.
@@ -9,7 +9,10 @@ flagged as degenerate with a warning instead of failing the pipeline.
 
 ``normalize_matrix`` scales the whole regions x indicators array in one
 vectorized pass; ``normalize_column`` runs the same kernel on a single
-column, so both give the same bytes for the same column.
+column, so both give the same bytes for the same column. The kernel is the
+package's only min-max code: ``composite_indicator`` averages scaled
+component columns into a derived column, and ``aggregate.rescale_final``
+rescales each raw index through ``normalize_column``.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from .errors import ConstantComponentError
 from .ingest import write_csv
 from .model import Direction, IndicatorMatrix, Manifest, Stage
 
@@ -106,6 +110,32 @@ def normalize_matrix(
         matrix.regions, matrix.indicators, scaled, stage=Stage.NORMALIZED
     )
     return normalized, records
+
+
+def composite_indicator(components: Mapping[str, Sequence[float]]) -> np.ndarray:
+    """Combine component columns into one derived indicator column.
+
+    Each component is min-max normalized to [0, 1] across regions and the
+    normalized components are averaged per region with equal weight. The
+    result is a raw-stage derived column; it takes part in the usual
+    normalization later like any other indicator.
+
+    Raises ConstantComponentError, naming the first constant component
+    (max equal to min), before anything is scaled.
+    """
+    if len(components) < 2:
+        raise ValueError("need at least two component columns")
+    columns = [np.asarray(values, dtype=float) for values in components.values()]
+    if len({len(col) for col in columns}) != 1:
+        raise ValueError("component columns must cover the same regions")
+    for name, col in zip(components, columns):
+        if col.max() == col.min():
+            raise ConstantComponentError(name)
+    # One contiguous column per component: the mean then adds the components
+    # in order, as a mean over a list of columns does.
+    stacked = np.array(columns).T
+    scaled, _ = _scale_columns(stacked, [Direction.BENEFIT] * len(columns), list(components))
+    return scaled.mean(axis=1)
 
 
 def write_normalization_csv(records: Sequence[NormalizationRecord], path: str | Path) -> None:

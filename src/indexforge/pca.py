@@ -142,28 +142,6 @@ def eigen_symmetric(matrix, *, max_sweeps: int = 100) -> tuple[np.ndarray, np.nd
     return values, vectors
 
 
-def correlation_matrix(columns, ids: Sequence[str] | None = None) -> np.ndarray:
-    """Pearson correlation matrix of the given columns (diagonal exactly 1).
-
-    Raises ConstantColumnError naming the offending column when one has
-    zero variance.
-    """
-    data = np.asarray(columns, dtype=float)
-    if data.ndim != 2 or data.shape[1] < 1:
-        raise ValueError("expected a 2-D regions-by-columns array")
-    names = list(ids) if ids is not None else [str(i) for i in range(data.shape[1])]
-    centered = data - data.mean(axis=0)
-    std = data.std(axis=0)
-    for name, s in zip(names, std):
-        if s == 0.0:
-            raise ConstantColumnError(name)
-    z = centered / std
-    r = (z.T @ z) / data.shape[0]
-    r = (r + r.T) / 2.0
-    np.fill_diagonal(r, 1.0)
-    return np.clip(r, -1.0, 1.0)
-
-
 @dataclass(frozen=True)
 class PcaStage:
     """Outcome of one PCA stage: spectrum, retained factors, factor scores."""

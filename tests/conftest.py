@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -97,3 +99,32 @@ def random_dataset(rng: np.random.Generator, n_regions=None, n_indicators=None):
     regions = tuple(f"region{i}" for i in range(n_regions))
     matrix = IndicatorMatrix(regions, manifest.ids, values)
     return manifest, matrix
+
+
+def recorded_warnings(call):
+    """``call()``'s result and the (category, text) of every warning it raised, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def edge_vector(rng: np.random.Generator, n: int, constant: float = 0.2) -> np.ndarray:
+    """A finite vector of length ``n`` from one of the families that stress min-max scaling.
+
+    With probability ``constant`` an all-equal vector (a signed zero, a
+    subnormal or 1e300 among the values); otherwise a few distinct values
+    with both zeros among them, magnitudes spread over 1e-300..1e300, one
+    magnitude of that range for the whole vector, or one-decimal values that
+    tie at the extremes.
+    """
+    if rng.random() < constant:
+        return np.full(n, rng.choice([0.0, -0.0, 5e-324, -1e300, 1e-300, 3.5]))
+    kind = int(rng.integers(4))
+    if kind == 0:
+        return rng.choice([0.0, -0.0, 1.0, -1.0, 5e-324], size=n)
+    if kind == 1:
+        return rng.normal(size=n) * 10.0 ** rng.uniform(-300, 300, size=n)
+    if kind == 2:
+        return rng.normal(size=n) * 10.0 ** rng.uniform(-300, 300)
+    return np.round(rng.normal(size=n), 1)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from indexforge.normalize import DegenerateColumnWarning, normalize_matrix
 from indexforge.stats import pearson
 from indexforge.errors import NegativeInputError, WeightManifestMismatchError
 
-from conftest import REGIONS, REFERENCE_ABREU, random_dataset
+from conftest import REGIONS, REFERENCE_ABREU, edge_vector, random_dataset, recorded_warnings
 
 # Engine outputs for the bundled dataset, frozen from an independent
 # spreadsheet-style recomputation (6 decimals).
@@ -185,6 +186,22 @@ class TestGeometricMean:
             geometric_mean([])
 
 
+def reference_rescale_final(raw) -> np.ndarray:
+    """``rescale_final`` with its own min-max code, before it ran through the kernel."""
+    values = np.asarray(raw, dtype=float)
+    if values.size < 2:
+        raise ValueError("rescaling needs at least two regions")
+    lo, hi = values.min(), values.max()
+    if hi == lo:
+        warnings.warn(
+            "raw index is constant across regions; rescaled to 0.5",
+            DegenerateColumnWarning,
+            stacklevel=2,
+        )
+        return np.full_like(values, 0.5)
+    return (values - lo) / (hi - lo)
+
+
 class TestRescaleFinal:
     def test_bundled_endpoints(self, results_all):
         results, _ = results_all
@@ -193,9 +210,31 @@ class TestRescaleFinal:
         assert abreu.rescaled_index["Região Autónoma da Madeira"] == 1.0
 
     def test_constant_input_maps_to_half(self):
-        with pytest.warns(DegenerateColumnWarning):
+        with pytest.warns(DegenerateColumnWarning) as caught:
             out = rescale_final([5.0, 5.0, 5.0])
         assert out.tolist() == [0.5, 0.5, 0.5]
+        assert [str(w.message) for w in caught] == [
+            "column raw index is constant; normalized to 0.5"
+        ]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="raw index"):
+            rescale_final([0.0, bad, 1.0])
+
+    def test_matches_reference_bit_for_bit(self):
+        """Seeded vectors with signed zeros, subnormals, magnitudes to 1e±300 and
+        constants: the reference's bytes and warning category."""
+        rng = np.random.default_rng(45)
+        constants = 0
+        for _ in range(3000):
+            raw = edge_vector(rng, int(rng.integers(2, 300)))
+            got, got_warnings = recorded_warnings(lambda: rescale_final(raw))
+            want, want_warnings = recorded_warnings(lambda: reference_rescale_final(raw))
+            assert got.tobytes() == want.tobytes()
+            assert [c for c, _ in got_warnings] == [c for c, _ in want_warnings]
+            constants += bool(want_warnings)
+        assert constants > 300
 
     def test_strictly_increasing_preserved(self):
         rng = np.random.default_rng(41)

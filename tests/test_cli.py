@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import pty
 import subprocess
 import sys
 import tempfile
@@ -20,6 +21,7 @@ from indexforge.cli import main
 from indexforge.datasets import data_path, load_nuts3_dataset, load_reference_indexes
 from indexforge.errors import DataFormatError
 from indexforge.ingest import parse_dataset
+from indexforge.model import Pillar
 
 FIXTURE_DATA = str(data_path("nuts3.csv"))
 FIXTURE_MANIFEST = str(data_path("manifest.csv"))
@@ -31,15 +33,35 @@ def run(argv):
     return main(argv)
 
 
-def validate_in_process_of_its_own(data: str, stdin: str | None = None):
-    """``indexforge validate --data data`` as a fresh process, warnings shown."""
+def cli_in_process_of_its_own(argv, **kwargs):
+    """``indexforge *argv`` as a fresh process, warnings shown."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
            "PYTHONWARNINGS": "default"}
     return subprocess.run(
-        [sys.executable, "-m", "indexforge.cli", "validate", "--data", data,
-         "--manifest", FIXTURE_MANIFEST],
-        env=env, input=stdin, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-m", "indexforge.cli", *argv], env=env, timeout=120, **kwargs
     )
+
+
+def validate_in_process_of_its_own(data: str, stdin: str | None = None):
+    """``indexforge validate --data data`` as a fresh process, warnings shown."""
+    return cli_in_process_of_its_own(
+        ["validate", "--data", data, "--manifest", FIXTURE_MANIFEST],
+        input=stdin, capture_output=True, text=True,
+    )
+
+
+def _bundled_rows(path: str) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as handle:
+        return list(csv.reader(handle))
+
+
+def _write_rows(path: Path, rows: list[list[str]]) -> None:
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(rows)
+
+
+BUNDLED_DATA_ROWS = _bundled_rows(FIXTURE_DATA)
+BUNDLED_MANIFEST_ROWS = _bundled_rows(FIXTURE_MANIFEST)
 
 
 class TestValidate:
@@ -429,6 +451,28 @@ class TestReport:
             "parse_dataset": 1, "compute_abreu": 1, "compute_delphi": 1, "compute_pca": 1,
         }
 
+    def test_all_constant_pca_stage_is_one_validation_error(self, tmp_path):
+        """All Population columns at 1.0: exit 2, one error line naming the stage's columns."""
+        population = load_nuts3_dataset()[0].pillar_ids(Pillar.POPULATION)
+        rows = [list(row) for row in BUNDLED_DATA_ROWS]
+        for row in rows[1:]:
+            for j, indicator in enumerate(rows[0]):
+                if indicator in population:
+                    row[j] = "1.0"
+        data = tmp_path / "data.csv"
+        _write_rows(data, rows)
+        completed = cli_in_process_of_its_own(
+            ["report", "--methods", "all", "--data", str(data), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert completed.returncode == 2
+        assert "Traceback" not in completed.stderr
+        errors = [line for line in completed.stderr.splitlines() if line.startswith("error (")]
+        assert errors == [
+            "error (validation): every column of the PCA stage is constant: "
+            "DmgDep, Pop65, Pop16, PopDens, NatInc"
+        ]
+
     def test_single_method_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "one"
         code = run(["report", "--methods", "abreu", "--out", str(out)])
@@ -621,3 +665,99 @@ def test_report_never_imports_numpy_ma(tmp_path):
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.splitlines()[-1] == "False"
+
+
+def _read_all(fd: int) -> bytes:
+    """Everything written to the slave side of a pty, once that side is closed."""
+    chunks = []
+    while True:
+        try:
+            chunk = os.read(fd, 4096)
+        except OSError:  # EIO: the slave side is closed and every byte was read
+            break
+        if not chunk:
+            break
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+@pytest.mark.parametrize(
+    "argv, code, text",
+    [(["validate"], 0, b"9 regions, 25 indicators"),
+     (["validate", "--data", "missing.csv"], 3, b"error (io): ")],
+    ids=["stdout", "stderr"],
+)
+def test_plain_text_with_stdout_on_a_terminal(tmp_path, argv, code, text):
+    """stdout on a terminal and stderr to a file: neither gets an escape byte."""
+    master, slave = pty.openpty()
+    try:
+        with open(tmp_path / "err.log", "wb") as err:
+            completed = cli_in_process_of_its_own(argv, cwd=tmp_path, stdout=slave, stderr=err)
+    finally:
+        os.close(slave)
+    out = _read_all(master)
+    os.close(master)
+    err = (tmp_path / "err.log").read_bytes()
+    assert completed.returncode == code
+    assert text in out + err
+    assert b"\x1b" not in out
+    assert b"\x1b" not in err
+
+
+FLIPPED_DIRECTION = {"benefit": "cost", "cost": "benefit"}
+
+
+def _report_artifacts(out: Path) -> dict[str, object]:
+    """The bytes of each artifact of a report run, ``pca_audit.json`` parsed and without notes.
+
+    ``cli._is_bundled_dataset`` matches the input by path, so only a run on the
+    bundled file itself gets the profile notes.
+    """
+    artifacts: dict[str, object] = {p.name: p.read_bytes() for p in out.iterdir()}
+    audit = json.loads(artifacts["pca_audit.json"])
+    del audit["notes"]
+    artifacts["pca_audit.json"] = audit
+    return artifacts
+
+
+@pytest.fixture(scope="module")
+def bundled_report(tmp_path_factory) -> dict[str, object]:
+    out = tmp_path_factory.mktemp("bundled") / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["report", "--methods", "all", "--out", str(out)]) == 0
+    return _report_artifacts(out)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(transforms=st.dictionaries(
+    st.sampled_from(BUNDLED_DATA_ROWS[0][1:]), st.tuples(st.integers(-40, 40), st.booleans()),
+    min_size=1,
+))
+def test_power_of_two_scaling_and_direction_flips_change_no_index_byte(bundled_report, transforms):
+    """Scaling a raw column by 2**e, and negating it while flipping its manifest
+    direction, are exact under min-max scaling: every artifact but
+    normalization.csv (raw extremes and directions) keeps its bytes."""
+    rows = [list(row) for row in BUNDLED_DATA_ROWS]
+    for j, indicator in enumerate(rows[0]):
+        if indicator in transforms:
+            exponent, flip = transforms[indicator]
+            factor = -(2.0**exponent) if flip else 2.0**exponent
+            for row in rows[1:]:
+                row[j] = repr(float(row[j]) * factor)
+    manifest = [list(row) for row in BUNDLED_MANIFEST_ROWS]
+    for row in manifest[1:]:
+        if transforms.get(row[0], (0, False))[1]:
+            row[3] = FLIPPED_DIRECTION[row[3]]
+    event(f"{sum(flip for _, flip in transforms.values())} direction flips")
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        _write_rows(tmp / "data.csv", rows)
+        _write_rows(tmp / "manifest.csv", manifest)
+        argv = ["report", "--methods", "all", "--data", str(tmp / "data.csv"),
+                "--manifest", str(tmp / "manifest.csv"), "--out", str(tmp / "out")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        artifacts = _report_artifacts(tmp / "out")
+    assert artifacts.keys() == bundled_report.keys()
+    for name in sorted(bundled_report.keys() - {"normalization.csv"}):
+        assert artifacts[name] == bundled_report[name], name

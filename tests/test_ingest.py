@@ -20,13 +20,13 @@ from indexforge.ingest import (
     _check_row_length,
     _raise_cell_error,
     _read_dataset_csv,
-    composite_indicator,
     open_input,
     parse_dataset,
     parse_manifest,
     write_json,
 )
 from indexforge.model import IndicatorMatrix, Stage
+from indexforge.normalize import composite_indicator
 from indexforge.datasets import data_path
 from indexforge.errors import (
     CompositeIndexError,
@@ -646,6 +646,33 @@ class TestWriteJson:
             write_json(payload, path)
             expected = json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
             assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"m": {1: [1.5], 2: {"a": 1}}},
+            {"m": {10: [], 9: {"x": 0.5}, -1: [True]}},
+            {"m": {2.5: [1], 1e22: {"a": None}, -0.0: [], float("nan"): [2]}},
+            {"m": {True: [1], False: {"b": []}}},
+            {"m": {None: [[]]}, "n": {None: {"a": 1}}},
+            {"a": {"b": {3: {"c": [1]}, 4: []}}},
+        ],
+        ids=["int", "ints-unsorted", "floats", "bools", "none", "deep"],
+    )
+    def test_non_str_keys_of_containers_match_dumps(self, tmp_path, payload):
+        path = tmp_path / "out.json"
+        write_json(payload, path)
+        expected = json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+        json.loads(path.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("key", [(1,), b"k", frozenset()])
+    def test_other_key_types_rejected(self, tmp_path, key):
+        payload = {"m": {key: [1]}}
+        with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
+            json.dumps(payload, indent=2, sort_keys=True)
+        with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
+            write_json(payload, tmp_path / "out.json")
 
     def test_key_escapes_keep_the_order_of_the_raw_keys(self, tmp_path):
         # '"' sorts before '#', but its escape '\\"' sorts after: order by the raw key.

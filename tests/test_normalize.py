@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 
 from indexforge.datasets import data_path
+from indexforge.errors import ConstantComponentError
 from indexforge.ingest import parse_dataset
 from indexforge.model import Direction, IndicatorMatrix, Stage
 from indexforge.normalize import (
     DegenerateColumnWarning,
     NormalizationRecord,
+    composite_indicator,
     normalize_column,
     normalize_matrix,
     write_normalization_csv,
 )
+
+from conftest import edge_vector, recorded_warnings
 
 # Columns where the bundled dataset has tied extremes (two regions share the
 # minimum of ICT; four share the maximum of WasteW).
@@ -69,14 +73,6 @@ def reference_normalize_matrix(matrix, manifest):
         matrix.regions, matrix.indicators, np.column_stack(columns), stage=Stage.NORMALIZED
     )
     return normalized, records
-
-
-def recorded_warnings(call):
-    """``call()``'s result and the (category, text) of every warning it raised, in order."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = call()
-    return result, [(w.category, str(w.message)) for w in caught]
 
 
 class TestNormalizeColumn:
@@ -278,6 +274,51 @@ class TestMatchesPerColumnReference:
                 assert got.tobytes() == want.tobytes()
                 assert got_record == want_record
                 assert got_warnings == want_warnings
+
+
+def reference_composite_indicator(components):
+    """``composite_indicator`` as a per-component loop, before it ran through the kernel."""
+    if len(components) < 2:
+        raise ValueError("need at least two component columns")
+    columns = {name: np.asarray(values, dtype=float) for name, values in components.items()}
+    lengths = {len(col) for col in columns.values()}
+    if len(lengths) != 1:
+        raise ValueError("component columns must cover the same regions")
+    normalized = []
+    for name, col in columns.items():
+        lo, hi = col.min(), col.max()
+        if hi == lo:
+            raise ConstantComponentError(name)
+        normalized.append((col - lo) / (hi - lo))
+    return np.mean(normalized, axis=0)
+
+
+def composite_outcome(function, components):
+    """The bytes ``function`` returns, or the component its ConstantComponentError
+    names, and the warnings it raised."""
+
+    def call():
+        try:
+            return function(components).tobytes()
+        except ConstantComponentError as exc:
+            return exc.name
+
+    return recorded_warnings(call)
+
+
+def test_composite_indicator_matches_the_loop_bit_for_bit():
+    """Seeded cases with up to 12 components (the mean's order matters from 8 on):
+    the loop's bytes, or its ConstantComponentError naming the same component,
+    and, as the loop, no warning."""
+    rng = np.random.default_rng(61)
+    outcomes = []
+    for _ in range(3000):
+        n, k = int(rng.integers(2, 40)), int(rng.integers(2, 13))
+        components = {f"c{j}": edge_vector(rng, n, constant=0.03) for j in range(k)}
+        got = composite_outcome(composite_indicator, components)
+        assert got == composite_outcome(reference_composite_indicator, components)
+        outcomes.append(type(got[0]))
+    assert outcomes.count(bytes) > 1500 and outcomes.count(str) > 300
 
 
 def test_records_csv_export(tmp_path, normalized):

@@ -13,7 +13,6 @@ from indexforge.pca import (
     REFERENCE_VARIANCE_PROFILE,
     STAGE2_CAP,
     compute_pca,
-    correlation_matrix,
     eigen_symmetric,
     pca_pillar,
 )
@@ -273,36 +272,6 @@ class TestEigenSymmetric:
             eigen_symmetric([[1.0, 0.5], [0.5, 1.0]], max_sweeps=0)
 
 
-class TestCorrelationMatrix:
-    def test_identical_columns(self):
-        col = np.array([1.0, 2.0, 5.0, 3.0])
-        r = correlation_matrix(np.column_stack([col, col]))
-        assert np.allclose(r, 1.0, atol=1e-12)
-
-    def test_negated_column(self):
-        col = np.array([1.0, 2.0, 5.0, 3.0])
-        r = correlation_matrix(np.column_stack([col, -col]))
-        assert r[0, 1] == pytest.approx(-1.0, abs=1e-12)
-
-    def test_diagonal_exactly_one(self):
-        rng = np.random.default_rng(54)
-        r = correlation_matrix(rng.normal(size=(9, 5)))
-        assert np.all(np.diag(r) == 1.0)
-        assert np.abs(r - r.T).max() == 0.0
-        assert np.abs(r).max() <= 1.0
-
-    def test_bundled_spot_value(self, norm_matrix):
-        cols = norm_matrix.columns(["Pop65", "DmgDep"])
-        r = correlation_matrix(cols, ids=["Pop65", "DmgDep"])
-        # Frozen from an independent covariance-formula computation.
-        assert r[0, 1] == pytest.approx(0.9694598612919094, abs=1e-10)
-
-    def test_constant_column_named(self):
-        with pytest.raises(ConstantColumnError) as exc_info:
-            correlation_matrix(np.column_stack([[1.0, 2, 3], [4.0, 4, 4]]), ids=["x", "flat"])
-        assert exc_info.value.column == "flat"
-
-
 def reference_orient_sign(vector: np.ndarray) -> tuple[np.ndarray, bool]:
     """The per-vector sign rule ``pca_pillar`` applies to all retained columns at once.
 
@@ -432,8 +401,10 @@ class TestPcaPillar:
         assert stage.column_ids == ("a", "b", "c")
 
     def test_all_constant_rejected(self):
-        with pytest.raises(ConstantColumnError):
-            pca_pillar(np.full((5, 2), 0.3))
+        with pytest.raises(ConstantColumnError) as exc_info:
+            pca_pillar(np.full((5, 2), 0.3), column_ids=["x", "flat"])
+        assert exc_info.value.column == "x, flat"
+        assert str(exc_info.value) == "every column of the PCA stage is constant: x, flat"
 
     def test_cap_reached_below_threshold_flagged(self):
         rng = np.random.default_rng(59)
