@@ -7,7 +7,8 @@ single pillar pulls the whole index down instead of being compensated by
 the others. The weighted method is a two-level weighted arithmetic mean
 (pillar weights times within-pillar indicator weights). Every method's
 raw index is finally min-max rescaled so the best region scores exactly 1
-and the worst exactly 0, by the normalization kernel of ``normalize``.
+and the worst exactly 0, by the normalization kernel of ``normalize``. The
+index writers lay out no file themselves: ``ingest`` writes each one.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NegativeInputError, WeightManifestMismatchError
-from .ingest import csv_cells, write_json
+from .ingest import write_csv, write_json
 from .model import (
     PILLARS,
     Direction,
@@ -159,20 +160,17 @@ def compute_delphi(
 
 
 def write_index_csv(result: IndexResult, path: str | Path) -> None:
-    """Write one method's index as CSV (region,raw,rescaled,rank).
-
-    The bytes are those of ``write_csv`` with six-decimal floats; the body is
-    formatted in one ``%`` pass over all cells.
-    """
-    n = len(result.regions)
-    rank = dict(zip(result.ranking, range(1, n + 1)))
-    cells: list[object] = [None] * (4 * n)
-    cells[0::4] = csv_cells(result.regions)
-    cells[1::4] = result.raw.tolist()
-    cells[2::4] = result.rescaled.tolist()
-    cells[3::4] = map(rank.__getitem__, result.regions)
-    text = "region,raw,rescaled,rank\n" + ("%s,%.6f,%.6f,%d\n" * n) % tuple(cells)
-    Path(path).write_text(text, encoding="utf-8", newline="")
+    """Write one method's index as CSV (region,raw,rescaled,rank), six-decimal floats."""
+    rank = dict(zip(result.ranking, range(1, len(result.regions) + 1)))
+    write_csv(
+        [
+            ("region", "%s", result.regions),
+            ("raw", "%.6f", result.raw.tolist()),
+            ("rescaled", "%.6f", result.rescaled.tolist()),
+            ("rank", "%d", list(map(rank.__getitem__, result.regions))),
+        ],
+        path,
+    )
 
 
 @lru_cache(maxsize=1)

@@ -44,10 +44,8 @@ def _parse_methods(text: str) -> list[Method]:
     tokens = [t.strip().lower() for t in text.split(",") if t.strip()]
     if not tokens:
         raise argparse.ArgumentTypeError("no methods given")
-    if "all" in tokens:
-        return [Method.ABREU, Method.DELPHI, Method.PCA]
     methods = []
-    for token in tokens:
+    for token in (token for token in tokens if token != "all"):
         try:
             method = Method(token)
         except ValueError:
@@ -57,7 +55,7 @@ def _parse_methods(text: str) -> list[Method]:
             ) from None
         if method not in methods:
             methods.append(method)
-    return methods
+    return [Method.ABREU, Method.DELPHI, Method.PCA] if "all" in tokens else methods
 
 
 def _load_inputs(args) -> tuple[Manifest, IndicatorMatrix]:
@@ -110,7 +108,8 @@ def _fail(args, code: int, kind: str, message: str) -> int:
 
 
 def _compute_results(args, manifest, matrix, methods):
-    """Normalize once and compute each requested method once."""
+    """Read ``--weights`` whichever methods run; normalize and compute each method once."""
+    scheme = parse_weights(args.weights, manifest) if args.weights else None
     normalized, records = normalize_matrix(matrix, manifest)
     results = {}
     audit = None
@@ -118,7 +117,6 @@ def _compute_results(args, manifest, matrix, methods):
         if method is Method.ABREU:
             results[method] = compute_abreu(normalized, manifest)
         elif method is Method.DELPHI:
-            scheme = parse_weights(args.weights, manifest) if args.weights else None
             results[method] = compute_delphi(normalized, manifest, scheme)
         elif method is Method.PCA:
             profile = REFERENCE_VARIANCE_PROFILE if _is_bundled_dataset(args) else None

@@ -24,8 +24,9 @@ of ``write_json``. An innermost dict of finite floats whose str keys are
 already in ascending order is laid out in one ``%`` pass (key escaped as
 json escapes it, value as its ``repr``); any other innermost container,
 with unsorted keys, a nan or inf, or a value that is not an exact float,
-goes through the C JSON encoder. Every CSV artifact has the cells of
-``csv_cells``, which quotes a text holding a comma, quote or line break.
+goes through the C JSON encoder. Every CSV artifact is laid out by
+``write_csv`` from whole columns in one ``%`` pass; a text cell holding a
+comma, quote or line break is quoted.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import json
 from array import array
 from contextlib import contextmanager
 from functools import lru_cache
-from itertools import chain
 from json.encoder import encode_basestring
 from math import isfinite
 from pathlib import Path
@@ -471,24 +471,19 @@ def write_json(payload: Mapping[str, object], path: str | Path) -> None:
     Path(path).write_text(_json_text(payload, 0) + "\n", encoding="utf-8")
 
 
-def format_column(vector: np.ndarray, spec: str = "%.6f") -> list[str]:
-    """Each value of a vector in the %-format ``spec``, formatted in one pass."""
-    return ((spec + "\n") * vector.size % tuple(vector.tolist())).split()
-
-
 #: The characters that make a text need quotes as a CSV cell.
 _CSV_MARKS = (",", '"', "\r", "\n")
 
 
-def csv_cells(texts: Iterable[str]) -> list[str]:
-    """Each text as one cell of a CSV row.
+def _csv_cells(texts: Iterable[str]) -> list[str]:
+    """Each text as one CSV cell.
 
     A text holding a delimiter, quote or line-break character is wrapped in
     quotes, with its own quotes doubled; any other text is the cell itself.
     """
     cells = list(texts)
     joined = "".join(cells)
-    # The test of _CSV_MARKS spelled out: twice as fast as any() for the common row.
+    # The test of _CSV_MARKS spelled out: twice as fast as any() for the common column.
     if "," not in joined and '"' not in joined and "\r" not in joined and "\n" not in joined:
         return cells
     return [
@@ -497,7 +492,17 @@ def csv_cells(texts: Iterable[str]) -> list[str]:
     ]
 
 
-def write_csv(header: Sequence[str], rows: Iterable[Sequence[object]], path: str | Path) -> None:
-    """Write a CSV artifact (UTF-8, LF line ends): each value as ``str``, in ``csv_cells``."""
-    lines = [",".join(csv_cells(map(str, row))) for row in chain([header], rows)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+def write_csv(columns: Sequence[tuple[str, str, Sequence]], path: str | Path) -> None:
+    """Write a CSV artifact (UTF-8, LF line ends) from whole columns in one ``%`` pass.
+
+    Each column is a ``(header, format, values)`` triple, all values of one
+    length. ``"%s"`` marks texts, quoted as ``_csv_cells`` quotes them; any
+    other %-format (``"%.6f"``, ``"%d"``) is applied to each value as it is.
+    """
+    width, n = len(columns), len(columns[0][2])
+    cells: list[object] = [None] * (width * n)
+    for j, (_, spec, values) in enumerate(columns):
+        cells[j::width] = _csv_cells(values) if spec == "%s" else values
+    header = ",".join(_csv_cells(name for name, _, _ in columns)) + "\n"
+    row = ",".join(spec for _, spec, _ in columns) + "\n"
+    Path(path).write_text(header + (row * n) % tuple(cells), encoding="utf-8", newline="")

@@ -12,7 +12,8 @@ vectorized pass; ``normalize_column`` runs the same kernel on a single
 column, so both give the same bytes for the same column. The kernel is the
 package's only min-max code: ``composite_indicator`` averages scaled
 component columns into a derived column, and ``aggregate.rescale_final``
-rescales each raw index through ``normalize_column``.
+rescales each raw index through ``normalize_column``. The kernel alone
+rejects a column holding a nan or inf, with a ValueError naming it.
 """
 
 from __future__ import annotations
@@ -52,10 +53,13 @@ def _scale_columns(
     The one place the formulas live: benefit (x - min) / (max - min), cost
     (max - x) / (max - min), each element in exactly these IEEE operations;
     a constant column becomes 0.5 with a DegenerateColumnWarning, in column
-    order.
+    order. The first column holding a nan or inf raises ValueError.
     """
     if values.shape[0] == 0:
         raise ValueError("cannot normalize an empty column")
+    bad = ~np.isfinite(values).all(axis=0)
+    if bad.any():
+        raise ValueError(f"column {indicator_ids[int(bad.argmax())]!r} contains non-finite values")
     lo = values.min(axis=0)
     hi = values.max(axis=0)
     degenerate = hi == lo
@@ -88,8 +92,6 @@ def normalize_column(
     Benefit: (x - min) / (max - min). Cost: (max - x) / (max - min).
     """
     col = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(col)):
-        raise ValueError(f"column {indicator_id!r} contains non-finite values")
     scaled, records = _scale_columns(col.reshape(-1, 1), (direction,), (indicator_id,))
     return scaled[:, 0], records[0]
 
@@ -120,8 +122,8 @@ def composite_indicator(components: Mapping[str, Sequence[float]]) -> np.ndarray
     result is a raw-stage derived column; it takes part in the usual
     normalization later like any other indicator.
 
-    Raises ConstantComponentError, naming the first constant component
-    (max equal to min), before anything is scaled.
+    Raises ConstantComponentError naming the first constant component before
+    anything is scaled, then ValueError naming one that holds a nan or inf.
     """
     if len(components) < 2:
         raise ValueError("need at least two component columns")
@@ -141,16 +143,12 @@ def composite_indicator(components: Mapping[str, Sequence[float]]) -> np.ndarray
 def write_normalization_csv(records: Sequence[NormalizationRecord], path: str | Path) -> None:
     """Write the normalization audit (id,min,max,direction,degenerate)."""
     write_csv(
-        ["id", "min", "max", "direction", "degenerate"],
-        (
-            [
-                record.indicator_id,
-                f"{record.observed_min:.6f}",
-                f"{record.observed_max:.6f}",
-                record.direction.value,
-                str(record.degenerate).lower(),
-            ]
-            for record in records
-        ),
+        [
+            ("id", "%s", [record.indicator_id for record in records]),
+            ("min", "%.6f", [record.observed_min for record in records]),
+            ("max", "%.6f", [record.observed_max for record in records]),
+            ("direction", "%s", [record.direction.value for record in records]),
+            ("degenerate", "%s", [str(record.degenerate).lower() for record in records]),
+        ],
         path,
     )

@@ -6,15 +6,15 @@ sample (n-1) denominator. ``build_comparison`` aligns every result into
 one regions x methods table, and every artifact writer takes the
 resulting ``ComparisonReport``. Plot output is dependency-free: parallel
 coordinates are emitted as CSV plus a small hand-written SVG, and the
-scatter-matrix point sets as CSV; each formats whole columns of the table
-in one pass.
+scatter-matrix point sets as CSV; each passes whole columns of the table
+to ``ingest.write_csv``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, combinations, repeat
+from itertools import combinations
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -27,7 +27,7 @@ from .errors import (
     RegionSetMismatchError,
     TooShortError,
 )
-from .ingest import format_column, write_csv, write_json
+from .ingest import write_csv, write_json
 from .model import IndexResult, Method
 
 
@@ -248,48 +248,49 @@ def write_report_json(report: ComparisonReport, path: str | Path) -> None:
 
 def write_report_csv(report: ComparisonReport, path: str | Path) -> None:
     """Tabular report: one correlation block, one stats block, one ranking block."""
-    methods = report.methods
-    rows = [
-        ["pearson", a.value] + [f"{report.pairwise_r[(a, b)]:.6f}" for b in methods]
-        for a in methods
+    methods, n = report.methods, len(report.regions)
+    names = [m.value for m in methods]
+    stats = ("min", "q1", "median", "q3", "max", "iqr", "mean", "sd")
+    blocks = ["pearson"] * len(names) + ["crossings"] * len(names) + ["stats"] * len(stats)
+    keys = names + names + list(stats) + [str(rank) for rank in range(1, n + 1)]
+    columns = [
+        [f"{report.pairwise_r[(a, b)]:.6f}" for a in methods]
+        + [str(report.crossings[(a, b)]) for a in methods]
+        + [f"{getattr(report.per_method_stats[b], name):.6f}" for name in stats]
+        + list(report.rankings[b])
+        for b in methods
     ]
-    rows += [
-        ["crossings", a.value] + [str(report.crossings[(a, b)]) for b in methods]
-        for a in methods
-    ]
-    rows += [
-        ["stats", name] + [f"{getattr(report.per_method_stats[m], name):.6f}" for m in methods]
-        for name in ("min", "q1", "median", "q3", "max", "iqr", "mean", "sd")
-    ]
-    positions = map(str, range(1, len(report.regions) + 1))
-    ranking_rows = zip(repeat("ranking"), positions, *(report.rankings[m] for m in methods))
-    write_csv(["block", "key"] + [m.value for m in methods], chain(rows, ranking_rows), path)
+    headed = [("block", blocks + ["ranking"] * n), ("key", keys), *zip(names, columns)]
+    write_csv([(name, "%s", column) for name, column in headed], path)
 
 
 def write_parallel_csv(report: ComparisonReport, path: str | Path) -> None:
     """Polyline vertices: one row per (region, method axis) pair."""
-    n_axes = len(report.methods)
+    n_axes, n = len(report.methods), len(report.regions)
     write_csv(
-        ["region", "method", "axis", "value"],
-        zip(
-            [region for region in report.regions for _ in range(n_axes)],
-            [m.value for m in report.methods] * len(report.regions),
-            list(range(n_axes)) * len(report.regions),
-            format_column(report.values.ravel(), "%.9f"),  # row-major: region by region
-        ),
+        [
+            ("region", "%s", [region for region in report.regions for _ in range(n_axes)]),
+            ("method", "%s", [m.value for m in report.methods] * n),
+            ("axis", "%d", list(range(n_axes)) * n),
+            ("value", "%.9f", report.values.ravel().tolist()),  # row-major: region by region
+        ],
         path,
     )
 
 
 def write_scatter_csv(report: ComparisonReport, path: str | Path) -> None:
     """Point sets for every unordered method pair (scatter-matrix data)."""
-    names = [m.value for m in report.methods]
-    columns = [format_column(report.values[:, j], "%.6f") for j in range(len(names))]
-    rows = chain.from_iterable(
-        zip(repeat(names[i]), repeat(names[j]), report.regions, columns[i], columns[j])
-        for i, j in combinations(range(len(names)), 2)
+    x, y = map(list, zip(*combinations(range(len(report.methods)), 2)))
+    write_csv(
+        [
+            ("method_x", "%s", [report.methods[i].value for i in x for _ in report.regions]),
+            ("method_y", "%s", [report.methods[j].value for j in y for _ in report.regions]),
+            ("region", "%s", list(report.regions) * len(x)),
+            ("x", "%.6f", report.values[:, x].T.ravel().tolist()),
+            ("y", "%.6f", report.values[:, y].T.ravel().tolist()),
+        ],
+        path,
     )
-    write_csv(["method_x", "method_y", "region", "x", "y"], rows, path)
 
 
 _SVG_WIDTH = 720
@@ -334,14 +335,13 @@ def write_parallel_svg(report: ComparisonReport, path: str | Path) -> None:
     # One "x,y x,y ..." point list per region, all formatted in one pass.
     points_format = " ".join(f"{x:.2f},%.2f" for x in xs) + "\n"
     points = (points_format * len(report.regions) % tuple(ys.ravel().tolist())).splitlines()
-    label_ys = format_column(ys[:, -1] + 4, "%.2f")
     for i, region in enumerate(report.regions):
         color = _POLYLINE_COLORS[i % len(_POLYLINE_COLORS)]
         parts.append(
             f'<polyline points="{points[i]}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
         parts.append(
-            f'<text x="{xs[-1] + 6:.2f}" y="{label_ys[i]}" '
+            f'<text x="{xs[-1] + 6:.2f}" y="{ys[i, -1] + 4:.2f}" '
             f'font-family="sans-serif" font-size="10" fill="{color}">{_xml_escape(region)}</text>'
         )
     parts.append("</svg>")

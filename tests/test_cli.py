@@ -9,6 +9,7 @@ import pty
 import subprocess
 import sys
 import tempfile
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +302,41 @@ class TestCompute:
         with pytest.raises(SystemExit) as exc_info:
             run(["compute", "--methods", "sorcery"])
         assert exc_info.value.code == 2
+
+    def test_unknown_method_after_all_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            run(["compute", "--methods", "all,bogus", "--out", str(tmp_path / "out")])
+        assert exc_info.value.code == 2
+        assert "unknown method 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("methods", ["pca,all", "delphi,all,abreu"])
+    def test_all_anywhere_gives_the_canonical_order(self, tmp_path, capsys, methods):
+        out = tmp_path / "out"
+        assert run(["compute", "--methods", methods, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"computed abreu, delphi, pca -> {out}\n"
+
+    @pytest.mark.parametrize(
+        "argv, code, kind",
+        [(["compute", "--methods", "abreu"], 2, "validation"),
+         (["report", "--methods", "abreu,pca"], 3, "io")],
+        ids=["malformed", "missing"],
+    )
+    def test_weights_read_whichever_methods_run(self, tmp_path, argv, code, kind):
+        """A bad or missing --weights file fails the run even when delphi is not asked for."""
+        weights = tmp_path / "weights.csv"
+        if kind == "validation":
+            weights.write_text("scope,id,weight\npillar,Economy,abc\n", encoding="utf-8")
+        completed = cli_in_process_of_its_own(
+            [*argv, "--weights", str(weights), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert completed.returncode == code
+        assert "Traceback" not in completed.stderr
+        errors = [line for line in completed.stderr.splitlines() if line.startswith("error (")]
+        assert len(errors) == 1 and errors[0].startswith(f"error ({kind}): ")
+        assert ("non-numeric weight 'abc'" if kind == "validation" else "weights.csv") in errors[0]
+        assert not (tmp_path / "out").exists()
 
 
     def test_two_thousand_regions_json_and_csv_agree(self, tmp_path):
@@ -720,6 +756,19 @@ def _report_artifacts(out: Path) -> dict[str, object]:
     return artifacts
 
 
+def _report_on(rows: list[list[str]], manifest: list[list[str]]) -> dict[str, object]:
+    """The ``_report_artifacts`` of an in-process ``report --methods all`` on these rows."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        _write_rows(tmp / "data.csv", rows)
+        _write_rows(tmp / "manifest.csv", manifest)
+        argv = ["report", "--methods", "all", "--data", str(tmp / "data.csv"),
+                "--manifest", str(tmp / "manifest.csv"), "--out", str(tmp / "out")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        return _report_artifacts(tmp / "out")
+
+
 @pytest.fixture(scope="module")
 def bundled_report(tmp_path_factory) -> dict[str, object]:
     out = tmp_path_factory.mktemp("bundled") / "out"
@@ -749,15 +798,61 @@ def test_power_of_two_scaling_and_direction_flips_change_no_index_byte(bundled_r
         if transforms.get(row[0], (0, False))[1]:
             row[3] = FLIPPED_DIRECTION[row[3]]
     event(f"{sum(flip for _, flip in transforms.values())} direction flips")
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        _write_rows(tmp / "data.csv", rows)
-        _write_rows(tmp / "manifest.csv", manifest)
-        argv = ["report", "--methods", "all", "--data", str(tmp / "data.csv"),
-                "--manifest", str(tmp / "manifest.csv"), "--out", str(tmp / "out")]
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(argv) == 0
-        artifacts = _report_artifacts(tmp / "out")
+    artifacts = _report_on(rows, manifest)
     assert artifacts.keys() == bundled_report.keys()
     for name in sorted(bundled_report.keys() - {"normalization.csv"}):
         assert artifacts[name] == bundled_report[name], name
+
+
+#: The bound of the near-exact relations: a permuted input changes only the
+#: order of some sums, so every index value moves by a few ulps at most.
+NEAR = 1e-12
+
+
+def _assert_same_indexes(artifacts: dict[str, object], bundled_report: dict[str, object]) -> None:
+    """Every value of the three <method>.json files within NEAR of the bundled run's,
+    by region label; the rankings agree but for the order of two values within NEAR.
+
+    ``pca_audit.json`` is left out: its sign flips record the solver's raw
+    signs, which a permuted input may change.
+    """
+    for method in ("abreu", "delphi", "pca"):
+        base = json.loads(bundled_report[f"{method}.json"])
+        got = json.loads(artifacts[f"{method}.json"])
+        for key in ("raw_index", "rescaled_index"):
+            assert got[key].keys() == base[key].keys()
+            for region, value in base[key].items():
+                assert abs(got[key][region] - value) <= NEAR, (method, key, region)
+        assert sorted(got["ranking"]) == sorted(base["ranking"])
+        position = {region: i for i, region in enumerate(got["ranking"])}
+        values = base["rescaled_index"]
+        for a, b in combinations(base["ranking"], 2):
+            if position[a] > position[b]:
+                assert abs(values[a] - values[b]) <= NEAR, (method, a, b)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rows=st.permutations(BUNDLED_DATA_ROWS[1:]))
+def test_permuting_the_regions_moves_no_index_value(bundled_report, rows):
+    artifacts = _report_on([BUNDLED_DATA_ROWS[0], *rows], BUNDLED_MANIFEST_ROWS)
+    _assert_same_indexes(artifacts, bundled_report)
+
+
+PILLAR_IDS = {
+    pillar: [row[0] for row in BUNDLED_MANIFEST_ROWS[1:] if row[2] == pillar.value]
+    for pillar in Pillar
+}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(orders=st.fixed_dictionaries({p: st.permutations(ids) for p, ids in PILLAR_IDS.items()}))
+def test_permuting_indicators_within_a_pillar_moves_no_index_value(bundled_report, orders):
+    """The manifest rows and the data columns of each pillar, permuted together."""
+    slots = {pillar: iter(ids) for pillar, ids in orders.items()}
+    order = [next(slots[Pillar(row[2])]) for row in BUNDLED_MANIFEST_ROWS[1:]]
+    manifest_row = {row[0]: row for row in BUNDLED_MANIFEST_ROWS[1:]}
+    manifest = [BUNDLED_MANIFEST_ROWS[0], *(manifest_row[i] for i in order)]
+    columns = [0, *(BUNDLED_DATA_ROWS[0].index(i) for i in order)]
+    rows = [[row[j] for j in columns] for row in BUNDLED_DATA_ROWS]
+    event(f"{sum(a != row[0] for a, row in zip(order, BUNDLED_MANIFEST_ROWS[1:]))} moved")
+    _assert_same_indexes(_report_on(rows, manifest), bundled_report)

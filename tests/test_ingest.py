@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import tempfile
+import warnings
 from array import array
 from pathlib import Path
 
@@ -737,6 +738,16 @@ class TestCompositeIndicator:
         with pytest.raises(ValueError):
             composite_indicator({"only": [1, 2]})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_component_named(self, bad):
+        """A nan or inf cell is a ValueError naming its component, with no warning."""
+        components = {"beds": [2.0, 4.0, 9.0], "doctors": [1.0, bad, 3.0]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc_info:
+                composite_indicator(components)
+        assert str(exc_info.value) == "column 'doctors' contains non-finite values"
+
 
 def _importers(name: str) -> set[str]:
     """The package modules that import ``name`` or one of its submodules."""
@@ -759,6 +770,35 @@ def _importers(name: str) -> set[str]:
 def test_only_ingest_imports_csv():
     """Every CSV input goes through ingest's reader: no other module imports csv."""
     assert _importers("csv") == {"ingest.py"}
+
+
+def _write_text_callers() -> set[tuple[str, str]]:
+    """(module, innermost enclosing function) of every ``.write_text(...)`` call
+    in the package; a call outside any function counts as ``<module>``."""
+    package = Path(data_path("manifest.csv")).parents[1]
+    callers = set()
+    for module in sorted(package.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "write_text"):
+                continue
+            scope = parents[node]
+            while not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)):
+                scope = parents[scope]
+            callers.add((module.name, getattr(scope, "name", "<module>")))
+    return callers
+
+
+def test_only_the_artifact_writers_write_text():
+    """Every CSV artifact is laid out by ingest.write_csv, every JSON one by
+    ingest.write_json; the SVG is the one other file written."""
+    assert _write_text_callers() == {
+        ("ingest.py", "write_json"),
+        ("ingest.py", "write_csv"),
+        ("stats.py", "write_parallel_svg"),
+    }
 
 
 def test_only_ingest_and_cli_import_json():
