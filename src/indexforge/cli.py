@@ -1,5 +1,10 @@
 """Command-line interface: validate, compute, compare, report.
 
+``compute``, ``compare`` and ``report`` run one pipeline, ``run_pipeline``:
+the results of ``--methods`` (computed, or read from ``--published``), the
+comparison unless the command is ``compute``, then the command's artifacts.
+Engine warnings are printed to stderr as ``warning (<kind>): <message>``.
+
 Exit codes: 0 success, 2 validation or usage failure, 3 I/O failure,
 4 numerical failure (eigensolver non-convergence). All file artifacts are
 byte-reproducible for identical inputs and flags: CSV floats use a fixed
@@ -11,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from . import datasets
@@ -23,7 +29,7 @@ from .aggregate import (
 from .errors import CompositeIndexError, FewerThanTwoMethodsError, NoConvergenceError
 from .ingest import parse_dataset, parse_manifest, parse_weights
 from .model import PILLARS, IndicatorMatrix, Manifest, Method
-from .normalize import normalize_matrix, write_normalization_csv
+from .normalize import DegenerateColumnWarning, normalize_matrix, write_normalization_csv
 from .pca import REFERENCE_VARIANCE_PROFILE, compute_pca, write_pca_audit
 from .stats import (
     build_comparison,
@@ -55,7 +61,7 @@ def _parse_methods(text: str) -> list[Method]:
             ) from None
         if method not in methods:
             methods.append(method)
-    return [Method.ABREU, Method.DELPHI, Method.PCA] if "all" in tokens else methods
+    return list(Method) if "all" in tokens else methods
 
 
 def _load_inputs(args) -> tuple[Manifest, IndicatorMatrix]:
@@ -69,13 +75,6 @@ def _is_bundled_dataset(args) -> bool:
         return Path(args.data).resolve() == datasets.data_path(datasets.DATASET_FILE).resolve()
     except OSError:
         return False
-
-
-def _require_two_methods(methods) -> None:
-    if len(methods) < 2:
-        raise FewerThanTwoMethodsError(
-            f"comparison needs at least two methods, got {len(methods)}"
-        )
 
 
 def cmd_validate(args) -> int:
@@ -107,13 +106,14 @@ def _fail(args, code: int, kind: str, message: str) -> int:
     return code
 
 
-def _compute_results(args, manifest, matrix, methods):
+def _compute_results(args):
     """Read ``--weights`` whichever methods run; normalize and compute each method once."""
+    manifest, matrix = _load_inputs(args)
     scheme = parse_weights(args.weights, manifest) if args.weights else None
     normalized, records = normalize_matrix(matrix, manifest)
     results = {}
     audit = None
-    for method in methods:
+    for method in args.methods:
         if method is Method.ABREU:
             results[method] = compute_abreu(normalized, manifest)
         elif method is Method.DELPHI:
@@ -126,59 +126,40 @@ def _compute_results(args, manifest, matrix, methods):
     return records, results, audit
 
 
-def _write_computed(args, records, results, audit) -> None:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_normalization_csv(records, out / "normalization.csv")
-    for method, result in results.items():
-        write_index_csv(result, out / f"{method.value}.csv")
-        write_index_json(result, out / f"{method.value}.json")
-    if audit is not None:
-        write_pca_audit(audit, out / "pca_audit.json")
-    print(f"computed {', '.join(m.value for m in results)} -> {out}")
-
-
-def _write_comparison(args, report) -> None:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_report_json(report, out / "report.json")
-    write_report_csv(report, out / "report.csv")
-    write_parallel_csv(report, out / "parallel.csv")
-    write_parallel_svg(report, out / "parallel.svg")
-    write_scatter_csv(report, out / "scatter.csv")
-    for i, a in enumerate(report.methods):
-        for b in report.methods[i + 1:]:
-            print(f"pearson {a.value}:{b.value} = {report.pairwise_r[(a, b)]:.4f}")
-    print(f"comparison artifacts -> {args.out}")
-
-
-def cmd_compute(args) -> int:
-    manifest, matrix = _load_inputs(args)
-    _write_computed(args, *_compute_results(args, manifest, matrix, args.methods))
-    return EXIT_OK
-
-
-def cmd_compare(args) -> int:
-    if args.published:
+def run_pipeline(args) -> int:
+    """compute | compare | report: the results of ``--methods``, the comparison
+    unless the command is ``compute``, then the command's artifacts."""
+    compare = args.command != "compute"
+    if compare and len(args.methods) < 2:
+        raise FewerThanTwoMethodsError(
+            f"comparison needs at least two methods, got {len(args.methods)}"
+        )
+    if args.published:  # an option of compare only, which writes no method files
         reference = datasets.load_reference_indexes(args.published)
-        results = [reference[m] for m in (Method.ABREU, Method.DELPHI, Method.PCA)]
+        results = {method: reference[method] for method in args.methods}
     else:
-        _require_two_methods(args.methods)
-        manifest, matrix = _load_inputs(args)
-        _, computed, _ = _compute_results(args, manifest, matrix, args.methods)
-        results = list(computed.values())
-    _write_comparison(args, build_comparison(results))
-    return EXIT_OK
-
-
-def cmd_report(args) -> int:
-    """Full pipeline in one pass: compute all requested methods, then compare them."""
-    _require_two_methods(args.methods)
-    manifest, matrix = _load_inputs(args)
-    records, computed, audit = _compute_results(args, manifest, matrix, args.methods)
-    report = build_comparison(list(computed.values()))
-    _write_computed(args, records, computed, audit)
-    _write_comparison(args, report)
+        records, results, audit = _compute_results(args)
+    report = build_comparison(list(results.values())) if compare else None
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if args.command != "compare":
+        write_normalization_csv(records, out / "normalization.csv")
+        for method, result in results.items():
+            write_index_csv(result, out / f"{method.value}.csv")
+            write_index_json(result, out / f"{method.value}.json")
+        if audit is not None:
+            write_pca_audit(audit, out / "pca_audit.json")
+        print(f"computed {', '.join(m.value for m in results)} -> {out}")
+    if compare:
+        write_report_json(report, out / "report.json")
+        write_report_csv(report, out / "report.csv")
+        write_parallel_csv(report, out / "parallel.csv")
+        write_parallel_svg(report, out / "parallel.svg")
+        write_scatter_csv(report, out / "scatter.csv")
+        for i, a in enumerate(report.methods):
+            for b in report.methods[i + 1:]:
+                print(f"pearson {a.value}:{b.value} = {report.pairwise_r[(a, b)]:.4f}")
+        print(f"comparison artifacts -> {args.out}")
     return EXIT_OK
 
 
@@ -192,55 +173,58 @@ def build_parser() -> argparse.ArgumentParser:
     default_data = str(datasets.data_path(datasets.DATASET_FILE))
     default_manifest = str(datasets.data_path(datasets.MANIFEST_FILE))
 
-    def add_common(sub, with_methods: bool = True):
+    for command, text in (
+        ("validate", "check manifest and dataset"),
+        ("compute", "compute index methods"),
+        ("compare", "cross-method comparison report"),
+        ("report", "compute and compare in one run"),
+    ):
+        sub = subparsers.add_parser(command, help=text)
         sub.add_argument("--data", default=default_data, help="dataset CSV/JSON path")
         sub.add_argument("--manifest", default=default_manifest, help="manifest CSV path")
         sub.add_argument("--json", action="store_true", help="machine-readable diagnostics")
-        if with_methods:
-            sub.add_argument(
-                "--methods",
-                type=_parse_methods,
-                default=[Method.ABREU, Method.DELPHI, Method.PCA],
-                help="comma-separated subset of abreu,delphi,pca or 'all'",
+        if command == "validate":
+            sub.set_defaults(func=cmd_validate)
+            continue
+        sub.add_argument(
+            "--methods",
+            type=_parse_methods,
+            default=list(Method),
+            help="comma-separated subset of abreu,delphi,pca or 'all'",
+        )
+        sub.add_argument("--out", default="out", help="output directory")
+        sources = sub.add_mutually_exclusive_group()
+        sources.add_argument("--weights", help="weight override CSV (scope,id,weight)")
+        if command == "compare":
+            sources.add_argument(
+                "--published",
+                nargs="?",
+                const=str(datasets.data_path(datasets.REFERENCE_FILE)),
+                help="compare the --methods columns of this reference CSV instead of "
+                "computing them; reads no --data or --manifest",
             )
-            sub.add_argument("--weights", help="weight override CSV (scope,id,weight)")
-            sub.add_argument("--out", default="out", help="output directory")
-
-    p_validate = subparsers.add_parser("validate", help="check manifest and dataset")
-    add_common(p_validate, with_methods=False)
-    p_validate.set_defaults(func=cmd_validate)
-
-    p_compute = subparsers.add_parser("compute", help="compute index methods")
-    add_common(p_compute)
-    p_compute.set_defaults(func=cmd_compute)
-
-    p_compare = subparsers.add_parser("compare", help="cross-method comparison report")
-    add_common(p_compare)
-    p_compare.add_argument(
-        "--published",
-        nargs="?",
-        const=str(datasets.data_path(datasets.REFERENCE_FILE)),
-        help="compare reference index columns from this CSV instead of recomputing",
-    )
-    p_compare.set_defaults(func=cmd_compare)
-
-    p_report = subparsers.add_parser("report", help="compute and compare in one run")
-    add_common(p_report)
-    p_report.set_defaults(func=cmd_report)
+        sub.set_defaults(func=run_pipeline, published=None)
 
     return parser
 
 
+def _print_warning(message, category, *_) -> None:
+    kind = "degenerate" if issubclass(category, DegenerateColumnWarning) else category.__name__
+    print(f"warning ({kind}): {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except NoConvergenceError as exc:
-        return _fail(args, EXIT_NUMERICAL, "numerical", str(exc))
-    except CompositeIndexError as exc:
-        return _fail(args, EXIT_VALIDATION, "validation", str(exc))
-    except OSError as exc:
-        return _fail(args, EXIT_IO, "io", str(exc))
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except NoConvergenceError as exc:
+            return _fail(args, EXIT_NUMERICAL, "numerical", str(exc))
+        except CompositeIndexError as exc:
+            return _fail(args, EXIT_VALIDATION, "validation", str(exc))
+        except OSError as exc:
+            return _fail(args, EXIT_IO, "io", str(exc))
 
 
 def console_main() -> None:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError
-from .ingest import open_input, parse_dataset, parse_manifest, read_csv_input
+from .ingest import _check_regions, open_input, parse_dataset, parse_manifest, read_csv_input
 from .model import IndexResult, IndicatorMatrix, Manifest, Method
 from .aggregate import rank_regions
 
@@ -48,7 +48,9 @@ def load_reference_indexes(path: str | Path | None = None) -> dict[Method, Index
     two-decimal numbers exactly as released; raw and rescaled values are
     identical because the reference columns already span [0, 1]. A header
     that names a column twice, a value that is not a finite number, or a row
-    with more or fewer cells than the header raises DataFormatError.
+    with more or fewer cells than the header raises DataFormatError; a
+    repeated region or fewer than two regions raise the data file's
+    DuplicateRegionError or TooFewRegionsError.
     """
     path = data_path(REFERENCE_FILE) if path is None else Path(path)
     regions: list[str] = []
@@ -82,6 +84,7 @@ def load_reference_indexes(path: str | Path | None = None) -> dict[Method, Index
                         f"for region {row['region']!r}"
                     ) from None
                 columns[method].append(value)
+    _check_regions(regions)
     return {
         method: IndexResult(method, regions, column, column, rank_regions(regions, column))
         for method, column in columns.items()

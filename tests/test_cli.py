@@ -438,6 +438,45 @@ class TestCompare:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "cmp").exists()
 
+    def test_published_selects_the_methods_columns(self, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        assert run(["compare", "--published", "--methods", "abreu,pca", "--out", str(out)]) == 0
+        payload = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert payload["methods"] == ["abreu", "pca"]
+        assert capsys.readouterr().out.splitlines()[0] == "pearson abreu:pca = 0.8588"
+
+    def test_published_one_method_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        assert run(["compare", "--published", "--methods", "abreu", "--out", str(out)]) == 2
+        assert "at least two methods, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_published_with_weights_usage_error(self, tmp_path, capsys):
+        weights = tmp_path / "weights.csv"
+        weights.write_text("scope,id,weight\npillar,Economy,1\n", encoding="utf-8")
+        out = tmp_path / "cmp"
+        with pytest.raises(SystemExit) as exc_info:
+            run(["compare", "--published", "--weights", str(weights), "--out", str(out)])
+        assert exc_info.value.code == 2
+        assert "not allowed with argument --published" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "keep, message",
+        [(slice(None), "region 'Alto Minho' appears more than once"),
+         (slice(0, 1), "dataset has 0 region(s); at least 2 are needed")],
+        ids=["repeated", "header-only"],
+    )
+    def test_published_region_errors_exit_2(self, tmp_path, capsys, keep, message):
+        lines = Path(FIXTURE_TABLE3).read_text(encoding="utf-8").splitlines()[keep]
+        bad = tmp_path / "table3.csv"
+        bad.write_text("\n".join(lines + lines[1:2]) + "\n", encoding="utf-8")
+        out = tmp_path / "cmp"
+        assert run(["compare", "--published", str(bad), "--out", str(out)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error (")]
+        assert errors == [f"error (validation): {message}"]
+        assert not out.exists()
+
     def test_computed_full_report(self, tmp_path):
         out = tmp_path / "cmp"
         code = run(["compare", "--methods", "all", "--out", str(out)])
@@ -508,6 +547,25 @@ class TestReport:
             "error (validation): every column of the PCA stage is constant: "
             "DmgDep, Pop65, Pop16, PopDens, NatInc"
         ]
+
+    def test_engine_warnings_are_one_line_each(self, tmp_path):
+        """A constant column: exit 0, and each warning one ``warning (degenerate)`` line."""
+        rows = [list(row) for row in BUNDLED_DATA_ROWS]
+        j = rows[0].index("PopDens")
+        for row in rows[1:]:
+            row[j] = "7"
+        data = tmp_path / "data.csv"
+        _write_rows(data, rows)
+        completed = cli_in_process_of_its_own(
+            ["report", "--methods", "all", "--data", str(data), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert completed.returncode == 0
+        assert completed.stderr.splitlines() == [
+            "warning (degenerate): column PopDens is constant; normalized to 0.5",
+            "warning (degenerate): constant columns dropped from PCA: PopDens",
+        ]
+        assert ".py:" not in completed.stderr
 
     def test_single_method_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "one"
@@ -777,31 +835,51 @@ def bundled_report(tmp_path_factory) -> dict[str, object]:
     return _report_artifacts(out)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(transforms=st.dictionaries(
+@pytest.fixture(scope="module")
+def eu_rows() -> list[list[str]]:
+    """A seeded 1,200 x 25 data table at EU NUTS-3 scale, for the bundled manifest."""
+    rng = np.random.default_rng(1200)
+    values = rng.lognormal(2.0, 1.0, size=(1200, len(BUNDLED_DATA_ROWS[0]) - 1))
+    body = ([f"EU{i:04d}", *(f"{v:.4f}" for v in row)] for i, row in enumerate(values))
+    return [BUNDLED_DATA_ROWS[0], *body]
+
+
+SCALINGS = st.dictionaries(
     st.sampled_from(BUNDLED_DATA_ROWS[0][1:]), st.tuples(st.integers(-40, 40), st.booleans()),
     min_size=1,
-))
-def test_power_of_two_scaling_and_direction_flips_change_no_index_byte(bundled_report, transforms):
+)
+
+
+def test_power_of_two_scaling_and_direction_flips_change_no_index_byte(bundled_report, eu_rows):
     """Scaling a raw column by 2**e, and negating it while flipping its manifest
     direction, are exact under min-max scaling: every artifact but
-    normalization.csv (raw extremes and directions) keeps its bytes."""
-    rows = [list(row) for row in BUNDLED_DATA_ROWS]
-    for j, indicator in enumerate(rows[0]):
-        if indicator in transforms:
-            exponent, flip = transforms[indicator]
-            factor = -(2.0**exponent) if flip else 2.0**exponent
-            for row in rows[1:]:
-                row[j] = repr(float(row[j]) * factor)
-    manifest = [list(row) for row in BUNDLED_MANIFEST_ROWS]
-    for row in manifest[1:]:
-        if transforms.get(row[0], (0, False))[1]:
-            row[3] = FLIPPED_DIRECTION[row[3]]
-    event(f"{sum(flip for _, flip in transforms.values())} direction flips")
-    artifacts = _report_on(rows, manifest)
-    assert artifacts.keys() == bundled_report.keys()
-    for name in sorted(bundled_report.keys() - {"normalization.csv"}):
-        assert artifacts[name] == bundled_report[name], name
+    normalization.csv (raw extremes and directions) keeps its bytes, on the
+    bundled inputs (60 examples) and on the EU-scale table (15)."""
+    eu_report = _report_on(eu_rows, BUNDLED_MANIFEST_ROWS)
+    for data_rows, base, examples in ((BUNDLED_DATA_ROWS, bundled_report, 60),
+                                      (eu_rows, eu_report, 15)):
+
+        @settings(max_examples=examples, deadline=None, derandomize=True)
+        @given(transforms=SCALINGS)
+        def check(transforms):
+            rows = [list(row) for row in data_rows]
+            for j, indicator in enumerate(rows[0]):
+                if indicator in transforms:
+                    exponent, flip = transforms[indicator]
+                    factor = -(2.0**exponent) if flip else 2.0**exponent
+                    for row in rows[1:]:
+                        row[j] = repr(float(row[j]) * factor)
+            manifest = [list(row) for row in BUNDLED_MANIFEST_ROWS]
+            for row in manifest[1:]:
+                if transforms.get(row[0], (0, False))[1]:
+                    row[3] = FLIPPED_DIRECTION[row[3]]
+            event(f"{sum(flip for _, flip in transforms.values())} direction flips")
+            artifacts = _report_on(rows, manifest)
+            assert artifacts.keys() == base.keys()
+            for name in sorted(base.keys() - {"normalization.csv"}):
+                assert artifacts[name] == base[name], name
+
+        check()
 
 
 #: The bound of the near-exact relations: a permuted input changes only the
