@@ -102,10 +102,7 @@ report = build_comparison([abreu, delphi])
 write_report_json(report, out_dir / "report.json")
 write_parallel_svg(report, out_dir / "parallel.svg")
 
-from indexforge import Method
-
-print(f"\nagreement between the two methods: "
-      f"r = {report.r(Method.ABREU, Method.DELPHI):.3f}, "
-      f"rank crossings = {report.crossings[(Method.ABREU, Method.DELPHI)]}")
+print(f"\nagreement between {' and '.join(report.names)}: "
+      f"r = {report.r[0, 1]:.3f}, rank crossings = {report.crossings[0, 1]}")
 print(f"artifacts written to {out_dir}/: "
       + ", ".join(sorted(p.name for p in out_dir.iterdir())))

@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 import warnings
+from itertools import combinations
 from pathlib import Path
 
 from . import datasets
@@ -156,9 +157,8 @@ def run_pipeline(args) -> int:
         write_parallel_csv(report, out / "parallel.csv")
         write_parallel_svg(report, out / "parallel.svg")
         write_scatter_csv(report, out / "scatter.csv")
-        for i, a in enumerate(report.methods):
-            for b in report.methods[i + 1:]:
-                print(f"pearson {a.value}:{b.value} = {report.pairwise_r[(a, b)]:.4f}")
+        for (i, a), (j, b) in combinations(enumerate(report.names), 2):
+            print(f"pearson {a}:{b} = {report.r[i, j]:.4f}")
         print(f"comparison artifacts -> {args.out}")
     return EXIT_OK
 

@@ -50,7 +50,7 @@ def load_reference_indexes(path: str | Path | None = None) -> dict[Method, Index
     that names a column twice, a value that is not a finite number, or a row
     with more or fewer cells than the header raises DataFormatError; a
     repeated region or fewer than two regions raise the data file's
-    DuplicateRegionError or TooFewRegionsError.
+    DuplicateRegionError or TooFewRegionsError, naming the path.
     """
     path = data_path(REFERENCE_FILE) if path is None else Path(path)
     regions: list[str] = []
@@ -84,7 +84,7 @@ def load_reference_indexes(path: str | Path | None = None) -> dict[Method, Index
                         f"for region {row['region']!r}"
                     ) from None
                 columns[method].append(value)
-    _check_regions(regions)
+    _check_regions(regions, str(path))
     return {
         method: IndexResult(method, regions, column, column, rank_regions(regions, column))
         for method, column in columns.items()

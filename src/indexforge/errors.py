@@ -122,15 +122,17 @@ class ExtraRowError(CompositeIndexError):
 
 
 class TooFewRegionsError(CompositeIndexError):
-    def __init__(self, count: int):
+    def __init__(self, count: int, what: str | None = None):
         self.count = count
-        super().__init__(f"dataset has {count} region(s); at least 2 are needed")
+        message = f"dataset has {count} region(s); at least 2 are needed"
+        super().__init__(f"{what}: {message}" if what else message)
 
 
 class DuplicateRegionError(CompositeIndexError):
-    def __init__(self, region: str):
+    def __init__(self, region: str, what: str | None = None):
         self.region = region
-        super().__init__(f"region {region!r} appears more than once")
+        message = f"region {region!r} appears more than once"
+        super().__init__(f"{what}: {message}" if what else message)
 
 
 class ConstantComponentError(CompositeIndexError):

@@ -201,16 +201,16 @@ def _check_header(indicator_ids: Sequence[str], manifest: Manifest) -> None:
         raise DataFormatError(f"duplicate indicator columns: {', '.join(duplicates)}")
 
 
-def _check_regions(regions: Sequence[str]) -> None:
-    """At least two regions, each listed once."""
+def _check_regions(regions: Sequence[str], what: str | None = None) -> None:
+    """At least two regions, each listed once; an error names ``what`` when given."""
     if len(set(regions)) != len(regions):
         seen: set[str] = set()
         for region in regions:
             if region in seen:
-                raise DuplicateRegionError(region)
+                raise DuplicateRegionError(region, what)
             seen.add(region)
     if len(regions) < 2:
-        raise TooFewRegionsError(len(regions))
+        raise TooFewRegionsError(len(regions), what)
 
 
 def _check_finite(

@@ -3,11 +3,13 @@
 Quartiles use Tukey's inclusive hinges (for an odd number of observations
 the median belongs to both halves) and the standard deviation uses the
 sample (n-1) denominator. ``build_comparison`` aligns every result into
-one regions x methods table, and every artifact writer takes the
-resulting ``ComparisonReport``. Plot output is dependency-free: parallel
-coordinates are emitted as CSV plus a small hand-written SVG, and the
-scatter-matrix point sets as CSV; each passes whole columns of the table
-to ``ingest.write_csv``.
+one positional ``ComparisonReport``: column names, taken once from each
+result's method, then a regions x k table of values, k x k arrays of
+Pearson r and rank crossings, and per-column stats and rankings. Every
+artifact writer reads names and array cells from it. Plot output is
+dependency-free: parallel coordinates are emitted as CSV plus a small
+hand-written SVG, and the scatter-matrix point sets as CSV; each passes
+whole columns of the table to ``ingest.write_csv``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .errors import (
     TooShortError,
 )
 from .ingest import write_csv, write_json
-from .model import IndexResult, Method
+from .model import IndexResult
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -162,103 +164,84 @@ def _inversions(perm: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Pairwise correlations, per-method stats, rankings and rank crossings.
+    """One positional table of k compared index columns.
 
-    ``values`` is the read-only regions x methods table of rescaled index
-    values, rows in ``regions`` order and columns in ``methods`` order; every
-    plot writer reads it.
+    Column j is named ``names[j]``. ``values`` is the read-only regions x k
+    table of rescaled index values, rows in ``regions`` order; ``r`` and
+    ``crossings`` are read-only k x k arrays of pairwise Pearson r and rank
+    crossings (diagonal 1.0 and 0); ``stats[j]`` and ``rankings[j]`` describe
+    and rank column j.
     """
 
-    methods: tuple[Method, ...]
+    names: tuple[str, ...]
     regions: tuple[str, ...]
     values: np.ndarray = field(compare=False)
-    pairwise_r: Mapping[tuple[Method, Method], float]
-    per_method_stats: Mapping[Method, DescriptiveStats]
-    rankings: Mapping[Method, tuple[str, ...]]
-    crossings: Mapping[tuple[Method, Method], int]
-
-    def r(self, a: Method, b: Method) -> float:
-        return self.pairwise_r[(a, b)]
+    r: np.ndarray = field(compare=False)
+    crossings: np.ndarray = field(compare=False)
+    stats: tuple[DescriptiveStats, ...]
+    rankings: tuple[tuple[str, ...], ...]
 
 
 def build_comparison(results: Sequence[IndexResult]) -> ComparisonReport:
-    """Compare two or more method results over the same region set."""
+    """Compare two or more method results over the same region set; a constant
+    column raises ConstantVectorError naming it, before any pair is correlated."""
     if len(results) < 2:
         raise FewerThanTwoMethodsError(f"got {len(results)} result(s), need at least 2")
+    names = tuple(result.method.value for result in results)
     regions = results[0].regions
     region_set = set(regions)
-    for result in results[1:]:
+    for name, result in zip(names[1:], results[1:]):
         if set(result.regions) != region_set:
-            raise RegionSetMismatchError(
-                f"method {result.method.value!r} covers a different region set"
-            )
-    methods = tuple(result.method for result in results)
-    # Built one row per method and transposed, so each column is contiguous.
-    by_method = np.array([result.rescaled_vector(regions) for result in results])
-    by_method.setflags(write=False)
-    values = by_method.T
+            raise RegionSetMismatchError(f"method {name!r} covers a different region set")
+    # Built one row per column and transposed, so each column is contiguous.
+    by_column = np.array([result.rescaled_vector(regions) for result in results])
+    stats = tuple(map(describe, by_column))
+    for name, column in zip(names, stats):
+        if column.min == column.max:
+            raise ConstantVectorError(f"index {name!r} is constant; its correlation is undefined")
 
     # Both measures are symmetric: compute each unordered pair once, mirror it.
-    pairwise: dict[tuple[Method, Method], float] = {}
-    cross: dict[tuple[Method, Method], int] = {}
-    for i, a in enumerate(results):
-        pairwise[(a.method, a.method)] = 1.0
-        cross[(a.method, a.method)] = 0
-        for j, b in enumerate(results[i + 1:], start=i + 1):
-            r = pearson(values[:, i], values[:, j])
-            n = crossings(a.ranking, b.ranking)
-            pairwise[(a.method, b.method)] = pairwise[(b.method, a.method)] = r
-            cross[(a.method, b.method)] = cross[(b.method, a.method)] = n
-    stats = {m: describe(values[:, j]) for j, m in enumerate(methods)}
-    rankings = {result.method: result.ranking for result in results}
-    return ComparisonReport(
-        methods=methods,
-        regions=regions,
-        values=values,
-        pairwise_r=pairwise,
-        per_method_stats=stats,
-        rankings=rankings,
-        crossings=cross,
-    )
+    r = np.eye(len(names))
+    cross = np.zeros_like(r, dtype=np.int64)
+    for i, j in combinations(range(len(names)), 2):
+        r[i, j] = r[j, i] = pearson(by_column[i], by_column[j])
+        cross[i, j] = cross[j, i] = crossings(results[i].ranking, results[j].ranking)
+    for array in (by_column, r, cross):
+        array.setflags(write=False)
+    rankings = tuple(result.ranking for result in results)
+    return ComparisonReport(names, regions, by_column.T, r, cross, stats, rankings)
 
 
 # -- artifact writers --------------------------------------------------------
 
 def write_report_json(report: ComparisonReport, path: str | Path) -> None:
+    names = report.names
+    pairs = [f"{a}:{b}" for a in names for b in names]
     payload = {
-        "methods": [m.value for m in report.methods],
+        "methods": list(names),
         "regions": list(report.regions),
-        "pairwise_r": {
-            f"{a.value}:{b.value}": report.pairwise_r[(a, b)]
-            for a in report.methods
-            for b in report.methods
-        },
-        "crossings": {
-            f"{a.value}:{b.value}": report.crossings[(a, b)]
-            for a in report.methods
-            for b in report.methods
-        },
-        "per_method_stats": {
-            m.value: vars(report.per_method_stats[m]) for m in report.methods
-        },
-        "rankings": {m.value: list(report.rankings[m]) for m in report.methods},
+        "pairwise_r": dict(zip(pairs, report.r.ravel().tolist())),
+        "crossings": dict(zip(pairs, report.crossings.ravel().tolist())),
+        "per_method_stats": dict(zip(names, map(vars, report.stats))),
+        "rankings": dict(zip(names, map(list, report.rankings))),
     }
     write_json(payload, path)
 
 
 def write_report_csv(report: ComparisonReport, path: str | Path) -> None:
     """Tabular report: one correlation block, one stats block, one ranking block."""
-    methods, n = report.methods, len(report.regions)
-    names = [m.value for m in methods]
+    names, n = list(report.names), len(report.regions)
     stats = ("min", "q1", "median", "q3", "max", "iqr", "mean", "sd")
     blocks = ["pearson"] * len(names) + ["crossings"] * len(names) + ["stats"] * len(stats)
     keys = names + names + list(stats) + [str(rank) for rank in range(1, n + 1)]
     columns = [
-        [f"{report.pairwise_r[(a, b)]:.6f}" for a in methods]
-        + [str(report.crossings[(a, b)]) for a in methods]
-        + [f"{getattr(report.per_method_stats[b], name):.6f}" for name in stats]
-        + list(report.rankings[b])
-        for b in methods
+        [f"{r:.6f}" for r in r_column]
+        + list(map(str, crossings_column))
+        + [f"{getattr(column_stats, name):.6f}" for name in stats]
+        + list(ranking)
+        for r_column, crossings_column, column_stats, ranking in zip(
+            report.r.T.tolist(), report.crossings.T.tolist(), report.stats, report.rankings
+        )
     ]
     headed = [("block", blocks + ["ranking"] * n), ("key", keys), *zip(names, columns)]
     write_csv([(name, "%s", column) for name, column in headed], path)
@@ -266,11 +249,11 @@ def write_report_csv(report: ComparisonReport, path: str | Path) -> None:
 
 def write_parallel_csv(report: ComparisonReport, path: str | Path) -> None:
     """Polyline vertices: one row per (region, method axis) pair."""
-    n_axes, n = len(report.methods), len(report.regions)
+    n_axes, n = len(report.names), len(report.regions)
     write_csv(
         [
             ("region", "%s", [region for region in report.regions for _ in range(n_axes)]),
-            ("method", "%s", [m.value for m in report.methods] * n),
+            ("method", "%s", list(report.names) * n),
             ("axis", "%d", list(range(n_axes)) * n),
             ("value", "%.9f", report.values.ravel().tolist()),  # row-major: region by region
         ],
@@ -280,11 +263,11 @@ def write_parallel_csv(report: ComparisonReport, path: str | Path) -> None:
 
 def write_scatter_csv(report: ComparisonReport, path: str | Path) -> None:
     """Point sets for every unordered method pair (scatter-matrix data)."""
-    x, y = map(list, zip(*combinations(range(len(report.methods)), 2)))
+    x, y = map(list, zip(*combinations(range(len(report.names)), 2)))
     write_csv(
         [
-            ("method_x", "%s", [report.methods[i].value for i in x for _ in report.regions]),
-            ("method_y", "%s", [report.methods[j].value for j in y for _ in report.regions]),
+            ("method_x", "%s", [report.names[i] for i in x for _ in report.regions]),
+            ("method_y", "%s", [report.names[j] for j in y for _ in report.regions]),
             ("region", "%s", list(report.regions) * len(x)),
             ("x", "%.6f", report.values[:, x].T.ravel().tolist()),
             ("y", "%.6f", report.values[:, y].T.ravel().tolist()),
@@ -304,7 +287,7 @@ _POLYLINE_COLORS = (
 
 def write_parallel_svg(report: ComparisonReport, path: str | Path) -> None:
     """Emit a minimal static parallel-coordinates SVG (axes, polylines, labels)."""
-    n_axes = len(report.methods)
+    n_axes = len(report.names)
     inner_w = _SVG_WIDTH - 2 * _SVG_MARGIN
     inner_h = _SVG_HEIGHT - 2 * _SVG_MARGIN
     xs = [_SVG_MARGIN + inner_w * axis / (n_axes - 1) for axis in range(n_axes)]
@@ -317,14 +300,14 @@ def write_parallel_svg(report: ComparisonReport, path: str | Path) -> None:
         f'height="{_SVG_HEIGHT}" viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
         f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
     ]
-    for x, method in zip(xs, report.methods):
+    for x, name in zip(xs, report.names):
         parts.append(
             f'<line x1="{x:.2f}" y1="{y_at(1.0):.2f}" x2="{x:.2f}" y2="{y_at(0.0):.2f}" '
             'stroke="#333333" stroke-width="1"/>'
         )
         parts.append(
             f'<text x="{x:.2f}" y="{y_at(0.0) + 24:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{method.value}</text>'
+            f'font-family="sans-serif" font-size="13">{name}</text>'
         )
         for tick in (0.0, 1.0):
             parts.append(

@@ -9,7 +9,6 @@ import pty
 import subprocess
 import sys
 import tempfile
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -474,7 +473,7 @@ class TestCompare:
         out = tmp_path / "cmp"
         assert run(["compare", "--published", str(bad), "--out", str(out)]) == 2
         errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error (")]
-        assert errors == [f"error (validation): {message}"]
+        assert errors == [f"error (validation): {bad}: {message}"]
         assert not out.exists()
 
     def test_computed_full_report(self, tmp_path):
@@ -497,6 +496,33 @@ class TestReport:
         assert code == 0
         for name in ("abreu.csv", "pca_audit.json", "report.json", "parallel.svg"):
             assert (out / name).exists()
+
+    def test_constant_index_named_exit_2(self, tmp_path, capsys):
+        """Each of three regions is worst on every indicator of its own pillar, so
+        every abreu raw value is 0 and its rescaled column is constant."""
+        spec = {row[0]: (row[2], row[3]) for row in BUNDLED_MANIFEST_ROWS[1:]}
+        zeroed = ("Population", "SocialWelfare", "Economy")
+        rows = [BUNDLED_DATA_ROWS[0]]
+        for k, own in enumerate(zeroed):
+            row = [f"R{k}"]
+            for indicator in BUNDLED_DATA_ROWS[0][1:]:
+                pillar, direction = spec[indicator]
+                if pillar not in zeroed:
+                    row.append(str(k + 1))
+                elif pillar == own:
+                    row.append("1" if direction == "benefit" else "3")
+                else:
+                    row.append("2")
+            rows.append(row)
+        data = tmp_path / "flat.csv"
+        _write_rows(data, rows)
+        out = tmp_path / "all"
+        assert run(["report", "--data", str(data), "--out", str(out)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error (")]
+        assert errors == [
+            "error (validation): index 'abreu' is constant; its correlation is undefined"
+        ]
+        assert not out.exists()
 
     def test_bundled_artifacts_match_golden_bytes(self, tmp_path):
         out = tmp_path / "all"
@@ -850,12 +876,18 @@ SCALINGS = st.dictionaries(
 )
 
 
-def test_power_of_two_scaling_and_direction_flips_change_no_index_byte(bundled_report, eu_rows):
+@pytest.fixture(scope="module")
+def eu_report(eu_rows) -> dict[str, object]:
+    return _report_on(eu_rows, BUNDLED_MANIFEST_ROWS)
+
+
+def test_power_of_two_scaling_and_direction_flips_change_no_index_byte(
+    bundled_report, eu_rows, eu_report
+):
     """Scaling a raw column by 2**e, and negating it while flipping its manifest
     direction, are exact under min-max scaling: every artifact but
     normalization.csv (raw extremes and directions) keeps its bytes, on the
     bundled inputs (60 examples) and on the EU-scale table (15)."""
-    eu_report = _report_on(eu_rows, BUNDLED_MANIFEST_ROWS)
     for data_rows, base, examples in ((BUNDLED_DATA_ROWS, bundled_report, 60),
                                       (eu_rows, eu_report, 15)):
 
@@ -887,26 +919,27 @@ def test_power_of_two_scaling_and_direction_flips_change_no_index_byte(bundled_r
 NEAR = 1e-12
 
 
-def _assert_same_indexes(artifacts: dict[str, object], bundled_report: dict[str, object]) -> None:
-    """Every value of the three <method>.json files within NEAR of the bundled run's,
+def _assert_same_indexes(artifacts: dict[str, object], base_report: dict[str, object]) -> None:
+    """Every value of the three <method>.json files within NEAR of the base run's,
     by region label; the rankings agree but for the order of two values within NEAR.
 
     ``pca_audit.json`` is left out: its sign flips record the solver's raw
     signs, which a permuted input may change.
     """
     for method in ("abreu", "delphi", "pca"):
-        base = json.loads(bundled_report[f"{method}.json"])
+        base = json.loads(base_report[f"{method}.json"])
         got = json.loads(artifacts[f"{method}.json"])
         for key in ("raw_index", "rescaled_index"):
             assert got[key].keys() == base[key].keys()
             for region, value in base[key].items():
                 assert abs(got[key][region] - value) <= NEAR, (method, key, region)
         assert sorted(got["ranking"]) == sorted(base["ranking"])
+        # Each pair that the two rankings order oppositely, base ranking order first.
         position = {region: i for i, region in enumerate(got["ranking"])}
-        values = base["rescaled_index"]
-        for a, b in combinations(base["ranking"], 2):
-            if position[a] > position[b]:
-                assert abs(values[a] - values[b]) <= NEAR, (method, a, b)
+        moved = np.array([position[region] for region in base["ranking"]])
+        values = np.array([base["rescaled_index"][region] for region in base["ranking"]])
+        a, b = np.nonzero(np.triu(moved[:, None] > moved[None, :], k=1))
+        assert (np.abs(values[a] - values[b]) <= NEAR).all(), (method, a, b)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -934,3 +967,28 @@ def test_permuting_indicators_within_a_pillar_moves_no_index_value(bundled_repor
     rows = [[row[j] for j in columns] for row in BUNDLED_DATA_ROWS]
     event(f"{sum(a != row[0] for a, row in zip(order, BUNDLED_MANIFEST_ROWS[1:]))} moved")
     _assert_same_indexes(_report_on(rows, manifest), bundled_report)
+
+
+#: EU-scale examples of each permutation relation: each report run on the
+#: 1,200 x 25 table takes about a tenth of a second.
+EU_PERMUTATIONS = 12
+
+
+@pytest.mark.parametrize("seed", range(EU_PERMUTATIONS))
+def test_permuting_the_eu_regions_moves_no_index_value(eu_rows, eu_report, seed):
+    order = np.random.default_rng(seed).permutation(len(eu_rows) - 1)
+    rows = [eu_rows[0], *(eu_rows[1 + i] for i in order)]
+    _assert_same_indexes(_report_on(rows, BUNDLED_MANIFEST_ROWS), eu_report)
+
+
+@pytest.mark.parametrize("seed", range(EU_PERMUTATIONS))
+def test_permuting_eu_indicators_within_a_pillar_moves_no_index_value(eu_rows, eu_report, seed):
+    """The manifest rows and the data columns of each pillar, permuted together."""
+    rng = np.random.default_rng(seed)
+    slots = {pillar: iter(rng.permutation(ids).tolist()) for pillar, ids in PILLAR_IDS.items()}
+    order = [next(slots[Pillar(row[2])]) for row in BUNDLED_MANIFEST_ROWS[1:]]
+    manifest_row = {row[0]: row for row in BUNDLED_MANIFEST_ROWS[1:]}
+    manifest = [BUNDLED_MANIFEST_ROWS[0], *(manifest_row[i] for i in order)]
+    columns = [0, *(eu_rows[0].index(i) for i in order)]
+    rows = [[row[j] for j in columns] for row in eu_rows]
+    _assert_same_indexes(_report_on(rows, manifest), eu_report)

@@ -19,7 +19,7 @@ from indexforge.errors import (
     RegionSetMismatchError,
     TooShortError,
 )
-from indexforge.model import Method
+from indexforge.model import IndexResult, Method
 from indexforge.stats import (
     build_comparison,
     crossings,
@@ -171,7 +171,8 @@ class TestRankTable:
         )
 
     def test_reference_pca_puts_coimbra_fifth(self, reference_triple):
-        pca_order = build_comparison(reference_triple).rankings[Method.PCA]
+        report = build_comparison(reference_triple)
+        pca_order = report.rankings[report.names.index("pca")]
         assert pca_order.index("Região de Coimbra") == 4
         assert pca_order.index("Alto Minho") == 3
 
@@ -287,9 +288,13 @@ class TestCrossings:
 class TestComparisonReport:
     def test_pairwise_block(self, reference_triple):
         report = build_comparison(reference_triple)
-        assert report.r(Method.ABREU, Method.ABREU) == 1.0
-        assert report.r(Method.ABREU, Method.DELPHI) == report.r(Method.DELPHI, Method.ABREU)
-        assert report.r(Method.ABREU, Method.DELPHI) == pytest.approx(0.96, abs=0.005)
+        assert report.names == ("abreu", "delphi", "pca")
+        abreu, delphi = report.names.index("abreu"), report.names.index("delphi")
+        assert report.r[abreu, abreu] == 1.0
+        assert report.r[abreu, delphi] == report.r[delphi, abreu]
+        assert report.r[abreu, delphi] == pytest.approx(0.96, abs=0.005)
+        with pytest.raises(ValueError):
+            report.r[abreu, delphi] = 0.0
 
     def test_needs_two_methods(self, reference_triple):
         with pytest.raises(FewerThanTwoMethodsError):
@@ -305,11 +310,20 @@ class TestComparisonReport:
         monkeypatch.setattr(stats, "crossings", counting_crossings)
         report = build_comparison(reference_triple)
         assert len(calls) == 3
-        for a in report.methods:
-            for b in report.methods:
-                assert report.crossings[(a, b)] == report.crossings[(b, a)]
-                assert report.pairwise_r[(a, b)] == report.pairwise_r[(b, a)]
-        assert report.crossings[(Method.ABREU, Method.PCA)] == 5
+        assert (report.crossings == report.crossings.T).all()
+        assert (report.r == report.r.T).all()
+        assert report.crossings[report.names.index("abreu"), report.names.index("pca")] == 5
+        with pytest.raises(ValueError):
+            report.crossings[0, 1] = 0
+
+    def test_constant_column_named_before_any_pair(self, reference_triple, monkeypatch):
+        regions = reference_triple[0].regions
+        flat = IndexResult(Method.ABREU, regions, [0.0] * 9, [0.5] * 9, tuple(sorted(regions)))
+        pairs = []
+        monkeypatch.setattr(stats, "pearson", lambda x, y: pairs.append((x, y)) or 0.0)
+        with pytest.raises(ConstantVectorError, match="index 'abreu' is constant"):
+            build_comparison([reference_triple[1], reference_triple[2], flat])
+        assert pairs == []
 
     def test_report_files(self, tmp_path, reference_triple):
         report = build_comparison(reference_triple)
@@ -322,6 +336,31 @@ class TestComparisonReport:
         assert payload["per_method_stats"]["delphi"]["iqr"] == pytest.approx(0.73, abs=1e-9)
         lines = (tmp_path / "report.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "block,key,abreu,delphi,pca"
+
+
+#: The engine's fit to the published Table 3 on the bundled data, per method:
+#: max abs diff (and its region), mean abs diff, discordant pairs, Pearson r.
+#: Table 3 prints two decimals, so 0.005 is all that rounding explains; the
+#: README section "Where the engine differs from Table 3" discusses the rest.
+TABLE3_FIT = {
+    Method.ABREU: (0.004665, "Alto Alentejo", 0.002065, 0, 0.999976),
+    Method.DELPHI: (0.015245, "Algarve", 0.005555, 0, 0.999895),
+    Method.PCA: (0.301606, "Região de Coimbra", 0.101771, 3, 0.930108),
+}
+
+
+@pytest.mark.parametrize("method", list(TABLE3_FIT), ids=lambda m: m.value)
+def test_table3_fit_card(results_all, reference_results, method):
+    engine, published = results_all[0][method], reference_results[method]
+    max_diff, worst, mean_diff, discordant, r = TABLE3_FIT[method]
+    diff = np.abs(engine.rescaled - published.rescaled_vector(engine.regions))
+    assert diff.max() == pytest.approx(max_diff, abs=5e-5)
+    assert engine.regions[int(diff.argmax())] == worst
+    assert diff.mean() == pytest.approx(mean_diff, abs=5e-5)
+    assert crossings(engine.ranking, published.ranking) == discordant
+    assert pearson(engine.rescaled, published.rescaled_vector(engine.regions)) == pytest.approx(
+        r, abs=5e-5
+    )
 
 
 def read_polylines(path):
@@ -377,19 +416,20 @@ def test_scatter_csv(tmp_path, reference_triple):
 # a time from the results' region -> value views.
 
 def reference_report_json(report):
+    names = report.names
     payload = {
-        "methods": [m.value for m in report.methods],
+        "methods": list(names),
         "regions": list(report.regions),
         "pairwise_r": {
-            f"{a.value}:{b.value}": report.pairwise_r[(a, b)]
-            for a in report.methods for b in report.methods
+            f"{a}:{b}": float(report.r[i, j])
+            for i, a in enumerate(names) for j, b in enumerate(names)
         },
         "crossings": {
-            f"{a.value}:{b.value}": report.crossings[(a, b)]
-            for a in report.methods for b in report.methods
+            f"{a}:{b}": int(report.crossings[i, j])
+            for i, a in enumerate(names) for j, b in enumerate(names)
         },
-        "per_method_stats": {m.value: vars(report.per_method_stats[m]) for m in report.methods},
-        "rankings": {m.value: list(report.rankings[m]) for m in report.methods},
+        "per_method_stats": {name: vars(s) for name, s in zip(names, report.stats)},
+        "rankings": {name: list(ranking) for name, ranking in zip(names, report.rankings)},
     }
     return json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
 
@@ -397,23 +437,17 @@ def reference_report_json(report):
 def reference_report_csv(report):
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["block", "key"] + [m.value for m in report.methods])
-    for a in report.methods:
-        writer.writerow(
-            ["pearson", a.value] + [f"{report.pairwise_r[(a, b)]:.6f}" for b in report.methods]
-        )
-    for a in report.methods:
-        writer.writerow(
-            ["crossings", a.value] + [str(report.crossings[(a, b)]) for b in report.methods]
-        )
+    names, k = report.names, len(report.names)
+    writer.writerow(["block", "key", *names])
+    for i, a in enumerate(names):
+        writer.writerow(["pearson", a] + [f"{report.r[i, j]:.6f}" for j in range(k)])
+    for i, a in enumerate(names):
+        writer.writerow(["crossings", a] + [str(report.crossings[i, j]) for j in range(k)])
     for name in ["min", "q1", "median", "q3", "max", "iqr", "mean", "sd"]:
-        writer.writerow(
-            ["stats", name]
-            + [f"{getattr(report.per_method_stats[m], name):.6f}" for m in report.methods]
-        )
+        writer.writerow(["stats", name] + [f"{getattr(s, name):.6f}" for s in report.stats])
     for position in range(len(report.regions)):
         writer.writerow(
-            ["ranking", str(position + 1)] + [report.rankings[m][position] for m in report.methods]
+            ["ranking", str(position + 1)] + [ranking[position] for ranking in report.rankings]
         )
     return out.getvalue()
 
