@@ -28,21 +28,11 @@ from .model import (
     IndicatorMatrix,
     Manifest,
     Method,
-    Pillar,
     Stage,
     WeightScheme,
     build_weight_scheme,
 )
 from .normalize import normalize_column
-
-#: Default pillar weighting for the weighted-mean method, as elicited from
-#: an expert panel (percentages; renormalized because they sum to 99.6).
-DEFAULT_PILLAR_WEIGHTS: dict[Pillar, float] = {
-    Pillar.ECONOMY: 28.4,
-    Pillar.SOCIAL_WELFARE: 26.2,
-    Pillar.ENVIRONMENT: 24.0,
-    Pillar.POPULATION: 21.0,
-}
 
 
 def pillar_arithmetic_means(matrix: IndicatorMatrix, manifest: Manifest) -> np.ndarray:
@@ -137,17 +127,15 @@ def compute_delphi(
 
     raw(region) = sum over pillars of pillar_weight *
     sum over the pillar's indicators of indicator_weight * value.
+    ``weights`` defaults to the panel weighting, ``build_weight_scheme(manifest)``.
     """
     if matrix.stage is not Stage.NORMALIZED:
         raise ValueError("the weighted index is defined on a normalized matrix")
-    if weights is None:
-        weights = build_weight_scheme(manifest, pillar_weights=DEFAULT_PILLAR_WEIGHTS)
-    unknown = set(weights.indicator_weights) - set(manifest.ids)
-    if unknown:
-        raise WeightManifestMismatchError(unknown)
-    missing = set(manifest.ids) - set(weights.indicator_weights)
-    if missing:
-        raise WeightManifestMismatchError(missing)
+    weights = build_weight_scheme(manifest) if weights is None else weights
+    differing = set(weights.indicator_weights) ^ set(manifest.ids)
+    differing |= set(weights.pillar_weights) ^ set(PILLARS)
+    if differing:
+        raise WeightManifestMismatchError(differing)
 
     # Flatten the two weight levels: each column weighs pillar_w * indicator_w.
     flat = np.array(

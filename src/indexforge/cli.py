@@ -14,6 +14,7 @@ six-decimal format and JSON is written with sorted keys.
 from __future__ import annotations
 
 import argparse
+import filecmp
 import json
 import sys
 import warnings
@@ -72,8 +73,9 @@ def _load_inputs(args) -> tuple[Manifest, IndicatorMatrix]:
 
 
 def _is_bundled_dataset(args) -> bool:
+    files = zip((args.data, args.manifest), (datasets.DATASET_FILE, datasets.MANIFEST_FILE))
     try:
-        return Path(args.data).resolve() == datasets.data_path(datasets.DATASET_FILE).resolve()
+        return all(filecmp.cmp(f, datasets.data_path(name), shallow=False) for f, name in files)
     except OSError:
         return False
 

@@ -48,15 +48,14 @@ class AllZeroWeightsError(CompositeIndexError):
 
 
 class WeightFormatError(CompositeIndexError):
-    """Malformed weight override file (header, scope, pillar name or weight)."""
+    """Malformed weight override: a file's header, scope, row or weight, or an unknown pillar."""
 
 
 class WeightManifestMismatchError(CompositeIndexError):
     def __init__(self, unknown_ids):
         self.unknown_ids = tuple(unknown_ids)
         super().__init__(
-            "weight scheme references unknown indicators: "
-            + ", ".join(sorted(self.unknown_ids))
+            "weight scheme and manifest differ on: " + ", ".join(sorted(self.unknown_ids))
         )
 
 

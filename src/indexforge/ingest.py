@@ -158,8 +158,8 @@ def parse_manifest(path: str | Path) -> Manifest:
 def parse_weights(path: str | Path, manifest: Manifest) -> WeightScheme:
     """Load a weight override CSV (columns scope,id,weight; scope pillar|indicator).
 
-    Each pillar or indicator may be listed once; ``build_weight_scheme``
-    checks the weights and renormalizes them against ``manifest``.
+    Each pillar or indicator may be listed once; ``build_weight_scheme`` checks and
+    renormalizes the rest, so a file with no pillar row keeps the panel pillar weights.
     """
     weights: dict[str, dict] = {"pillar": {}, "indicator": {}}  # by scope, then key
     with open_input(Path(path)) as handle:
@@ -176,13 +176,9 @@ def parse_weights(path: str | Path, manifest: Manifest) -> WeightScheme:
                 ) from None
             if scope not in weights:
                 raise WeightFormatError(f"unknown weight scope {scope_text!r}")
-            try:
-                key = Pillar(target) if scope == "pillar" else target
-            except ValueError:
-                raise WeightFormatError(f"unknown pillar {target!r}") from None
-            if key in weights[scope]:
+            if target in weights[scope]:
                 raise WeightFormatError(f"{scope} {target!r} is listed more than once")
-            weights[scope][key] = weight
+            weights[scope][target] = weight
     return build_weight_scheme(manifest, weights["pillar"] or None, weights["indicator"] or None)
 
 

@@ -23,6 +23,7 @@ from .errors import (
     EmptyPillarError,
     NegativeWeightError,
     NonFiniteWeightError,
+    WeightFormatError,
     WeightManifestMismatchError,
 )
 
@@ -41,6 +42,15 @@ PILLARS: tuple[Pillar, ...] = (
     Pillar.ECONOMY,
     Pillar.ENVIRONMENT,
 )
+
+#: Default pillar weighting for the weighted-mean method, as elicited from
+#: an expert panel (percentages; renormalized because they sum to 99.6).
+DEFAULT_PILLAR_WEIGHTS: dict[Pillar, float] = {
+    Pillar.ECONOMY: 28.4,
+    Pillar.SOCIAL_WELFARE: 26.2,
+    Pillar.ENVIRONMENT: 24.0,
+    Pillar.POPULATION: 21.0,
+}
 
 
 class Direction(str, Enum):
@@ -134,8 +144,8 @@ def _check_weight(name: str, weight: float, scope: str = "indicator") -> None:
 class WeightScheme:
     """Two-level weights: across pillars, and across indicators within a pillar.
 
-    Both levels are renormalized at construction time: pillar weights sum
-    to 1, and the indicator weights of each pillar sum to 1.
+    ``build_weight_scheme`` renormalizes both levels (pillar weights sum to 1,
+    and so do each pillar's indicator weights); construction checks nothing.
     """
 
     pillar_weights: Mapping[Pillar, float]
@@ -144,24 +154,28 @@ class WeightScheme:
 
 def build_weight_scheme(
     manifest: Manifest,
-    pillar_weights: Mapping[Pillar, float] | None = None,
+    pillar_weights: Mapping[Pillar | str, float] | None = None,
     indicator_weights: Mapping[str, float] | None = None,
 ) -> WeightScheme:
     """Renormalize raw weight inputs into a valid WeightScheme.
 
-    ``pillar_weights`` may be on any positive scale (percentages, counts,
-    fractions); they are divided by their sum. Passing None weighs every
-    pillar equally; in an explicit map, a pillar left out gets weight 0.
-    ``indicator_weights`` override the manifest's per-indicator weights for
-    the listed ids; each pillar's indicator weights are then renormalized
-    to sum to 1 within the pillar.
+    ``pillar_weights`` maps a Pillar or its name to a weight on any positive
+    scale; they are divided by their sum. None means DEFAULT_PILLAR_WEIGHTS, so
+    ``build_weight_scheme(manifest)`` is the expert panel's weighting and equal
+    weights are ``{p: 1 for p in PILLARS}``. In an explicit map, a pillar left
+    out gets weight 0, and a key that names no pillar raises WeightFormatError.
+    ``indicator_weights`` override the manifest's per-indicator weights for the
+    listed ids; each pillar's indicator weights are then renormalized to sum to 1.
     """
-    if pillar_weights is None:
-        raw_pillar = {pillar: 1.0 for pillar in PILLARS}
-    else:
-        raw_pillar = {pillar: float(pillar_weights.get(pillar, 0.0)) for pillar in PILLARS}
-    for pillar, value in raw_pillar.items():
-        _check_weight(pillar.value, value, "pillar")
+    pillar_weights = DEFAULT_PILLAR_WEIGHTS if pillar_weights is None else pillar_weights
+    raw_pillar = dict.fromkeys(PILLARS, 0.0)
+    for key, value in pillar_weights.items():
+        try:
+            pillar = Pillar(key)
+        except ValueError:
+            raise WeightFormatError(f"unknown pillar {key!r}") from None
+        raw_pillar[pillar] = float(value)
+        _check_weight(pillar.value, raw_pillar[pillar], "pillar")
     total = sum(raw_pillar.values())
     if total <= 0:
         raise AllZeroWeightsError("pillars")

@@ -27,6 +27,7 @@ from indexforge.model import (
     Method,
     Pillar,
     Stage,
+    WeightScheme,
     build_weight_scheme,
     validate_manifest,
 )
@@ -423,8 +424,19 @@ class TestComputeDelphi:
             + [IndicatorSpec(id="extra", label="", pillar=Pillar.ECONOMY)]
         )
         scheme = build_weight_scheme(bigger)
-        with pytest.raises(WeightManifestMismatchError):
+        with pytest.raises(WeightManifestMismatchError, match="differ on: extra$"):
             compute_delphi(norm_matrix, manifest, scheme)
+
+    def test_scheme_without_a_pillar_rejected(self, norm_matrix, manifest):
+        full = build_weight_scheme(manifest)
+        pillars = {p: w for p, w in full.pillar_weights.items() if p is not Pillar.POPULATION}
+        scheme = WeightScheme(pillars, full.indicator_weights)
+        with pytest.raises(WeightManifestMismatchError, match="differ on: Population$"):
+            compute_delphi(norm_matrix, manifest, scheme)
+
+    def test_default_weights_are_build_weight_scheme(self, norm_matrix, manifest):
+        explicit = compute_delphi(norm_matrix, manifest, build_weight_scheme(manifest))
+        assert explicit.raw.tobytes() == compute_delphi(norm_matrix, manifest).raw.tobytes()
 
 
 class TestIndexWriters:

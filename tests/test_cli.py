@@ -256,6 +256,20 @@ class TestCompute:
         run(["compute", "--methods", "delphi", "--out", str(out2), "--weights", str(scaled)])
         assert (out1 / "delphi.csv").read_bytes() == (out2 / "delphi.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "rows", ["", "indicator,DmgDep,1\n"], ids=["header-only", "indicator-row-only"]
+    )
+    def test_weights_without_pillar_rows_keep_the_panel(self, tmp_path, rows):
+        """A file with no pillar row gives the bytes of a run without --weights."""
+        weights = tmp_path / "weights.csv"
+        weights.write_text(f"scope,id,weight\n{rows}", encoding="utf-8")
+        plain, weighted = tmp_path / "plain", tmp_path / "weighted"
+        assert run(["compute", "--methods", "delphi", "--out", str(plain)]) == 0
+        assert run(["compute", "--methods", "delphi", "--out", str(weighted),
+                    "--weights", str(weights)]) == 0
+        for name in ("delphi.csv", "delphi.json"):
+            assert (weighted / name).read_bytes() == (plain / name).read_bytes(), name
+
     def test_determinism_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         run(["compute", "--methods", "all", "--out", str(out1)])
@@ -532,6 +546,24 @@ class TestReport:
         assert sorted(p.name for p in out.iterdir()) == golden
         for name in golden:
             assert (out / name).read_bytes() == (GOLDEN_REPORT / name).read_bytes(), name
+
+    @pytest.mark.parametrize("manifest_tail, noted", [("", True), ("\n", False)],
+                             ids=["byte-identical-copies", "manifest-differs"])
+    def test_bundled_input_matched_by_content(self, tmp_path, manifest_tail, noted):
+        """Copies of the packaged data and manifest get the profile notes of the
+        default run; a manifest one trailing newline longer gets none."""
+        data, manifest = tmp_path / "nuts3.csv", tmp_path / "manifest.csv"
+        data.write_bytes(Path(FIXTURE_DATA).read_bytes())
+        manifest.write_bytes(Path(FIXTURE_MANIFEST).read_bytes() + manifest_tail.encode())
+        default, copied = tmp_path / "default", tmp_path / "copied"
+        assert run(["report", "--out", str(default)]) == 0
+        assert run(["report", "--data", str(data), "--manifest", str(manifest),
+                    "--out", str(copied)]) == 0
+        audit = (copied / "pca_audit.json").read_bytes()
+        if noted:
+            assert audit == (default / "pca_audit.json").read_bytes()
+        else:
+            assert json.loads(audit)["notes"] == []
 
     def test_single_pass(self, tmp_path, monkeypatch):
         calls = {}
@@ -830,8 +862,8 @@ FLIPPED_DIRECTION = {"benefit": "cost", "cost": "benefit"}
 def _report_artifacts(out: Path) -> dict[str, object]:
     """The bytes of each artifact of a report run, ``pca_audit.json`` parsed and without notes.
 
-    ``cli._is_bundled_dataset`` matches the input by path, so only a run on the
-    bundled file itself gets the profile notes.
+    ``cli._is_bundled_dataset`` matches the input by content, so only a run on
+    the bytes of the bundled data and manifest gets the profile notes.
     """
     artifacts: dict[str, object] = {p.name: p.read_bytes() for p in out.iterdir()}
     audit = json.loads(artifacts["pca_audit.json"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from indexforge.model import (
+    DEFAULT_PILLAR_WEIGHTS,
     PILLARS,
     Direction,
     IndexResult,
@@ -21,6 +22,7 @@ from indexforge.errors import (
     EmptyPillarError,
     NegativeWeightError,
     NonFiniteWeightError,
+    WeightFormatError,
     WeightManifestMismatchError,
 )
 
@@ -165,6 +167,14 @@ class TestBuildWeightScheme:
         with pytest.raises(NonFiniteWeightError, match=message) as exc_info:
             build_weight_scheme(small_manifest(), indicator_weights={"i1": float("inf")})
         assert (exc_info.value.scope, exc_info.value.name) == ("indicator", "i1")
+
+    def test_no_pillar_weights_is_the_panel(self, manifest):
+        assert build_weight_scheme(manifest) == build_weight_scheme(manifest, DEFAULT_PILLAR_WEIGHTS)
+
+    def test_unknown_pillar_rejected(self, manifest):
+        weights = {"Economy": 28.4, "SocialWelfare": 26.2, "Enviroment": 24.0, "Population": 21.0}
+        with pytest.raises(WeightFormatError, match="^unknown pillar 'Enviroment'$"):
+            build_weight_scheme(manifest, weights)
 
     def test_unknown_indicator_override_rejected(self):
         with pytest.raises(WeightManifestMismatchError):
