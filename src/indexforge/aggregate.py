@@ -177,8 +177,8 @@ def _label_order(regions: tuple[str, ...]) -> tuple[np.ndarray, tuple[str, ...]]
 def write_index_json(result: IndexResult, path: str | Path) -> None:
     """Write one method's index as JSON (method, ranking, raw and rescaled by region).
 
-    The two per-region mappings are built in label order, which ``write_json``
-    lays out without sorting them again.
+    The two per-region mappings are built in label order, so the JSON
+    encoder's key sort finds them sorted and takes one linear pass.
     """
     order, labels = _label_order(result.regions)
     write_json(

@@ -47,6 +47,12 @@ class AllZeroWeightsError(CompositeIndexError):
         super().__init__(f"all weights are zero in scope {scope!r}")
 
 
+class WeightSumOverflowError(CompositeIndexError):
+    def __init__(self, scope: str):
+        self.scope = scope
+        super().__init__(f"weights in scope {scope!r} sum beyond the float range")
+
+
 class WeightFormatError(CompositeIndexError):
     """Malformed weight override: a file's header, scope, row or weight, or an unknown pillar."""
 
@@ -138,6 +144,12 @@ class ConstantComponentError(CompositeIndexError):
     def __init__(self, name: str):
         self.name = name
         super().__init__(f"component column {name!r} is constant (max equals min)")
+
+
+class ColumnSpanOverflowError(CompositeIndexError):
+    def __init__(self, column: str):
+        self.column = column
+        super().__init__(f"column {column!r} spans beyond the float range (max - min overflows)")
 
 
 # -- aggregation -------------------------------------------------------------

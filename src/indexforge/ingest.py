@@ -19,14 +19,10 @@ non-ASCII digits); a body that cannot be read twice, from a pipe, goes to
 that loop alone. A JSON row is checked cell by cell only when its types
 are not all int and float.
 
-Every JSON file the package writes uses the sorted-key, two-space layout
-of ``write_json``. An innermost dict of finite floats whose str keys are
-already in ascending order is laid out in one ``%`` pass (key escaped as
-json escapes it, value as its ``repr``); any other innermost container,
-with unsorted keys, a nan or inf, or a value that is not an exact float,
-goes through the C JSON encoder. Every CSV artifact is laid out by
-``write_csv`` from whole columns in one ``%`` pass; a text cell holding a
-comma, quote or line break is quoted.
+Every JSON artifact is written by ``write_json``: the layout of sorted-key,
+two-space ``json.dumps``, one C-encoder pass per innermost container. Every
+CSV artifact is laid out by ``write_csv`` from whole columns in one ``%``
+pass; a text cell holding a comma, quote or line break is quoted.
 """
 
 from __future__ import annotations
@@ -37,13 +33,13 @@ from array import array
 from contextlib import contextmanager
 from functools import lru_cache
 from json.encoder import encode_basestring
-from math import isfinite
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import (
+    CompositeIndexError,
     DataFormatError,
     DuplicateRegionError,
     ExtraCellError,
@@ -160,26 +156,31 @@ def parse_weights(path: str | Path, manifest: Manifest) -> WeightScheme:
 
     Each pillar or indicator may be listed once; ``build_weight_scheme`` checks and
     renormalizes the rest, so a file with no pillar row keeps the panel pillar weights.
+    An error keeps its class, and its message starts with the path (FileEncodingError's too).
     """
     weights: dict[str, dict] = {"pillar": {}, "indicator": {}}  # by scope, then key
     with open_input(Path(path)) as handle:
-        header, rows = read_csv_input(handle, WeightFormatError, "weights file")
-        if header != WEIGHT_COLUMNS:
-            raise WeightFormatError(f"weights file header must be {','.join(WEIGHT_COLUMNS)}")
-        for scope_text, target, weight_text in rows:
-            scope = scope_text.strip().lower()
-            try:
-                weight = float(weight_text)
-            except ValueError:
-                raise WeightFormatError(
-                    f"non-numeric weight {weight_text!r} for {target!r}"
-                ) from None
-            if scope not in weights:
-                raise WeightFormatError(f"unknown weight scope {scope_text!r}")
-            if target in weights[scope]:
-                raise WeightFormatError(f"{scope} {target!r} is listed more than once")
-            weights[scope][target] = weight
-    return build_weight_scheme(manifest, weights["pillar"] or None, weights["indicator"] or None)
+        try:
+            header, rows = read_csv_input(handle, WeightFormatError, "weights file")
+            if header != WEIGHT_COLUMNS:
+                raise WeightFormatError(f"weights file header must be {','.join(WEIGHT_COLUMNS)}")
+            for scope_text, target, weight_text in rows:
+                scope = scope_text.strip().lower()
+                try:
+                    weight = float(weight_text)
+                except ValueError:
+                    raise WeightFormatError(
+                        f"non-numeric weight {weight_text!r} for {target!r}"
+                    ) from None
+                if scope not in weights:
+                    raise WeightFormatError(f"unknown weight scope {scope_text!r}")
+                if target in weights[scope]:
+                    raise WeightFormatError(f"{scope} {target!r} is listed more than once")
+                weights[scope][target] = weight
+            return build_weight_scheme(manifest, *(by_key or None for by_key in weights.values()))
+        except CompositeIndexError as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
 
 
 def _check_header(indicator_ids: Sequence[str], manifest: Manifest) -> None:
@@ -388,8 +389,6 @@ def _raise_json_cell_error(region: str, indicator_ids: Sequence[str], row: list)
 
 
 _JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
-_FLOATS = frozenset((float,))
-_STRINGS = frozenset((str,))
 
 
 @lru_cache(maxsize=None)
@@ -398,22 +397,6 @@ def _json_encoder(depth: int) -> json.JSONEncoder:
     return json.JSONEncoder(
         ensure_ascii=False, sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": ")
     )
-
-
-def _is_presorted_floats(value: dict) -> bool:
-    """Whether ``value`` maps str keys, already in ascending order, to finite floats.
-
-    Only exact ``str`` and ``float`` qualify: a float subclass (``np.float64``)
-    or a bool has a ``repr`` of its own.
-    """
-    if not _FLOATS.issuperset(map(type, value.values())):
-        return False
-    # A nan or inf term makes the sum non-finite too; a sum that overflows only
-    # sends finite values to the C encoder.
-    if not isfinite(sum(value.values())):
-        return False
-    keys = list(value)
-    return _STRINGS.issuperset(map(type, keys)) and keys == sorted(keys)
 
 
 def _json_key(key) -> str:
@@ -430,13 +413,6 @@ def _json_text(value, depth: int) -> str:
     if not isinstance(value, (list, tuple, dict)) or not value:
         return encoder.encode(value)
     inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-    if type(value) is dict and _is_presorted_floats(value):
-        # One % pass; json writes a finite float as its repr and escapes a key so.
-        cells = [None] * (2 * len(value))
-        cells[0::2] = map(encode_basestring, value)
-        cells[1::2] = value.values()
-        layout = "{" + inner + ("%s: %r," + inner) * (len(value) - 1) + "%s: %r" + outer + "}"
-        return layout % tuple(cells)
     items = value.values() if isinstance(value, dict) else value
     if _JSON_SCALARS.issuperset(map(type, items)):
         text = encoder.encode(value)  # one C pass for the whole innermost container
@@ -454,15 +430,9 @@ def write_json(payload: Mapping[str, object], path: str | Path) -> None:
 
     Containers nest to any depth. An object key is a str, or an int, float,
     bool or None, written as its JSON text in quotes as json writes it; any
-    other key raises TypeError. An innermost dict whose keys are ``str`` in
-    ascending order and whose values are all finite ``float`` (the
-    per-region index mappings) is laid out in one ``%`` pass, each key
-    escaped by ``json.encoder.encode_basestring`` and each value written as
-    its ``repr``; it is not sorted again. Every other
-    non-empty innermost container (unsorted keys, a nan or inf, an int, bool
-    or float subclass among the values, any non-float scalar) is encoded in
-    one pass of the C encoder, with the separators of its depth. Only the
-    containers above those are laid out in Python.
+    other key raises TypeError. Each non-empty innermost container is
+    encoded in one pass of the C encoder, with the separators of its depth;
+    only the containers above those are laid out in Python.
     """
     Path(path).write_text(_json_text(payload, 0) + "\n", encoding="utf-8")
 

@@ -25,6 +25,7 @@ from .errors import (
     NonFiniteWeightError,
     WeightFormatError,
     WeightManifestMismatchError,
+    WeightSumOverflowError,
 )
 
 
@@ -166,20 +167,17 @@ def build_weight_scheme(
     out gets weight 0, and a key that names no pillar raises WeightFormatError.
     ``indicator_weights`` override the manifest's per-indicator weights for the
     listed ids; each pillar's indicator weights are then renormalized to sum to 1.
+    A level whose weights sum beyond the float range raises WeightSumOverflowError.
     """
     pillar_weights = DEFAULT_PILLAR_WEIGHTS if pillar_weights is None else pillar_weights
-    raw_pillar = dict.fromkeys(PILLARS, 0.0)
+    raw_pillar = dict.fromkeys((pillar.value for pillar in PILLARS), 0.0)
     for key, value in pillar_weights.items():
         try:
-            pillar = Pillar(key)
+            name = Pillar(key).value
         except ValueError:
             raise WeightFormatError(f"unknown pillar {key!r}") from None
-        raw_pillar[pillar] = float(value)
-        _check_weight(pillar.value, raw_pillar[pillar], "pillar")
-    total = sum(raw_pillar.values())
-    if total <= 0:
-        raise AllZeroWeightsError("pillars")
-    normalized_pillar = {pillar: value / total for pillar, value in raw_pillar.items()}
+        raw_pillar[name] = float(value)
+    normalized_pillar = dict(zip(PILLARS, _shares(raw_pillar, "pillar", "pillars")))
 
     overrides = dict(indicator_weights or {})
     unknown = set(overrides) - set(manifest.ids)
@@ -188,19 +186,26 @@ def build_weight_scheme(
 
     normalized_indicator: dict[str, float] = {}
     for pillar in PILLARS:
-        ids = manifest.pillar_ids(pillar)
-        raw = {}
-        for indicator_id in ids:
-            value = float(overrides.get(indicator_id, manifest.spec(indicator_id).weight))
-            _check_weight(indicator_id, value)
-            raw[indicator_id] = value
-        subtotal = sum(raw.values())
-        if subtotal <= 0:
-            raise AllZeroWeightsError(pillar.value)
-        for indicator_id, value in raw.items():
-            normalized_indicator[indicator_id] = value / subtotal
+        raw = {
+            indicator_id: float(overrides.get(indicator_id, manifest.spec(indicator_id).weight))
+            for indicator_id in manifest.pillar_ids(pillar)
+        }
+        normalized_indicator.update(zip(raw, _shares(raw, "indicator", pillar.value)))
 
     return WeightScheme(pillar_weights=normalized_pillar, indicator_weights=normalized_indicator)
+
+
+def _shares(weights: Mapping[str, float], kind: str, scope: str) -> list[float]:
+    """Each of ``weights`` divided by their sum, in order. Each is checked as a ``kind``
+    weight; a sum that is zero or overflows raises an error naming ``scope``."""
+    for name, weight in weights.items():
+        _check_weight(name, weight, kind)
+    total = sum(weights.values())
+    if total <= 0:
+        raise AllZeroWeightsError(scope)
+    if not np.isfinite(total):
+        raise WeightSumOverflowError(scope)
+    return [weight / total for weight in weights.values()]
 
 
 class IndicatorMatrix:

@@ -13,7 +13,8 @@ column, so both give the same bytes for the same column. The kernel is the
 package's only min-max code: ``composite_indicator`` averages scaled
 component columns into a derived column, and ``aggregate.rescale_final``
 rescales each raw index through ``normalize_column``. The kernel alone
-rejects a column holding a nan or inf, with a ValueError naming it.
+rejects a column holding a nan or inf (ValueError) or one whose max - min
+overflows (ColumnSpanOverflowError), naming it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConstantComponentError
+from .errors import ColumnSpanOverflowError, ConstantComponentError
 from .ingest import write_csv
 from .model import Direction, IndicatorMatrix, Manifest, Stage
 
@@ -53,7 +54,8 @@ def _scale_columns(
     The one place the formulas live: benefit (x - min) / (max - min), cost
     (max - x) / (max - min), each element in exactly these IEEE operations;
     a constant column becomes 0.5 with a DegenerateColumnWarning, in column
-    order. The first column holding a nan or inf raises ValueError.
+    order. The first column holding a nan or inf raises ValueError, and the
+    first whose max - min overflows raises ColumnSpanOverflowError.
     """
     if values.shape[0] == 0:
         raise ValueError("cannot normalize an empty column")
@@ -62,11 +64,16 @@ def _scale_columns(
         raise ValueError(f"column {indicator_ids[int(bad.argmax())]!r} contains non-finite values")
     lo = values.min(axis=0)
     hi = values.max(axis=0)
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    overflow = np.isinf(span)
+    if overflow.any():
+        raise ColumnSpanOverflowError(indicator_ids[int(overflow.argmax())])
     degenerate = hi == lo
     cost = np.array([direction is Direction.COST for direction in directions], dtype=bool)
     scaled = values - lo
     scaled[:, cost] = hi[cost] - values[:, cost]
-    scaled /= np.where(degenerate, 1.0, hi - lo)
+    scaled /= np.where(degenerate, 1.0, span)
     scaled[:, degenerate] = 0.5
     records = [
         NormalizationRecord(*fields)
@@ -123,7 +130,8 @@ def composite_indicator(components: Mapping[str, Sequence[float]]) -> np.ndarray
     normalization later like any other indicator.
 
     Raises ConstantComponentError naming the first constant component before
-    anything is scaled, then ValueError naming one that holds a nan or inf.
+    anything is scaled, then ValueError naming one that holds a nan or inf,
+    or ColumnSpanOverflowError naming one whose max - min overflows.
     """
     if len(components) < 2:
         raise ValueError("need at least two component columns")

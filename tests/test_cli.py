@@ -301,7 +301,68 @@ class TestCompute:
         code = run(["compute", "--methods", "delphi", "--out", str(tmp_path / "out"),
                     "--weights", str(weights)])
         assert code == 2
-        assert expected in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error (validation): {weights}: ")
+        assert expected in err
+
+    @pytest.mark.parametrize(
+        "rows, scope",
+        [
+            ("indicator,DmgDep,1e308\nindicator,Pop65,1e308", "Population"),
+            ("pillar,Economy,1e308\npillar,Population,1e308", "pillars"),
+        ],
+        ids=["indicators", "pillars"],
+    )
+    def test_weight_sum_overflow_prints_one_error_line(self, tmp_path, rows, scope):
+        # In a fresh process, so that a warning would reach stderr, not pytest.
+        weights = tmp_path / "weights.csv"
+        weights.write_text(f"scope,id,weight\n{rows}\n", encoding="utf-8")
+        completed = cli_in_process_of_its_own(
+            ["compute", "--weights", str(weights), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert completed.returncode == 2
+        assert completed.stderr.splitlines() == [
+            f"error (validation): {weights}: weights in scope {scope!r} sum beyond the float range"
+        ]
+
+    def test_manifest_weight_sum_overflow_exit_2(self, tmp_path, capsys):
+        rows = [row[:] for row in BUNDLED_MANIFEST_ROWS]
+        for row in rows:
+            if row[0] in ("DmgDep", "Pop65"):
+                row[4] = "1e308"
+        manifest = tmp_path / "manifest.csv"
+        _write_rows(manifest, rows)
+        code = run(["compute", "--methods", "delphi", "--manifest", str(manifest),
+                    "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error (validation): weights in scope 'Population' sum beyond the float range\n"
+        )
+
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_column_span_overflow_prints_one_error_line(self, tmp_path, suffix):
+        # Every cell is finite, but DmgDep's max - min is beyond the float range.
+        header, *rows = [row[:] for row in BUNDLED_DATA_ROWS]
+        column = header.index("DmgDep")
+        for i, row in enumerate(rows):
+            row[column] = "1e308" if i % 2 == 0 else "-1e308"
+        data = tmp_path / f"span{suffix}"
+        if suffix == ".csv":
+            _write_rows(data, [header, *rows])
+        else:
+            payload = {"regions": [row[0] for row in rows], "indicators": header[1:],
+                       "values": [list(map(float, row[1:])) for row in rows]}
+            data.write_text(json.dumps(payload), encoding="utf-8")
+        completed = cli_in_process_of_its_own(
+            ["compute", "--data", str(data), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True,
+        )
+        assert completed.returncode == 2
+        assert completed.stderr.splitlines() == [
+            "error (validation): column 'DmgDep' spans beyond the float range "
+            "(max - min overflows)"
+        ]
 
     def test_non_utf8_weights_exit_2(self, tmp_path, capsys):
         weights = tmp_path / "weights.csv"
@@ -394,13 +455,15 @@ class TestCompare:
         for name in ("report.csv", "parallel.svg", "parallel.csv", "scatter.csv"):
             assert (out / name).exists()
 
-    def test_published_non_numeric_value_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("value", ["n/a", "inf", "nan"], ids=["text", "inf", "nan"])
+    def test_published_non_numeric_value_exit_2(self, tmp_path, capsys, value):
         bad = tmp_path / "table3.csv"
         text = Path(FIXTURE_TABLE3).read_text(encoding="utf-8")
-        bad.write_text(text.replace("Alto Minho,0.34", "Alto Minho,n/a", 1), encoding="utf-8")
+        bad.write_text(text.replace("Alto Minho,0.34", f"Alto Minho,{value}", 1), encoding="utf-8")
         code = run(["compare", "--published", str(bad), "--out", str(tmp_path / "cmp")])
         assert code == 2
-        assert "non-numeric abreu value 'n/a' for region 'Alto Minho'" in capsys.readouterr().err
+        expected = f"{bad}: non-numeric abreu value '{value}' for region 'Alto Minho'"
+        assert expected in capsys.readouterr().err
 
     def test_published_missing_column_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "table3.csv"

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from indexforge.ingest import (
     REGION_COLUMN,
     _check_header,
-    _is_presorted_floats,
     _check_row_length,
     _raise_cell_error,
     _read_dataset_csv,
@@ -618,30 +617,28 @@ class TestWriteJson:
         expected = json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
         assert path.read_bytes() == expected.encode("utf-8")
 
-    # Innermost float mappings: the one-pass layout (True) or the C encoder (False).
+    # Innermost float mappings, each encoded in one pass of the C encoder.
     FLOAT_MAPPINGS = {
-        "presorted": ({"a": 0.25, "b": -1.5, "c": 3.0}, True),
-        "one-entry": ({"only": 0.1}, True),
-        "unsorted": ({"b": 0.25, "a": -1.5, "c": 3.0}, False),
-        "nan": ({"a": 0.5, "b": float("nan")}, False),
-        "inf": ({"a": float("inf"), "b": 0.5}, False),
-        "-inf": ({"a": 0.5, "b": float("-inf")}, False),
-        "sum-overflows": ({"a": 1e308, "b": 1e308}, False),
-        "float-edges": ({"a": -0.0, "b": 5e-324, "c": 1e16, "d": 1e22, "e": 1e-7}, True),
-        "with-int": ({"a": 0.5, "b": 2}, False),
-        "with-bool": ({"a": 0.5, "b": True}, False),
-        "np-float64": ({"a": np.float64(0.1), "b": 0.5}, False),
-        "int-keys": ({1: 0.5, 2: 1.5}, False),
-        "escaped-keys": (
-            dict.fromkeys(sorted(['"', "\\", "\n", "\x00", "\u2028", "é", "😀", "a#"]), 0.5),
-            True,
+        "presorted": {"a": 0.25, "b": -1.5, "c": 3.0},
+        "one-entry": {"only": 0.1},
+        "unsorted": {"b": 0.25, "a": -1.5, "c": 3.0},
+        "nan": {"a": 0.5, "b": float("nan")},
+        "inf": {"a": float("inf"), "b": 0.5},
+        "-inf": {"a": 0.5, "b": float("-inf")},
+        "sum-overflows": {"a": 1e308, "b": 1e308},
+        "float-edges": {"a": -0.0, "b": 5e-324, "c": 1e16, "d": 1e22, "e": 1e-7},
+        "with-int": {"a": 0.5, "b": 2},
+        "with-bool": {"a": 0.5, "b": True},
+        "np-float64": {"a": np.float64(0.1), "b": 0.5},
+        "int-keys": {1: 0.5, 2: 1.5},
+        "escaped-keys": dict.fromkeys(
+            sorted(['"', "\\", "\n", "\x00", "\u2028", "é", "😀", "a#"]), 0.5
         ),
     }
 
     @pytest.mark.parametrize("name", list(FLOAT_MAPPINGS))
     def test_float_mapping_layout_and_branch(self, tmp_path, name):
-        mapping, one_pass = self.FLOAT_MAPPINGS[name]
-        assert _is_presorted_floats(mapping) is one_pass
+        mapping = self.FLOAT_MAPPINGS[name]
         for payload in ({"index": mapping, "method": "m"}, {"a": {"b": [mapping, {}]}}):
             path = tmp_path / "out.json"
             write_json(payload, path)
@@ -692,7 +689,6 @@ def test_write_json_float_mappings_match_dumps(mapping, presort, depth):
     """Any dict[str, float], presorted or not, nested 0-2 deep: the bytes of json.dumps."""
     if presort:
         mapping = dict(sorted(mapping.items()))
-    event(f"one pass: {bool(mapping) and _is_presorted_floats(mapping)}")
     payload = mapping
     for level in range(depth):
         payload = {f"level{level}": payload, "n": level}

@@ -24,6 +24,7 @@ from indexforge.errors import (
     NonFiniteWeightError,
     WeightFormatError,
     WeightManifestMismatchError,
+    WeightSumOverflowError,
 )
 
 
@@ -175,6 +176,22 @@ class TestBuildWeightScheme:
         weights = {"Economy": 28.4, "SocialWelfare": 26.2, "Enviroment": 24.0, "Population": 21.0}
         with pytest.raises(WeightFormatError, match="^unknown pillar 'Enviroment'$"):
             build_weight_scheme(manifest, weights)
+
+    @pytest.mark.parametrize(
+        "pillar_weights, indicator_weights, scope",
+        [
+            ({"Economy": 1e308, "Population": 1e308}, None, "pillars"),
+            (None, {"DmgDep": 1e308, "Pop65": 1e308}, "Population"),
+        ],
+        ids=["pillars", "indicators"],
+    )
+    def test_weight_sum_overflow_rejected(self, manifest, pillar_weights, indicator_weights,
+                                          scope):
+        # Each weight is finite but their sum is not; dividing by it would give 0.0.
+        message = f"^weights in scope '{scope}' sum beyond the float range$"
+        with pytest.raises(WeightSumOverflowError, match=message) as exc_info:
+            build_weight_scheme(manifest, pillar_weights, indicator_weights)
+        assert exc_info.value.scope == scope
 
     def test_unknown_indicator_override_rejected(self):
         with pytest.raises(WeightManifestMismatchError):

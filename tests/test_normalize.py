@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from indexforge.datasets import data_path
-from indexforge.errors import ConstantComponentError
+from indexforge.errors import ColumnSpanOverflowError, ConstantComponentError
 from indexforge.ingest import parse_dataset
 from indexforge.model import Direction, IndicatorMatrix, Stage
 from indexforge.normalize import (
@@ -198,6 +198,17 @@ class TestNormalizeMatrix:
         matrix, _ = normalized
         with pytest.raises(ValueError):
             normalize_matrix(matrix, manifest)
+
+    @pytest.mark.parametrize("column", ["DmgDep", "PopDens"], ids=["cost", "benefit"])
+    def test_span_overflow_rejected(self, manifest, raw_matrix, column):
+        # Every cell is finite, but max - min is beyond the float range.
+        values = raw_matrix.values.copy()
+        j = raw_matrix.indicators.index(column)
+        values[:, j] = [1e308 if i % 2 == 0 else -1e308 for i in range(len(values))]
+        matrix = IndicatorMatrix(raw_matrix.regions, raw_matrix.indicators, values)
+        with pytest.raises(ColumnSpanOverflowError, match=f"^column '{column}' spans") as exc_info:
+            normalize_matrix(matrix, manifest)
+        assert exc_info.value.column == column
 
 
 class TestMatchesPerColumnReference:
