@@ -81,7 +81,9 @@ def _is_bundled_dataset(args) -> bool:
 
 
 def cmd_validate(args) -> int:
+    """The input checks ``compute`` runs before any method, normalization included."""
     manifest, matrix = _load_inputs(args)
+    normalize_matrix(matrix, manifest)
     sizes = manifest.pillar_sizes()
     summary = {
         "regions": len(matrix.regions),

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DataFormatError
 from .ingest import _check_regions, open_input, parse_dataset, parse_manifest, read_csv_input
 from .model import IndexResult, IndicatorMatrix, Manifest, Method
-from .aggregate import rank_regions
+from .aggregate import build_index_result
 
 MANIFEST_FILE = "manifest.csv"
 DATASET_FILE = "nuts3.csv"
@@ -45,18 +45,18 @@ def load_reference_indexes(path: str | Path | None = None) -> dict[Method, Index
     """Reference index values per method, packaged as IndexResult objects.
 
     These are previously published values for the bundled dataset, kept as
-    two-decimal numbers exactly as released; raw and rescaled values are
-    identical because the reference columns already span [0, 1]. A header
-    that names a column twice, a value that is not a finite number, or a row
-    with more or fewer cells than the header raises DataFormatError; a
-    repeated region or fewer than two regions raise the data file's
-    DuplicateRegionError or TooFewRegionsError, naming the path.
+    two-decimal numbers exactly as released; each column is the raw index,
+    rescaled as every method's index is. A header that names a column twice,
+    a value that is not a finite number, or a row with more or fewer cells
+    than the header raises DataFormatError; a repeated region or fewer than
+    two regions raise DuplicateRegionError or TooFewRegionsError. Every error
+    starts with the path.
     """
     path = data_path(REFERENCE_FILE) if path is None else Path(path)
     regions: list[str] = []
     columns: dict[Method, list[float]] = {m: [] for m in Method}
     with open_input(path) as handle:
-        header, rows = read_csv_input(handle, DataFormatError, str(path))
+        header, rows = read_csv_input(handle, DataFormatError)
         expected = {"region", *(m.value for m in Method)}
         missing = expected - set(header)
         if missing:
@@ -80,12 +80,11 @@ def load_reference_indexes(path: str | Path | None = None) -> dict[Method, Index
                         raise ValueError(text)
                 except ValueError:
                     raise DataFormatError(
-                        f"{path}: non-numeric {method.value} value {text!r} "
-                        f"for region {row['region']!r}"
+                        f"non-numeric {method.value} value {text!r} for region {row['region']!r}"
                     ) from None
                 columns[method].append(value)
-    _check_regions(regions, str(path))
-    return {
-        method: IndexResult(method, regions, column, column, rank_regions(regions, column))
-        for method, column in columns.items()
-    }
+        _check_regions(regions)
+        return {
+            method: build_index_result(method, regions, column)
+            for method, column in columns.items()
+        }

@@ -127,17 +127,15 @@ class ExtraRowError(CompositeIndexError):
 
 
 class TooFewRegionsError(CompositeIndexError):
-    def __init__(self, count: int, what: str | None = None):
+    def __init__(self, count: int):
         self.count = count
-        message = f"dataset has {count} region(s); at least 2 are needed"
-        super().__init__(f"{what}: {message}" if what else message)
+        super().__init__(f"dataset has {count} region(s); at least 2 are needed")
 
 
 class DuplicateRegionError(CompositeIndexError):
-    def __init__(self, region: str, what: str | None = None):
+    def __init__(self, region: str):
         self.region = region
-        message = f"region {region!r} appears more than once"
-        super().__init__(f"{what}: {message}" if what else message)
+        super().__init__(f"region {region!r} appears more than once")
 
 
 class ConstantComponentError(CompositeIndexError):

@@ -6,6 +6,8 @@ File conventions are deliberately rigid: CSV files use a comma delimiter,
 start with a UTF-8 byte-order mark, which is skipped. The small CSV inputs
 (manifest, weight overrides, reference indexes) go through one reader,
 ``read_csv_input``: one cell per header column, errors that name the line.
+Every reader runs all of its checks inside ``open_input``, which alone puts
+the path at the head of each error.
 The JSON alternative for datasets is an object
 ``{"regions": [...], "indicators": [...], "values": [[...]]}`` with string
 region and indicator names and one list of values per region.
@@ -66,57 +68,64 @@ JSON_KEYS = ("regions", "indicators", "values")
 def open_input(path: Path):
     """Open a UTF-8 input file for reading, skipping a leading byte-order mark.
 
-    Bytes that are not UTF-8 raise FileEncodingError, also when the caller
-    meets them while reading.
+    The one place that names an input file in an error: a CompositeIndexError
+    raised while the file is open keeps its class, and its message gains the
+    head ``"<path>: "``. No reader opens a second file while one is open, so
+    the path appears once. Bytes that are not UTF-8 raise FileEncodingError,
+    also when the caller meets them while reading; it is raised from a sibling
+    handler, so it is not prefixed again, and its message starts with the path.
     """
     try:
         with path.open(newline="", encoding="utf-8-sig") as handle:
             yield handle
     except UnicodeDecodeError as exc:
         raise FileEncodingError(path, exc.reason) from None
+    except CompositeIndexError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
-def read_csv_input(handle, error: type[Exception], what: str):
+def read_csv_input(handle, error: type[Exception]):
     """The header tuple of a small CSV input and a lazy iterator over its non-blank rows.
 
     A row with more or fewer cells than the header, or a line ``_csv_rows``
-    cannot split, raises ``error`` naming ``what`` and the line as it is read.
+    cannot split, raises ``error`` naming the line as it is read; ``open_input``
+    adds the path.
     """
     reader = csv.reader(handle)
-    parsed = _csv_rows(reader, error, what)
+    parsed = _csv_rows(reader, error)
     header = tuple(next(parsed, ()))
 
     def rows():
         for row in filter(None, parsed):  # a blank line is an empty row
             if len(row) != len(header):
-                raise error(
-                    f"{what} line {reader.line_num} has {len(row)} cells, expected {len(header)}"
-                )
+                raise error(f"line {reader.line_num} has {len(row)} cells, expected {len(header)}")
             yield row
 
     return header, rows()
 
 
-def _csv_rows(reader, error: type[Exception], what: str, ahead=None):
+def _csv_rows(reader, error: type[Exception], ahead=None):
     """The rows of a ``csv.reader``; a line it cannot split (a cell over
-    ``csv.field_size_limit()``) raises ``error`` naming ``what`` and the line,
-    counting the lines that ``ahead``, a reader of the same file, read before it.
+    ``csv.field_size_limit()``) raises ``error`` naming the line, counting
+    the lines that ``ahead``, a reader of the same file, read before it.
     """
     try:
         yield from reader
     except csv.Error as exc:
         line = reader.line_num + (ahead.line_num if ahead else 0)
-        raise error(f"{what} line {line}: {exc}") from None
+        raise error(f"line {line}: {exc}") from None
 
 
 def parse_manifest(path: str | Path) -> Manifest:
     """Load and validate a manifest CSV (columns id,label,pillar,direction,weight,unit).
 
     Every row has one cell per column; an empty weight cell means 1.0.
+    ``validate_manifest`` checks the rest; every error starts with the path.
     """
     path = Path(path)
     with open_input(path) as handle:
-        header, rows = read_csv_input(handle, ManifestFormatError, "manifest")
+        header, rows = read_csv_input(handle, ManifestFormatError)
         if header != MANIFEST_COLUMNS:
             raise ManifestFormatError(
                 f"manifest header must be {','.join(MANIFEST_COLUMNS)}, got {','.join(header)}"
@@ -148,7 +157,7 @@ def parse_manifest(path: str | Path) -> Manifest:
                     unit=unit,
                 )
             )
-    return validate_manifest(specs)
+        return validate_manifest(specs)
 
 
 def parse_weights(path: str | Path, manifest: Manifest) -> WeightScheme:
@@ -156,31 +165,27 @@ def parse_weights(path: str | Path, manifest: Manifest) -> WeightScheme:
 
     Each pillar or indicator may be listed once; ``build_weight_scheme`` checks and
     renormalizes the rest, so a file with no pillar row keeps the panel pillar weights.
-    An error keeps its class, and its message starts with the path (FileEncodingError's too).
+    Every error starts with the path.
     """
     weights: dict[str, dict] = {"pillar": {}, "indicator": {}}  # by scope, then key
     with open_input(Path(path)) as handle:
-        try:
-            header, rows = read_csv_input(handle, WeightFormatError, "weights file")
-            if header != WEIGHT_COLUMNS:
-                raise WeightFormatError(f"weights file header must be {','.join(WEIGHT_COLUMNS)}")
-            for scope_text, target, weight_text in rows:
-                scope = scope_text.strip().lower()
-                try:
-                    weight = float(weight_text)
-                except ValueError:
-                    raise WeightFormatError(
-                        f"non-numeric weight {weight_text!r} for {target!r}"
-                    ) from None
-                if scope not in weights:
-                    raise WeightFormatError(f"unknown weight scope {scope_text!r}")
-                if target in weights[scope]:
-                    raise WeightFormatError(f"{scope} {target!r} is listed more than once")
-                weights[scope][target] = weight
-            return build_weight_scheme(manifest, *(by_key or None for by_key in weights.values()))
-        except CompositeIndexError as exc:
-            exc.args = (f"{path}: {exc}",)
-            raise
+        header, rows = read_csv_input(handle, WeightFormatError)
+        if header != WEIGHT_COLUMNS:
+            raise WeightFormatError(f"weights file header must be {','.join(WEIGHT_COLUMNS)}")
+        for scope_text, target, weight_text in rows:
+            scope = scope_text.strip().lower()
+            try:
+                weight = float(weight_text)
+            except ValueError:
+                raise WeightFormatError(
+                    f"non-numeric weight {weight_text!r} for {target!r}"
+                ) from None
+            if scope not in weights:
+                raise WeightFormatError(f"unknown weight scope {scope_text!r}")
+            if target in weights[scope]:
+                raise WeightFormatError(f"{scope} {target!r} is listed more than once")
+            weights[scope][target] = weight
+        return build_weight_scheme(manifest, *(by_key or None for by_key in weights.values()))
 
 
 def _check_header(indicator_ids: Sequence[str], manifest: Manifest) -> None:
@@ -198,16 +203,16 @@ def _check_header(indicator_ids: Sequence[str], manifest: Manifest) -> None:
         raise DataFormatError(f"duplicate indicator columns: {', '.join(duplicates)}")
 
 
-def _check_regions(regions: Sequence[str], what: str | None = None) -> None:
-    """At least two regions, each listed once; an error names ``what`` when given."""
+def _check_regions(regions: Sequence[str]) -> None:
+    """At least two regions, each listed once."""
     if len(set(regions)) != len(regions):
         seen: set[str] = set()
         for region in regions:
             if region in seen:
-                raise DuplicateRegionError(region, what)
+                raise DuplicateRegionError(region)
             seen.add(region)
     if len(regions) < 2:
-        raise TooFewRegionsError(len(regions), what)
+        raise TooFewRegionsError(len(regions))
 
 
 def _check_finite(
@@ -230,19 +235,19 @@ def parse_dataset(path: str | Path, manifest: Manifest) -> IndicatorMatrix:
     UnknownIndicatorError or MissingIndicatorError; a JSON file with more
     value rows than regions raises ExtraRowError, and one that is not valid
     JSON or not laid out as above raises DataFormatError. A file that is not
-    UTF-8 raises FileEncodingError.
+    UTF-8 raises FileEncodingError. The file is opened once and every check
+    runs while it is open, so every error starts with the path.
 
     A CSV body is read in one ``np.loadtxt`` pass; only a file that pass
     rejects is read again row by row, to name the first bad row or cell (or
     to take the few number spellings float() accepts and numpy does not).
     """
     path = Path(path)
-    if path.suffix.lower() == ".json":
-        regions, indicator_ids, values = _read_dataset_json(path, manifest)
-    else:
-        regions, indicator_ids, values = _read_dataset_csv(path, manifest)
-    _check_finite(values, regions, indicator_ids)
-    _check_regions(regions)
+    read = _read_dataset_json if path.suffix.lower() == ".json" else _read_dataset_csv
+    with open_input(path) as handle:
+        regions, indicator_ids, values = read(handle, manifest)
+        _check_finite(values, regions, indicator_ids)
+        _check_regions(regions)
     return IndicatorMatrix.from_checked(tuple(regions), indicator_ids, values, stage=Stage.RAW)
 
 
@@ -277,53 +282,52 @@ def _lines_without_separators(handle):
         yield line
 
 
-def _read_dataset_csv(path: Path, manifest: Manifest):
-    """Regions, indicator ids and the regions x indicators values of a CSV file.
+def _read_dataset_csv(handle, manifest: Manifest):
+    """Regions, indicator ids and the regions x indicators values of an open CSV file.
 
     A body the ``np.loadtxt`` pass rejects is read again by ``_read_csv_rows``,
     which also reads a body that cannot be read twice.
     """
-    with open_input(path) as handle:
-        # readline, unlike iterating the handle, keeps handle.tell() usable.
-        header_reader = csv.reader(iter(handle.readline, ""))
-        header = next(_csv_rows(header_reader, DataFormatError, str(path)), None)
-        if header is None:
-            raise DataFormatError(f"{path} is empty")
-        if not header or header[0] != REGION_COLUMN:
-            raise DataFormatError(f"first data column must be {REGION_COLUMN!r}")
-        indicator_ids = tuple(header[1:])
-        _check_header(indicator_ids, manifest)
-        if not handle.seekable():  # a pipe: no second read, so only the row loop
-            return _read_csv_rows(handle, indicator_ids, path, header_reader)
-        body = handle.tell()
-        # loadtxt warns on a body without rows, so such a body never reaches it.
-        if not any(line.strip("\r\n") for line in iter(handle.readline, "")):
-            return [], indicator_ids, np.empty((0, len(indicator_ids)))
+    # readline, unlike iterating the handle, keeps handle.tell() usable.
+    header_reader = csv.reader(iter(handle.readline, ""))
+    header = next(_csv_rows(header_reader, DataFormatError), None)
+    if header is None:
+        raise DataFormatError("the file is empty")
+    if not header or header[0] != REGION_COLUMN:
+        raise DataFormatError(f"first data column must be {REGION_COLUMN!r}")
+    indicator_ids = tuple(header[1:])
+    _check_header(indicator_ids, manifest)
+    if not handle.seekable():  # a pipe: no second read, so only the row loop
+        return _read_csv_rows(handle, indicator_ids, header_reader)
+    body = handle.tell()
+    # loadtxt warns on a body without rows, so such a body never reaches it.
+    if not any(line.strip("\r\n") for line in iter(handle.readline, "")):
+        return [], indicator_ids, np.empty((0, len(indicator_ids)))
+    handle.seek(body)
+    row_type = [("region", object), ("values", float, (len(indicator_ids),))]
+    try:
+        table = np.loadtxt(
+            _lines_without_separators(handle),
+            dtype=row_type,
+            delimiter=",",
+            quotechar='"',
+            comments=None,
+            ndmin=1,
+        )
+    except UnicodeDecodeError:
+        raise  # a ValueError too; open_input makes it a FileEncodingError
+    except ValueError:
         handle.seek(body)
-        row_type = [("region", object), ("values", float, (len(indicator_ids),))]
-        try:
-            table = np.loadtxt(
-                _lines_without_separators(handle),
-                dtype=row_type,
-                delimiter=",",
-                quotechar='"',
-                comments=None,
-                ndmin=1,
-            )
-        except UnicodeDecodeError:
-            raise  # a ValueError too; open_input makes it a FileEncodingError
-        except ValueError:
-            handle.seek(body)
-            return _read_csv_rows(handle, indicator_ids, path, header_reader)
+        return _read_csv_rows(handle, indicator_ids, header_reader)
     return table["region"].tolist(), indicator_ids, table["values"]
 
 
-def _read_csv_rows(handle, indicator_ids: tuple[str, ...], path: Path, header_reader):
+def _read_csv_rows(handle, indicator_ids: tuple[str, ...], header_reader):
     """The row loop: names the first bad row or cell, else returns what it read."""
     regions: list[str] = []
     values = array("d")  # row-major, one row of len(indicator_ids) per region
     width = len(indicator_ids) + 1
-    for row in _csv_rows(csv.reader(handle), DataFormatError, str(path), header_reader):
+    for row in _csv_rows(csv.reader(handle), DataFormatError, header_reader):
         if not row:
             continue
         if len(row) != width:
@@ -340,26 +344,24 @@ def _read_csv_rows(handle, indicator_ids: tuple[str, ...], path: Path, header_re
 _JSON_NUMBERS = frozenset((int, float))
 
 
-def _read_dataset_json(path: Path, manifest: Manifest):
-    with open_input(path) as handle:
-        text = handle.read()
+def _read_dataset_json(handle, manifest: Manifest):
+    """Regions, indicator ids and the regions x indicators values of an open JSON file."""
+    text = handle.read()  # outside the try: a UnicodeDecodeError is a ValueError too
     try:
         payload = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an int of over 4,300 digits
-        raise DataFormatError(f"{path} is not valid JSON: {exc}") from None
+        raise DataFormatError(f"the file is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
-        raise DataFormatError(
-            f"{path} must hold a JSON object with keys {', '.join(JSON_KEYS)}"
-        )
+        raise DataFormatError(f"the file must hold a JSON object with keys {', '.join(JSON_KEYS)}")
     for key in JSON_KEYS:
         if not isinstance(payload.get(key), list):
-            raise DataFormatError(f"{path} has no {key!r} list")
+            raise DataFormatError(f"the file has no {key!r} list")
     regions = payload["regions"]
     indicator_ids = tuple(payload["indicators"])
     values = payload["values"]
     for key, names in (("regions", regions), ("indicators", indicator_ids)):
         if not all(isinstance(name, str) for name in names):
-            raise DataFormatError(f"{path}: every entry of {key!r} must be a string")
+            raise DataFormatError(f"every entry of {key!r} must be a string")
     _check_header(indicator_ids, manifest)
     if len(values) < len(regions):
         raise MissingCellError(regions[len(values)], indicator_ids[0])
@@ -367,7 +369,7 @@ def _read_dataset_json(path: Path, manifest: Manifest):
         raise ExtraRowError(len(values), len(regions))
     for region, row in zip(regions, values):
         if not isinstance(row, list):
-            raise DataFormatError(f"{path}: the values of region {region!r} are not a list")
+            raise DataFormatError(f"the values of region {region!r} are not a list")
         _check_row_length(region, indicator_ids, len(row))
         if not _JSON_NUMBERS.issuperset(map(type, row)):
             _raise_json_cell_error(region, indicator_ids, row)

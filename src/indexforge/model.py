@@ -110,35 +110,24 @@ class Manifest:
 
 
 def validate_manifest(specs: Iterable[IndicatorSpec]) -> Manifest:
-    """Check uniqueness, weights and pillar coverage; return a Manifest.
+    """Check uniqueness, pillar coverage and weights; return a Manifest.
 
-    Raises DuplicateIndicatorIdError, NonFiniteWeightError, NegativeWeightError or
-    EmptyPillarError; every pillar needs at least one indicator with positive weight.
+    Raises DuplicateIndicatorIdError or EmptyPillarError; the weights are
+    checked by ``build_weight_scheme``, the one owner of the weight rule, so a
+    manifest that passes here gives every method a valid weighting.
     """
     specs = tuple(specs)
-    if not specs:
-        raise EmptyPillarError(PILLARS[0])
     seen: set[str] = set()
     for spec in specs:
         if spec.id in seen:
             raise DuplicateIndicatorIdError(spec.id)
         seen.add(spec.id)
-        _check_weight(spec.id, spec.weight)
     manifest = Manifest(specs)
     for pillar in PILLARS:
-        ids = manifest.pillar_ids(pillar)
-        if not ids:
+        if not manifest.pillar_ids(pillar):
             raise EmptyPillarError(pillar)
-        if all(manifest.spec(i).weight == 0 for i in ids):
-            raise AllZeroWeightsError(pillar.value)
+    build_weight_scheme(manifest)
     return manifest
-
-
-def _check_weight(name: str, weight: float, scope: str = "indicator") -> None:
-    if not np.isfinite(weight):
-        raise NonFiniteWeightError(name, weight, scope)
-    if weight < 0:
-        raise NegativeWeightError(name, weight, scope)
 
 
 @dataclass(frozen=True)
@@ -199,7 +188,10 @@ def _shares(weights: Mapping[str, float], kind: str, scope: str) -> list[float]:
     """Each of ``weights`` divided by their sum, in order. Each is checked as a ``kind``
     weight; a sum that is zero or overflows raises an error naming ``scope``."""
     for name, weight in weights.items():
-        _check_weight(name, weight, kind)
+        if not np.isfinite(weight):
+            raise NonFiniteWeightError(name, weight, kind)
+        if weight < 0:
+            raise NegativeWeightError(name, weight, kind)
     total = sum(weights.values())
     if total <= 0:
         raise AllZeroWeightsError(scope)

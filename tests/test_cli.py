@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pty
+import re
 import subprocess
 import sys
 import tempfile
@@ -64,6 +65,37 @@ BUNDLED_DATA_ROWS = _bundled_rows(FIXTURE_DATA)
 BUNDLED_MANIFEST_ROWS = _bundled_rows(FIXTURE_MANIFEST)
 
 
+#: Each spoiled input, and the error every command prints for it ({data} and
+#: {manifest} stand for the paths of the copies).
+REJECTED_INPUTS = {
+    "span-overflow": "column 'DmgDep' spans beyond the float range (max - min overflows)",
+    "manifest-weight-sum-overflow":
+        "{manifest}: weights in scope 'Population' sum beyond the float range",
+    "manifest-weight-nan": "{manifest}: indicator 'DmgDep' has weight nan, which is not finite",
+    "missing-cell": "{data}: missing value at region 'Alto Minho', indicator 'PopDens'",
+    "non-utf8-data": "{data} is not UTF-8 text (invalid continuation byte)",
+}
+
+
+def _spoiled_copies(case: str, tmp: Path) -> tuple[Path, Path]:
+    """Copies of the bundled data and manifest, one of them spoiled as ``case`` says."""
+    data, manifest = tmp / "data.csv", tmp / "manifest.csv"
+    weights = {"manifest-weight-sum-overflow": {"DmgDep": "1e308", "Pop65": "1e308"},
+               "manifest-weight-nan": {"DmgDep": "nan"}}.get(case, {})
+    _write_rows(manifest, [[*row[:4], weights.get(row[0], row[4]), *row[5:]]
+                           for row in BUNDLED_MANIFEST_ROWS])
+    header, *rows = [row[:] for row in BUNDLED_DATA_ROWS]
+    if case == "span-overflow":
+        column = header.index("DmgDep")
+        rows[0][column], rows[1][column] = "1e308", "-1e308"
+    elif case == "missing-cell":
+        rows[0][header.index("PopDens")] = ""
+    _write_rows(data, [header, *rows])
+    if case == "non-utf8-data":  # the region labels hold letters Latin-1 writes as one byte
+        data.write_bytes(data.read_text(encoding="utf-8").encode("latin-1"))
+    return data, manifest
+
+
 class TestValidate:
     def test_bundled_fixture_valid(self, capsys):
         code = run(["validate", "--data", FIXTURE_DATA, "--manifest", FIXTURE_MANIFEST])
@@ -119,8 +151,20 @@ class TestValidate:
         completed = validate_in_process_of_its_own(str(bad))
         assert completed.returncode == 2
         assert completed.stderr.splitlines() == [
-            "error (validation): dataset has 0 region(s); at least 2 are needed"
+            f"error (validation): {bad}: dataset has 0 region(s); at least 2 are needed"
         ]
+
+    @pytest.mark.parametrize("case", REJECTED_INPUTS)
+    def test_validate_rejects_what_compute_rejects(self, tmp_path, capsys, case):
+        """validate runs every check compute runs before a method: same exit, same error."""
+        data, manifest = _spoiled_copies(case, tmp_path)
+        inputs = ["--data", str(data), "--manifest", str(manifest)]
+        expected = REJECTED_INPUTS[case].format(data=data, manifest=manifest)
+        errors = []
+        for command in (["validate"], ["compute", "--methods", "abreu", "--out", str(tmp_path)]):
+            assert run([*command, *inputs]) == 2, command
+            errors.append(capsys.readouterr().err.splitlines())
+        assert errors == [[f"error (validation): {expected}"]] * 2
 
     @pytest.mark.parametrize(
         "edit, code, expected",
@@ -285,8 +329,8 @@ class TestCompute:
             ("pillar,Economy,2\npillar,Economy,3", "pillar 'Economy' is listed more than once"),
             ("indicator,PopDens,3\nindicator,PopDens,5",
              "indicator 'PopDens' is listed more than once"),
-            ("indicator,PopDens,3,7", "weights file line 2 has 4 cells, expected 3"),
-            ("indicator,PopDens", "weights file line 2 has 2 cells, expected 3"),
+            ("indicator,PopDens,3,7", "line 2 has 4 cells, expected 3"),
+            ("indicator,PopDens", "line 2 has 2 cells, expected 3"),
             ("pillar,Economy,nan", "pillar 'Economy' has weight nan, which is not finite"),
             ("pillar,Economy,-1", "pillar 'Economy' has negative weight -1.0"),
             ("indicator,PopDens,-1", "indicator 'PopDens' has negative weight -1.0"),
@@ -337,7 +381,8 @@ class TestCompute:
                     "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err == (
-            "error (validation): weights in scope 'Population' sum beyond the float range\n"
+            f"error (validation): {manifest}: weights in scope 'Population' "
+            "sum beyond the float range\n"
         )
 
     @pytest.mark.parametrize("suffix", [".csv", ".json"])
@@ -464,6 +509,27 @@ class TestCompare:
         assert code == 2
         expected = f"{bad}: non-numeric abreu value '{value}' for region 'Alto Minho'"
         assert expected in capsys.readouterr().err
+
+    def test_published_columns_are_rescaled(self, tmp_path, capsys):
+        """A reference column that does not span [0, 1] is rescaled as a method's index is."""
+        rows = [row[:] for row in _bundled_rows(FIXTURE_TABLE3)]
+        column = rows[0].index("abreu")
+        for row in rows[1:]:
+            row[column] = str(round(float(row[column]) * 100))
+        scaled = tmp_path / "table3.csv"
+        _write_rows(scaled, rows)
+        reports = []
+        for published in (FIXTURE_TABLE3, scaled):
+            out = tmp_path / f"cmp-{len(reports)}"
+            assert run(["compare", "--published", str(published), "--out", str(out)]) == 0
+            reports.append(json.loads((out / "report.json").read_text(encoding="utf-8")))
+        assert reports[1]["crossings"] == reports[0]["crossings"]
+        assert reports[1]["pairwise_r"] == pytest.approx(reports[0]["pairwise_r"], abs=1e-12)
+        svg = (tmp_path / "cmp-1" / "parallel.svg").read_text(encoding="utf-8")
+        ys = [float(point.split(",")[1])
+              for points in re.findall(r'<polyline points="([^"]*)"', svg)
+              for point in points.split()]
+        assert len(ys) == 27 and all(60 <= y <= 420 for y in ys)
 
     def test_published_missing_column_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "table3.csv"

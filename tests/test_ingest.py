@@ -23,15 +23,18 @@ from indexforge.ingest import (
     open_input,
     parse_dataset,
     parse_manifest,
+    parse_weights,
     write_json,
 )
 from indexforge.model import IndicatorMatrix, Stage
 from indexforge.normalize import composite_indicator
-from indexforge.datasets import data_path
+from indexforge.datasets import data_path, load_reference_indexes
 from indexforge.errors import (
+    AllZeroWeightsError,
     CompositeIndexError,
     ConstantComponentError,
     DataFormatError,
+    DuplicateIndicatorIdError,
     DuplicateRegionError,
     ExtraCellError,
     ExtraRowError,
@@ -42,6 +45,7 @@ from indexforge.errors import (
     NonNumericCellError,
     TooFewRegionsError,
     UnknownIndicatorError,
+    WeightFormatError,
 )
 
 
@@ -84,38 +88,39 @@ def small_manifest(tmp_path):
     return parse_manifest(path)
 
 
-def reference_read_dataset_csv(path: Path, manifest):
+def reference_read_dataset_csv(handle, manifest):
     """The csv.reader loop that read every CSV body before the loadtxt pass, verbatim."""
-    with open_input(path) as handle:
-        reader = csv.reader(handle)
+    reader = csv.reader(handle)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataFormatError("the file is empty") from None
+    if not header or header[0] != REGION_COLUMN:
+        raise DataFormatError(f"first data column must be {REGION_COLUMN!r}")
+    indicator_ids = tuple(header[1:])
+    _check_header(indicator_ids, manifest)
+    regions: list[str] = []
+    values = array("d")  # row-major, one row of len(indicator_ids) per region
+    width = len(header)
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != width:
+            _check_row_length(row[0], indicator_ids, len(row) - 1)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path} is empty") from None
-        if not header or header[0] != REGION_COLUMN:
-            raise DataFormatError(f"first data column must be {REGION_COLUMN!r}")
-        indicator_ids = tuple(header[1:])
-        _check_header(indicator_ids, manifest)
-        regions: list[str] = []
-        values = array("d")  # row-major, one row of len(indicator_ids) per region
-        width = len(header)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != width:
-                _check_row_length(row[0], indicator_ids, len(row) - 1)
-            try:
-                values.fromlist(list(map(float, row[1:])))
-            except ValueError:
-                _raise_cell_error(row[0], indicator_ids, row[1:])
-            regions.append(row[0])
+            values.fromlist(list(map(float, row[1:])))
+        except ValueError:
+            _raise_cell_error(row[0], indicator_ids, row[1:])
+        regions.append(row[0])
     return regions, indicator_ids, values
 
 
 def read_outcome(reader, path, manifest):
-    """Regions, ids and value bytes a CSV reader returns, or the (class, message) it raises."""
+    """Regions, ids and value bytes a CSV reader returns from the file ``open_input``
+    opens, or the (class, message) it raises."""
     try:
-        regions, indicator_ids, values = reader(path, manifest)
+        with open_input(path) as handle:
+            regions, indicator_ids, values = reader(handle, manifest)
     except CompositeIndexError as exc:
         return type(exc), str(exc)
     return list(regions), indicator_ids, np.asarray(values, dtype=float).tobytes()
@@ -199,12 +204,13 @@ class TestParseDataset:
             parse_dataset(path, small_manifest)
         assert exc_info.value.region == "r1"
         assert exc_info.value.indicator_id == "c"
-        assert str(exc_info.value) == "missing value at region 'r1', indicator 'c'"
+        assert str(exc_info.value) == f"{path}: missing value at region 'r1', indicator 'c'"
         # The same error deep in a tall file, for a blank and a whitespace-only cell.
         for cell in ("", "  \t "):
+            tall = tall_dataset_with(tmp_path, cell)
             with pytest.raises(MissingCellError) as exc_info:
-                parse_dataset(tall_dataset_with(tmp_path, cell), small_manifest)
-            assert str(exc_info.value) == "missing value at region 'r1500', indicator 'd'"
+                parse_dataset(tall, small_manifest)
+            assert str(exc_info.value) == f"{tall}: missing value at region 'r1500', indicator 'd'"
 
     def test_short_row(self, tmp_path, small_manifest):
         path = write_tmp_dataset(tmp_path, "region,a,b,c,d\nr1,1,2,3\n")
@@ -255,7 +261,7 @@ class TestParseDataset:
              "non-numeric value 'True' at region 'r2', indicator 'c'"),
             ([5, 6, 7, "8"], NonNumericCellError,
              "non-numeric value \"'8'\" at region 'r2', indicator 'd'"),
-            ({"a": 5}, DataFormatError, "{path}: the values of region 'r2' are not a list"),
+            ({"a": 5}, DataFormatError, "the values of region 'r2' are not a list"),
             ([5, 6, 10**400, 8], NonNumericCellError,
              "non-numeric value 'inf' at region 'r2', indicator 'c'"),
             ([-10**400, 6, 7, 8], NonNumericCellError,
@@ -270,7 +276,7 @@ class TestParseDataset:
         path = write_tmp_dataset(tmp_path, json.dumps(payload), "data.json")
         with pytest.raises(error) as exc_info:
             parse_dataset(path, small_manifest)
-        assert str(exc_info.value) == message.format(path=path)
+        assert str(exc_info.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize(
         "text, message",
@@ -328,10 +334,12 @@ class TestParseDataset:
             parse_dataset(path, small_manifest)
         assert exc_info.value.region == "r1"
         assert exc_info.value.indicator_id == "c"
-        assert str(exc_info.value) == "non-numeric value 'x' at region 'r1', indicator 'c'"
+        assert str(exc_info.value) == f"{path}: non-numeric value 'x' at region 'r1', indicator 'c'"
+        tall = tall_dataset_with(tmp_path, " x ")
         with pytest.raises(NonNumericCellError) as exc_info:
-            parse_dataset(tall_dataset_with(tmp_path, " x "), small_manifest)
-        assert str(exc_info.value) == "non-numeric value 'x' at region 'r1500', indicator 'd'"
+            parse_dataset(tall, small_manifest)
+        message = "non-numeric value 'x' at region 'r1500', indicator 'd'"
+        assert str(exc_info.value) == f"{tall}: {message}"
 
     @pytest.mark.parametrize(
         "text, message",
@@ -369,6 +377,67 @@ class TestParseDataset:
         matrix = parse_dataset(path, small_manifest)
         assert matrix.indicators == ("d", "c", "b", "a")
         assert matrix.column("a")[0] == pytest.approx(1.0)
+
+
+#: Each input reader, called as ``reader(path, manifest)``.
+READERS = {
+    "manifest": lambda path, manifest: parse_manifest(path),
+    "weights": parse_weights,
+    "data": parse_dataset,
+    "reference": lambda path, manifest: load_reference_indexes(path),
+}
+#: A bad file for each reader: (reader, file name, text, the error it raises).
+BAD_INPUTS = {
+    "manifest-short-row": ("manifest", "m.csv", SMALL_MANIFEST + "e,E,Economy,benefit\n",
+                           ManifestFormatError),
+    "manifest-duplicate-id": ("manifest", "m.csv", SMALL_MANIFEST + "a,A,Economy,cost,1,%\n",
+                              DuplicateIndicatorIdError),
+    "manifest-zero-pillar": (
+        "manifest", "m.csv",
+        SMALL_MANIFEST.replace("Environment,benefit,1.0", "Environment,benefit,0"),
+        AllZeroWeightsError,
+    ),
+    "weights-unknown-pillar": ("weights", "w.csv", "scope,id,weight\npillar,Lunar,1\n",
+                               WeightFormatError),
+    "csv-empty": ("data", "data.csv", "", DataFormatError),
+    "csv-missing-cell": ("data", "data.csv", "region,a,b,c,d\nr1,1,2,,4\nr2,5,6,7,8\n",
+                         MissingCellError),
+    "csv-one-region": ("data", "data.csv", "region,a,b,c,d\nr1,1,2,3,4\n", TooFewRegionsError),
+    "json-invalid": ("data", "data.json", '{"regions": ["r1", "r2"], ', DataFormatError),
+    "json-non-numeric-cell": ("data", "data.json", json.dumps(
+        {"regions": ["r1", "r2"], "indicators": list("abcd"),
+         "values": [[1, 2, 3, 4], [5, "x", 7, 8]]}
+    ), NonNumericCellError),
+    "reference-missing-column": ("reference", "t.csv", "region,abreu,delphi\nr1,0,0\nr2,1,1\n",
+                                 DataFormatError),
+    "reference-repeated-region": ("reference", "t.csv",
+                                  "region,abreu,delphi,pca\nr1,0,0,0\nr1,1,1,1\n",
+                                  DuplicateRegionError),
+}
+
+
+class TestInputErrorsNameTheFile:
+    """open_input names the file: every error of every reader starts with the path, once."""
+
+    @pytest.mark.parametrize("case", BAD_INPUTS)
+    def test_error_starts_with_the_path(self, tmp_path, small_manifest, case):
+        reader, name, text, error = BAD_INPUTS[case]
+        path = write_tmp_dataset(tmp_path, text, name)
+        with pytest.raises(error) as exc_info:
+            READERS[reader](path, small_manifest)
+        message = str(exc_info.value)
+        assert message.startswith(f"{path}: ")
+        assert message.count(str(path)) == 1
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_non_utf8_file_names_the_path_once(self, tmp_path, small_manifest, reader):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("region,Ré\n".encode("latin-1"))
+        with pytest.raises(FileEncodingError) as exc_info:
+            READERS[reader](path, small_manifest)
+        message = str(exc_info.value)
+        assert message.startswith(f"{path} is not UTF-8 text")
+        assert message.count(str(path)) == 1
 
 
 CSV_HEADER = "region,a,b,c,d\n"
@@ -766,6 +835,31 @@ def _importers(name: str) -> set[str]:
 def test_only_ingest_imports_csv():
     """Every CSV input goes through ingest's reader: no other module imports csv."""
     assert _importers("csv") == {"ingest.py"}
+
+
+def _path_formatters() -> set[tuple[str, str]]:
+    """(module, top-level function or class) of every line of the package that
+    holds ``{path`` or ``str(path)``; a line outside any counts as ``<module>``."""
+    package = Path(data_path("manifest.csv")).parents[1]
+    found = set()
+    for module in sorted(package.glob("*.py")):
+        text = module.read_text(encoding="utf-8")
+        scopes = ast.parse(text).body
+        for number, line in enumerate(text.splitlines(), 1):
+            if "{path" in line or "str(path)" in line:
+                names = [getattr(s, "name", "<module>") for s in scopes
+                         if s.lineno <= number <= s.end_lineno]
+                found.add((module.name, names[0] if names else "<module>"))
+    return found
+
+
+def test_only_open_input_names_an_input_file():
+    """One owner of the path in an input error: the rewrite in open_input, and
+    FileEncodingError, which open_input raises with the path at its head."""
+    assert _path_formatters() == {
+        ("ingest.py", "open_input"),
+        ("errors.py", "FileEncodingError"),
+    }
 
 
 def _write_text_callers() -> set[tuple[str, str]]:
