@@ -70,17 +70,17 @@ def geometric_mean(values) -> np.ndarray | float:
     return np.where(zero, 0.0, np.exp(logs.sum(axis=-1) / x.shape[-1]))[()]
 
 
-def rescale_final(raw) -> np.ndarray:
+def rescale_final(raw, name: str = "raw index") -> np.ndarray:
     """Min-max rescale a raw index vector so it spans [0, 1] over the regions.
 
-    The normalization kernel with the raw index as one benefit column: an
-    all-equal input maps to 0.5 everywhere with a DegenerateColumnWarning,
-    and a non-finite value raises ValueError.
+    The normalization kernel with the raw index as one benefit column named
+    ``name``: an all-equal input maps to 0.5 everywhere with a
+    DegenerateColumnWarning, and a non-finite value raises ValueError.
     """
     values = np.asarray(raw, dtype=float)
     if values.size < 2:
         raise ValueError("rescaling needs at least two regions")
-    return normalize_column(values, Direction.BENEFIT, "raw index")[0]
+    return normalize_column(values, Direction.BENEFIT, name)[0]
 
 
 def rank_regions(regions: Sequence[str], rescaled) -> tuple[str, ...]:
@@ -106,7 +106,7 @@ def rank_regions(regions: Sequence[str], rescaled) -> tuple[str, ...]:
 
 def build_index_result(method: Method, regions: Sequence[str], raw) -> IndexResult:
     """Attach the rescaled index and ranking to a raw index vector."""
-    rescaled = rescale_final(raw)
+    rescaled = rescale_final(raw, method.value)
     return IndexResult(method, regions, raw, rescaled, rank_regions(regions, rescaled))
 
 

@@ -7,10 +7,13 @@ factorization trouble. Row i of one n x 2n array holds row i of the matrix,
 then column i of the rotation product. The matrix stays exactly symmetric,
 so one elementwise pass over rows p and q also does the column update, with
 the same IEEE operations as the per-element loop the tests keep as a
-bit-for-bit reference. A rotation costs about 11 us at n = 50 (33 us for
-the per-element loop; one core of a Xeon VM), and a sweep over k columns
-makes k(k-1)/2 of them: negligible on the bundled dataset (at most 7x7),
-dominant on a wide table (50x50 pillar blocks for 200 indicators).
+bit-for-bit reference. The pass is four ufunc calls: two broadcast products,
+[c, s] times row p and [s, c] times row q, each element rounded once, then
+one subtraction and one addition into the two rows. A rotation costs about
+5 us at n = 50 (7 us with one call per product, 22 us for the per-element
+loop; one core of a Xeon VM), and a sweep over k columns makes k(k-1)/2 of
+them: negligible on the bundled dataset (at most 7x7), dominant on a wide
+table (50x50 pillar blocks for 200 indicators).
 ``eigen_symmetric`` returns plain arrays in the layout of
 ``numpy.linalg.eigh``: the eigenvalues (here in descending order) and the
 eigenvectors as the columns of one read-only matrix. Swapping in ``eigh``
@@ -87,7 +90,13 @@ def eigen_symmetric(matrix, *, max_sweeps: int = 100) -> tuple[np.ndarray, np.nd
     rows = np.hstack([a, np.eye(n)])
     a = rows[:, :n]
     item = rows.item
-    cp, sq, sp, cq = np.empty((4, 2 * n))
+    row, col, head = list(rows), list(a.T), list(a)
+    # coef holds [c, s, c]: cs = [[c], [s]] and sc = [[s], [c]] are views of it.
+    coef = np.empty(3)
+    cs, sc = coef[:2, None], coef[1:, None]
+    prod_p, prod_q = np.empty((2, 2, 2 * n))
+    (cp, sp), (sq, cq) = prod_p, prod_q
+    mul, sub, add, copyto, sqrt = np.multiply, np.subtract, np.add, np.copyto, math.sqrt
 
     def off_norm() -> float:
         off = a - np.diag(np.diag(a))
@@ -99,7 +108,7 @@ def eigen_symmetric(matrix, *, max_sweeps: int = 100) -> tuple[np.ndarray, np.nd
             converged = True
             break
         for p in range(n - 1):
-            row_p = rows[p]
+            row_p = row[p]
             for q in range(p + 1, n):
                 apq = item(p, q)
                 if apq == 0.0:
@@ -108,24 +117,25 @@ def eigen_symmetric(matrix, *, max_sweeps: int = 100) -> tuple[np.ndarray, np.nd
                 # Smaller-angle rotation zeroing a[p, q].
                 tau = (aqq - app) / (2.0 * apq)
                 if tau >= 0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                    t = 1.0 / (tau + sqrt(1.0 + tau * tau))
                 else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
+                    t = -1.0 / (-tau + sqrt(1.0 + tau * tau))
+                c = 1.0 / sqrt(1.0 + t * t)
                 s = t * c
-                row_q = rows[q]
-                np.multiply(row_p, c, out=cp)
-                np.multiply(row_q, s, out=sq)
-                np.multiply(row_p, s, out=sp)
-                np.multiply(row_q, c, out=cq)
-                np.subtract(cp, sq, out=row_p)
-                np.add(sp, cq, out=row_q)
+                coef[0] = coef[2] = c
+                coef[1] = s
+                row_q = row[q]
+                # Each product is rounded once, as c * x and s * x, then combined.
+                mul(cs, row_p, prod_p)
+                mul(sc, row_q, prod_q)
+                sub(cp, sq, row_p)
+                add(sp, cq, row_q)
                 # The 2x2 block, rounded as a column then a row update rounds it.
-                rows[p, p] = c * (c * app - s * apq) - s * (c * apq - s * aqq)
-                rows[q, q] = s * (s * app + c * apq) + c * (s * apq + c * aqq)
-                rows[q, p] = 0.0
-                a[:, q] = row_q[:n]  # the matrix stays exactly symmetric
-            a[:, p] = row_p[:n]  # column p is read again only after this loop
+                row_p[p] = c * (c * app - s * apq) - s * (c * apq - s * aqq)
+                row_q[q] = s * (s * app + c * apq) + c * (s * apq + c * aqq)
+                row_q[p] = 0.0
+                copyto(col[q], head[q])  # the matrix stays exactly symmetric
+            copyto(col[p], head[p])  # column p is read again only after this loop
     else:
         converged = off_norm() <= stop
     if not converged:

@@ -619,6 +619,25 @@ class TestCompare:
         assert errors == [f"error (validation): {bad}: {message}"]
         assert not out.exists()
 
+    def test_published_constant_column_warning_names_the_index(self, tmp_path):
+        rows = _bundled_rows(FIXTURE_TABLE3)
+        column = rows[0].index("delphi")
+        for row in rows[1:]:
+            row[column] = "0.5"
+        flat = tmp_path / "table3.csv"
+        _write_rows(flat, rows)
+        out = tmp_path / "cmp"
+        completed = cli_in_process_of_its_own(
+            ["compare", "--published", str(flat), "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        assert completed.returncode == 2
+        assert completed.stderr.splitlines() == [
+            "warning (degenerate): column delphi is constant; normalized to 0.5",
+            "error (validation): index 'delphi' is constant; its correlation is undefined",
+        ]
+        assert not out.exists()
+
     def test_computed_full_report(self, tmp_path):
         out = tmp_path / "cmp"
         code = run(["compare", "--methods", "all", "--out", str(out)])

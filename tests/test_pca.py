@@ -143,6 +143,20 @@ def reference_eigen_symmetric(matrix, *, max_sweeps: int = 100) -> tuple[np.ndar
     return eigenvalues[order], np.column_stack(columns)
 
 
+def factor_model_covariance(rng: np.random.Generator, columns: int, regions: int = 300):
+    """Covariance of one wide pillar block: min-max normalized columns driven by
+    a shared and a pillar factor, with signed loadings and noise."""
+    shared = rng.normal(size=regions)
+    factors = rng.normal(size=(regions, 2))
+    factors[:, 0] = 0.6 * shared + 0.8 * factors[:, 0]
+    loadings = rng.uniform(0.4, 1.0, size=(2, columns)) * np.array([[1.0], [0.5]])
+    signs = np.where(rng.uniform(size=columns) < 0.2, -1.0, 1.0)
+    data = factors @ loadings * signs + 0.5 * rng.normal(size=(regions, columns))
+    data = (data - data.min(axis=0)) / (data.max(axis=0) - data.min(axis=0))
+    centered = data - data.mean(axis=0)
+    return (centered.T @ centered) / regions
+
+
 def assert_eigen_properties(a: np.ndarray) -> None:
     """Residual, trace and orthogonality of ``eigen_symmetric(a)`` within 1e-8."""
     n = a.shape[0]
@@ -209,6 +223,32 @@ class TestBitIdentity:
         a = (q * [3.0, 3.0, 3.0, 1.0, 1.0, 0.25]) @ q.T
         assert_bit_identical((a + a.T) / 2.0)
 
+    @pytest.mark.parametrize("n", [49, 50])
+    def test_wide_factor_model_covariance(self, n):
+        # The pillar blocks of a 300 x 200 table, one of them less a constant column.
+        assert_bit_identical(factor_model_covariance(np.random.default_rng(67 + n), n))
+
+    def test_zero_and_negative_zero_couplings(self):
+        # Two interleaved 25-column blocks: the cross-block couplings start as
+        # -0.0 and stay zeros of either sign, so their rotations are skipped
+        # mid-row, and a few in-block couplings start as exact zeros.
+        rng = np.random.default_rng(69)
+        a = np.full((50, 50), -0.0)
+        odd, even = np.arange(1, 50, 2), np.arange(0, 50, 2)
+        a[np.ix_(odd, odd)] = factor_model_covariance(rng, 25)
+        a[np.ix_(even, even)] = factor_model_covariance(rng, 25)
+        for i, j in [(0, 2), (1, 3), (10, 40), (21, 47)]:
+            a[i, j] = a[j, i] = 0.0
+        assert np.signbit(a[0, 1]) and a[0, 2] == 0.0
+        assert_bit_identical(a)
+
+    def test_back_to_back_calls(self):
+        # Each call starts from its own buffers: a small solve between two wide
+        # ones changes neither.
+        rng = np.random.default_rng(70)
+        for n in (50, 3, 50):
+            assert_bit_identical(factor_model_covariance(rng, n))
+
 
 class TestEigenSymmetric:
     def test_identity(self):
@@ -270,6 +310,15 @@ class TestEigenSymmetric:
     def test_no_convergence_raised(self):
         with pytest.raises(NoConvergenceError):
             eigen_symmetric([[1.0, 0.5], [0.5, 1.0]], max_sweeps=0)
+
+    def test_no_convergence_wide_reports_reference_off_norm(self):
+        a = factor_model_covariance(np.random.default_rng(71), 50)
+        with pytest.raises(NoConvergenceError) as expected:
+            reference_eigen_symmetric(a, max_sweeps=1)
+        with pytest.raises(NoConvergenceError) as got:
+            eigen_symmetric(a, max_sweeps=1)
+        assert got.value.sweeps == 1
+        assert got.value.off_norm == expected.value.off_norm > 0.0
 
 
 def reference_orient_sign(vector: np.ndarray) -> tuple[np.ndarray, bool]:
