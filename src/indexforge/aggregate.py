@@ -30,7 +30,6 @@ from .model import (
     Method,
     Stage,
     WeightScheme,
-    build_weight_scheme,
 )
 from .normalize import normalize_column
 
@@ -70,19 +69,6 @@ def geometric_mean(values) -> np.ndarray | float:
     return np.where(zero, 0.0, np.exp(logs.sum(axis=-1) / x.shape[-1]))[()]
 
 
-def rescale_final(raw, name: str = "raw index") -> np.ndarray:
-    """Min-max rescale a raw index vector so it spans [0, 1] over the regions.
-
-    The normalization kernel with the raw index as one benefit column named
-    ``name``: an all-equal input maps to 0.5 everywhere with a
-    DegenerateColumnWarning, and a non-finite value raises ValueError.
-    """
-    values = np.asarray(raw, dtype=float)
-    if values.size < 2:
-        raise ValueError("rescaling needs at least two regions")
-    return normalize_column(values, Direction.BENEFIT, name)[0]
-
-
 def rank_regions(regions: Sequence[str], rescaled) -> tuple[str, ...]:
     """Regions in descending index order; ties broken by label in code-point order.
 
@@ -105,8 +91,15 @@ def rank_regions(regions: Sequence[str], rescaled) -> tuple[str, ...]:
 
 
 def build_index_result(method: Method, regions: Sequence[str], raw) -> IndexResult:
-    """Attach the rescaled index and ranking to a raw index vector."""
-    rescaled = rescale_final(raw, method.value)
+    """Attach the rescaled index and ranking to a raw index vector.
+
+    The rescale is the normalization kernel with the raw index as one benefit
+    column named after the method: an all-equal input maps to 0.5 everywhere
+    with a DegenerateColumnWarning, and a non-finite value raises ValueError.
+    """
+    if np.size(raw) < 2:
+        raise ValueError("rescaling needs at least two regions")
+    rescaled = normalize_column(raw, Direction.BENEFIT, method.value)[0]
     return IndexResult(method, regions, raw, rescaled, rank_regions(regions, rescaled))
 
 
@@ -127,11 +120,11 @@ def compute_delphi(
 
     raw(region) = sum over pillars of pillar_weight *
     sum over the pillar's indicators of indicator_weight * value.
-    ``weights`` defaults to the panel weighting, ``build_weight_scheme(manifest)``.
+    ``weights`` defaults to the panel weighting, ``manifest.panel_weights``.
     """
     if matrix.stage is not Stage.NORMALIZED:
         raise ValueError("the weighted index is defined on a normalized matrix")
-    weights = build_weight_scheme(manifest) if weights is None else weights
+    weights = manifest.panel_weights if weights is None else weights
     differing = set(weights.indicator_weights) ^ set(manifest.ids)
     differing |= set(weights.pillar_weights) ^ set(PILLARS)
     if differing:

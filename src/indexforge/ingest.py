@@ -234,7 +234,9 @@ def parse_dataset(path: str | Path, manifest: Manifest) -> IndicatorMatrix:
     (also for nan and inf), DuplicateRegionError, TooFewRegionsError,
     UnknownIndicatorError or MissingIndicatorError; a JSON file with more
     value rows than regions raises ExtraRowError, and one that is not valid
-    JSON or not laid out as above raises DataFormatError. A file that is not
+    JSON, nests too deeply to decode, repeats an object key, holds a region
+    label that is not Unicode text (a lone surrogate escape) or is not laid
+    out as above raises DataFormatError. A file that is not
     UTF-8 raises FileEncodingError. The file is opened once and every check
     runs while it is open, so every error starts with the path.
 
@@ -348,9 +350,11 @@ def _read_dataset_json(handle, manifest: Manifest):
     """Regions, indicator ids and the regions x indicators values of an open JSON file."""
     text = handle.read()  # outside the try: a UnicodeDecodeError is a ValueError too
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=_json_object)
     except ValueError as exc:  # a JSONDecodeError, or an int of over 4,300 digits
         raise DataFormatError(f"the file is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise DataFormatError("the file nests JSON arrays or objects too deeply") from None
     if not isinstance(payload, dict):
         raise DataFormatError(f"the file must hold a JSON object with keys {', '.join(JSON_KEYS)}")
     for key in JSON_KEYS:
@@ -362,6 +366,11 @@ def _read_dataset_json(handle, manifest: Manifest):
     for key, names in (("regions", regions), ("indicators", indicator_ids)):
         if not all(isinstance(name, str) for name in names):
             raise DataFormatError(f"every entry of {key!r} must be a string")
+    try:  # a \ud800 escape decodes to a lone surrogate, which no file can hold
+        "".join(regions).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        region = next(region for region in regions if exc.object[exc.start] in region)
+        raise DataFormatError(f"region {region!r} is not Unicode text: {exc.reason}") from None
     _check_header(indicator_ids, manifest)
     if len(values) < len(regions):
         raise MissingCellError(regions[len(values)], indicator_ids[0])
@@ -379,6 +388,16 @@ def _read_dataset_json(handle, manifest: Manifest):
         table = np.array([[float(str(value)) for value in row] for row in values])
     # A file without regions gives (0,) here; reshape makes every shape 2-D.
     return regions, indicator_ids, table.reshape(len(regions), len(indicator_ids))
+
+
+def _json_object(pairs: list[tuple[str, object]]) -> dict:
+    """A decoded JSON object; a key it holds twice raises DataFormatError naming the key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        key = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise DataFormatError(f"key {key!r} appears more than once in a JSON object")
+    return obj
 
 
 def _raise_json_cell_error(region: str, indicator_ids: Sequence[str], row: list) -> None:

@@ -37,12 +37,7 @@ class Pillar(str, Enum):
 
 
 #: Canonical pillar order used everywhere a stable order is needed.
-PILLARS: tuple[Pillar, ...] = (
-    Pillar.POPULATION,
-    Pillar.SOCIAL_WELFARE,
-    Pillar.ECONOMY,
-    Pillar.ENVIRONMENT,
-)
+PILLARS: tuple[Pillar, ...] = tuple(Pillar)
 
 #: Default pillar weighting for the weighted-mean method, as elicited from
 #: an expert panel (percentages; renormalized because they sum to 99.6).
@@ -87,6 +82,7 @@ class Manifest:
     """Validated, ordered collection of indicator specs covering all pillars."""
 
     specs: tuple[IndicatorSpec, ...]
+    panel_weights: WeightScheme = field(init=False, compare=False, repr=False)
 
     @cached_property
     def ids(self) -> tuple[str, ...]:
@@ -112,9 +108,9 @@ class Manifest:
 def validate_manifest(specs: Iterable[IndicatorSpec]) -> Manifest:
     """Check uniqueness, pillar coverage and weights; return a Manifest.
 
-    Raises DuplicateIndicatorIdError or EmptyPillarError; the weights are
-    checked by ``build_weight_scheme``, the one owner of the weight rule, so a
-    manifest that passes here gives every method a valid weighting.
+    Raises DuplicateIndicatorIdError or EmptyPillarError; ``build_weight_scheme``,
+    the one owner of the weight rule, checks the weights, and the panel weighting
+    it builds is kept as ``panel_weights``, valid for every method.
     """
     specs = tuple(specs)
     seen: set[str] = set()
@@ -126,7 +122,7 @@ def validate_manifest(specs: Iterable[IndicatorSpec]) -> Manifest:
     for pillar in PILLARS:
         if not manifest.pillar_ids(pillar):
             raise EmptyPillarError(pillar)
-    build_weight_scheme(manifest)
+    object.__setattr__(manifest, "panel_weights", build_weight_scheme(manifest))
     return manifest
 
 

@@ -11,8 +11,8 @@ flagged as degenerate with a warning instead of failing the pipeline.
 vectorized pass; ``normalize_column`` runs the same kernel on a single
 column, so both give the same bytes for the same column. The kernel is the
 package's only min-max code: ``composite_indicator`` averages scaled
-component columns into a derived column, and ``aggregate.rescale_final``
-rescales each raw index through ``normalize_column``. The kernel alone
+component columns into a derived column, and ``aggregate.build_index_result``
+rescales each raw index with one ``normalize_column`` call. The kernel alone
 rejects a column holding a nan or inf (ValueError) or one whose max - min
 overflows (ColumnSpanOverflowError), naming it.
 """

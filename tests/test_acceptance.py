@@ -212,7 +212,7 @@ def test_criterion_6_aggregation_property_suite():
         if force_zero_pillar:
             assert abreu.raw_index[norm.regions[0]] == 0.0
 
-        # rescale_final preserves ranking order.
+        # The final rescale preserves ranking order.
         raw = abreu.raw_index
         order_raw = sorted(raw, key=lambda r: (-raw[r], r))
         assert tuple(order_raw) == abreu.ranking

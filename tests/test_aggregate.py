@@ -16,7 +16,6 @@ from indexforge.aggregate import (
     geometric_mean,
     pillar_arithmetic_means,
     rank_regions,
-    rescale_final,
     write_index_csv,
     write_index_json,
 )
@@ -187,8 +186,8 @@ class TestGeometricMean:
             geometric_mean([])
 
 
-def reference_rescale_final(raw) -> np.ndarray:
-    """``rescale_final`` with its own min-max code, before it ran through the kernel."""
+def reference_final_rescale(raw) -> np.ndarray:
+    """The final rescale with its own min-max code, before it ran through the kernel."""
     values = np.asarray(raw, dtype=float)
     if values.size < 2:
         raise ValueError("rescaling needs at least two regions")
@@ -203,7 +202,14 @@ def reference_rescale_final(raw) -> np.ndarray:
     return (values - lo) / (hi - lo)
 
 
+def rescaled(raw, method: Method = Method.ABREU) -> np.ndarray:
+    """The final rescale of ``raw``, as ``build_index_result`` attaches it."""
+    return build_index_result(method, [f"r{i}" for i in range(np.size(raw))], raw).rescaled
+
+
 class TestRescaleFinal:
+    """The final rescale of ``build_index_result``: the kernel on one benefit column."""
+
     def test_bundled_endpoints(self, results_all):
         results, _ = results_all
         abreu = results[Method.ABREU]
@@ -212,16 +218,16 @@ class TestRescaleFinal:
 
     def test_constant_input_maps_to_half(self):
         with pytest.warns(DegenerateColumnWarning) as caught:
-            out = rescale_final([5.0, 5.0, 5.0])
+            out = rescaled([5.0, 5.0, 5.0], Method.DELPHI)
         assert out.tolist() == [0.5, 0.5, 0.5]
         assert [str(w.message) for w in caught] == [
-            "column raw index is constant; normalized to 0.5"
+            "column delphi is constant; normalized to 0.5"
         ]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_rejected(self, bad):
-        with pytest.raises(ValueError, match="raw index"):
-            rescale_final([0.0, bad, 1.0])
+        with pytest.raises(ValueError, match="column 'pca' contains non-finite values"):
+            rescaled([0.0, bad, 1.0], Method.PCA)
 
     def test_matches_reference_bit_for_bit(self):
         """Seeded vectors with signed zeros, subnormals, magnitudes to 1e±300 and
@@ -230,8 +236,8 @@ class TestRescaleFinal:
         constants = 0
         for _ in range(3000):
             raw = edge_vector(rng, int(rng.integers(2, 300)))
-            got, got_warnings = recorded_warnings(lambda: rescale_final(raw))
-            want, want_warnings = recorded_warnings(lambda: reference_rescale_final(raw))
+            got, got_warnings = recorded_warnings(lambda: rescaled(raw))
+            want, want_warnings = recorded_warnings(lambda: reference_final_rescale(raw))
             assert got.tobytes() == want.tobytes()
             assert [c for c, _ in got_warnings] == [c for c, _ in want_warnings]
             constants += bool(want_warnings)
@@ -243,19 +249,19 @@ class TestRescaleFinal:
             raw = np.sort(rng.normal(size=8))
             if np.any(np.diff(raw) == 0):
                 continue
-            out = rescale_final(raw)
+            out = rescaled(raw)
             assert np.all(np.diff(out) > 0)
 
     def test_order_preserved_random(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
             raw = rng.normal(size=6)
-            out = rescale_final(raw)
+            out = rescaled(raw)
             assert np.array_equal(np.argsort(-raw, kind="stable"), np.argsort(-out, kind="stable"))
 
     def test_needs_two_regions(self):
-        with pytest.raises(ValueError):
-            rescale_final([1.0])
+        with pytest.raises(ValueError, match="^rescaling needs at least two regions$"):
+            rescaled([1.0])
 
 
 class TestComputeAbreu:

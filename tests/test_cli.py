@@ -17,12 +17,12 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from indexforge import cli
+from indexforge import aggregate, cli, ingest, model
 from indexforge.cli import main
 from indexforge.datasets import data_path, load_nuts3_dataset, load_reference_indexes
 from indexforge.errors import DataFormatError
 from indexforge.ingest import parse_dataset
-from indexforge.model import Pillar
+from indexforge.model import Pillar, build_weight_scheme
 
 FIXTURE_DATA = str(data_path("nuts3.csv"))
 FIXTURE_MANIFEST = str(data_path("manifest.csv"))
@@ -74,6 +74,11 @@ REJECTED_INPUTS = {
     "manifest-weight-nan": "{manifest}: indicator 'DmgDep' has weight nan, which is not finite",
     "missing-cell": "{data}: missing value at region 'Alto Minho', indicator 'PopDens'",
     "non-utf8-data": "{data} is not UTF-8 text (invalid continuation byte)",
+    "json-deep-values": "{data}: the file nests JSON arrays or objects too deeply",
+    "json-deep-cell": "{data}: the file nests JSON arrays or objects too deeply",
+    "json-lone-surrogate-label":
+        "{data}: region 'r\\ud800' is not Unicode text: surrogates not allowed",
+    "json-repeated-values-key": "{data}: key 'values' appears more than once in a JSON object",
 }
 
 
@@ -93,6 +98,16 @@ def _spoiled_copies(case: str, tmp: Path) -> tuple[Path, Path]:
     _write_rows(data, [header, *rows])
     if case == "non-utf8-data":  # the region labels hold letters Latin-1 writes as one byte
         data.write_bytes(data.read_text(encoding="utf-8").encode("latin-1"))
+    if case.startswith("json-"):
+        data = tmp / "data.json"
+        text = BUNDLED_INPUTS["data.json"]
+        data.write_text({
+            "json-deep-values":
+                text.split('"values": ')[0] + f'"values": {"[" * 100_000}{"]" * 100_000}}}',
+            "json-deep-cell": text.replace("103.8", "[" * 995 + "103.8" + "]" * 995),
+            "json-lone-surrogate-label": text.replace('"Alto Minho"', '"r\\ud800"'),
+            "json-repeated-values-key": text.replace('"values": ', '"values": [], "values": '),
+        }[case], encoding="utf-8")
     return data, manifest
 
 
@@ -161,10 +176,12 @@ class TestValidate:
         inputs = ["--data", str(data), "--manifest", str(manifest)]
         expected = REJECTED_INPUTS[case].format(data=data, manifest=manifest)
         errors = []
-        for command in (["validate"], ["compute", "--methods", "abreu", "--out", str(tmp_path)]):
+        out = tmp_path / "out"
+        for command in (["validate"], ["compute", "--methods", "abreu", "--out", str(out)]):
             assert run([*command, *inputs]) == 2, command
             errors.append(capsys.readouterr().err.splitlines())
         assert errors == [[f"error (validation): {expected}"]] * 2
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "edit, code, expected",
@@ -732,6 +749,21 @@ class TestReport:
             "parse_dataset": 1, "compute_abreu": 1, "compute_delphi": 1, "compute_pca": 1,
         }
 
+    @pytest.mark.parametrize("argv", [["compute", "--methods", "delphi"], ["report"]])
+    def test_panel_weighting_built_once(self, tmp_path, monkeypatch, argv):
+        """Without --weights, delphi uses the scheme the manifest check built."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build_weight_scheme(*args, **kwargs)
+
+        for module in (aggregate, ingest, model):
+            if getattr(module, "build_weight_scheme", None) is build_weight_scheme:
+                monkeypatch.setattr(module, "build_weight_scheme", counted)
+        assert run([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == 1
+
     def test_all_constant_pca_stage_is_one_validation_error(self, tmp_path):
         """All Population columns at 1.0: exit 2, one error line naming the stage's columns."""
         population = load_nuts3_dataset()[0].pillar_ids(Pillar.POPULATION)
@@ -949,6 +981,81 @@ def test_mutated_inputs_end_in_a_documented_exit_code(inputs):
             code = main(argv)
     event(f"exit code {code}")
     assert code in (0, 2, 3, 4)
+
+
+#: Region labels made of JSON \u escapes: lone surrogates, a pair, control and format characters.
+ESCAPED_LABELS = st.lists(
+    st.sampled_from(["\\ud800", "\\udfff", "\\ud83d\\ude00", "\\u0000", "\\u2028",
+                     "\\u00e9", "\\u0022", "r", ","])
+    | st.integers(0, 0xFFFF).map("\\u{:04x}".format),
+    min_size=1, max_size=4,
+).map(lambda parts: '"' + "".join(parts) + '"')
+#: JSON values of other types than a cell's number or a label's string.
+SWAPPED_VALUES = ('"7"', '"x"', "null", "true", "false", "[]", "{}", "[1.5]", '{"a": 1}',
+                  "1.5", "-0", '"Alto Minho"')
+#: Ints beyond the float range, and around the 4,300-digit limit of int().
+HUGE_INTS = st.builds("{}{}".format, st.sampled_from(["", "-"]),
+                      st.sampled_from([309, 400, 4300, 4301]).map("9".__mul__))
+
+
+@st.composite
+def mutated_json_data(draw):
+    """The bundled data as a JSON text, changed by one to three edits."""
+    payload = json.loads(BUNDLED_INPUTS["data.json"])
+    labels = [json.dumps(label, ensure_ascii=False) for label in payload["regions"]]
+    cells = [[json.dumps(value) for value in row] for row in payload["values"]]
+    keys = ["regions", "indicators", "values"]
+    depth = {}  # the part of the file a run of arrays wraps, and how many
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(("nest", "repeat-key", "escape", "swap", "huge-int")))
+        i = draw(POSITION) % len(labels)
+        j = draw(POSITION) % len(cells[i])
+        if edit == "nest":
+            part = draw(st.sampled_from([("cell", i, j), ("row", i), ("label", i),
+                                         ("values",), ("file",)]))
+            depth[part] = draw(st.sampled_from([1, 2, 900, 990, 1000, 100_000]))
+        elif edit == "repeat-key":
+            keys.insert(draw(POSITION) % (len(keys) + 1), draw(st.sampled_from(keys)))
+        elif edit == "escape":
+            labels[i] = draw(ESCAPED_LABELS)
+        elif edit == "swap" and draw(st.booleans()):
+            cells[i][j] = draw(st.sampled_from(SWAPPED_VALUES))
+        elif edit == "swap":
+            labels[i] = draw(st.sampled_from(SWAPPED_VALUES))
+        else:
+            cells[i][j] = draw(HUGE_INTS)
+
+    def nest(text, *part):
+        return "[" * depth.get(part, 0) + text + "]" * depth.get(part, 0)
+
+    rows = [nest("[" + ", ".join(nest(cell, "cell", i, j) for j, cell in enumerate(row)) + "]",
+                 "row", i) for i, row in enumerate(cells)]
+    texts = {
+        "regions": "[" + ", ".join(nest(label, "label", i) for i, label in enumerate(labels)) + "]",
+        "indicators": json.dumps(payload["indicators"]),
+        "values": nest("[" + ", ".join(rows) + "]", "values"),
+    }
+    return nest("{" + ", ".join(f'"{key}": {texts[key]}' for key in keys) + "}", "file")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mutated_json_data())
+def test_mutated_json_data_validates_as_it_computes(text):
+    """validate and compute exit alike, 0 or 2, with no traceback, for any edit of the data."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "data.json"
+        data.write_bytes(text.encode("utf-8"))
+        codes, errors = [], []
+        for command in (["validate"], ["compute", "--methods", "abreu", "--out", f"{tmp}/out"]):
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                codes.append(main([*command, "--data", str(data)]))
+            errors.append(stderr.getvalue())
+    event(f"exit code {codes[0]}")
+    assert codes[0] == codes[1] and codes[0] in (0, 2)
+    assert all("Traceback" not in text for text in errors)
+    if codes[0] == 2:
+        assert all(text.startswith(f"error (validation): {data}: ") for text in errors)
 
 
 def test_report_never_imports_numpy_ma(tmp_path):

@@ -296,14 +296,55 @@ class TestParseDataset:
             ('{"regions": ["r1", "r2"], "indicators": ["a", "b", "c", "d"], '
              '"values": [[1, 2, 3, 4], [5, 6, 7, ' + "9" * 5000 + ']]}',
              "is not valid JSON: Exceeds the limit"),
+            ('{"regions": ["r1", "r2"], "indicators": ["a", "b", "c", "d"], "values": '
+             + "[" * 100_000 + "]" * 100_000 + "}",
+             "the file nests JSON arrays or objects too deeply"),
+            ('{"regions": ["r1", "r2"], "indicators": ["a", "b", "c", "d"], '
+             '"values": [[1, 2, 3, 4], [5, 6, 7, ' + "[" * 995 + "8" + "]" * 995 + "]]}",
+             "the file nests JSON arrays or objects too deeply"),
+            ('{"regions": ["r1", "r2"], "indicators": ["a", "b", "c", "d"], '
+             '"values": [[1, 2, 3, 4], [5, 6, 7, 8]], "values": [[0, 0, 0, 0], [0, 0, 0, 0]]}',
+             "key 'values' appears more than once in a JSON object"),
+            ('{"regions": ["r1", "r2"], "indicators": ["a", "b", "c", "d"], '
+             '"values": [[1, 2, 3, 4], [5, 6, 7, {"x": 1, "y": 2, "x": 3}]]}',
+             "key 'x' appears more than once in a JSON object"),
         ],
         ids=["truncated", "no-indicators", "top-level-list", "regions-not-list",
-             "region-not-string", "indicator-not-string", "row-not-list", "int-of-5000-digits"],
+             "region-not-string", "indicator-not-string", "row-not-list", "int-of-5000-digits",
+             "deep-values", "deep-cell", "repeated-values-key", "repeated-key-in-a-cell"],
     )
     def test_malformed_json(self, tmp_path, small_manifest, text, message):
         path = write_tmp_dataset(tmp_path, text, "data.json")
         with pytest.raises(DataFormatError, match=message):
             parse_dataset(path, small_manifest)
+
+    @pytest.mark.parametrize(
+        "labels, bad",
+        [
+            ('"r\\ud800", "r2"', "r\ud800"),
+            ('"r1", "\\udfffr"', "\udfffr"),
+            ('"\\ud83d", "\\ude00"', "\ud83d"),
+            ('"r1", "r\\ud83d\\ude00", "\\udc00"', "\udc00"),
+        ],
+        ids=["lone-high", "lone-low", "halves-in-two-labels", "pair-then-lone"],
+    )
+    def test_json_region_with_a_lone_surrogate_rejected(
+        self, tmp_path, small_manifest, labels, bad
+    ):
+        rows = ", ".join(["[1, 2, 3, 4]"] * (labels.count(",") + 1))
+        text = f'{{"regions": [{labels}], "indicators": ["a", "b", "c", "d"], "values": [{rows}]}}'
+        path = write_tmp_dataset(tmp_path, text, "data.json")
+        with pytest.raises(DataFormatError) as exc_info:
+            parse_dataset(path, small_manifest)
+        assert str(exc_info.value) == (
+            f"{path}: region {bad!r} is not Unicode text: surrogates not allowed"
+        )
+
+    def test_json_region_with_an_escaped_surrogate_pair_accepted(self, tmp_path, small_manifest):
+        text = ('{"regions": ["r\\ud83d\\ude00", "\\u00e9"], "indicators": ["a", "b", "c", "d"], '
+                '"values": [[1, 2, 3, 4], [5, 6, 7, 8]]}')
+        path = write_tmp_dataset(tmp_path, text, "data.json")
+        assert parse_dataset(path, small_manifest).regions == ("r\U0001f600", "\u00e9")
 
     @pytest.mark.parametrize("name", ["data.csv", "data.json"])
     def test_non_utf8_rejected(self, tmp_path, small_manifest, name):
