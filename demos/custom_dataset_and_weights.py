@@ -21,11 +21,10 @@ from indexforge import (
     compute_delphi,
     normalize_matrix,
     validate_manifest,
-    write_index_csv,
-    write_normalization_csv,
-    write_parallel_svg,
-    write_report_json,
 )
+from indexforge.aggregate import write_index_csv
+from indexforge.normalize import write_normalization_csv
+from indexforge.stats import write_parallel_svg, write_report_json
 
 out_dir = Path("demo_output")
 out_dir.mkdir(exist_ok=True)

@@ -5,12 +5,12 @@ regions-by-indicators dataset: a hierarchical arithmetic/geometric index,
 a two-level weighted arithmetic index, and a two-stage principal-component
 index. Ships a reference dataset of nine Portuguese NUTS III regions.
 
-The names below are the ones the README and the demos use; everything else
-is imported from its submodule (``indexforge.aggregate``, ``indexforge.pca``
-and so on).
+The names below are the ones the README and the demos use; everything else,
+the artifact writers included, is imported from its submodule
+(``indexforge.aggregate``, ``indexforge.pca`` and so on).
 """
 
-from .aggregate import compute_abreu, compute_delphi, write_index_csv
+from .aggregate import compute_abreu, compute_delphi
 from .model import (
     PILLARS,
     Direction,
@@ -21,9 +21,9 @@ from .model import (
     build_weight_scheme,
     validate_manifest,
 )
-from .normalize import composite_indicator, normalize_matrix, write_normalization_csv
+from .normalize import composite_indicator, normalize_matrix
 from .pca import REFERENCE_VARIANCE_PROFILE, compute_pca, eigen_symmetric
-from .stats import build_comparison, describe, pearson, write_parallel_svg, write_report_json
+from .stats import build_comparison, describe, pearson
 
 __version__ = "0.1.0"
 
@@ -46,8 +46,4 @@ __all__ = [
     "normalize_matrix",
     "pearson",
     "validate_manifest",
-    "write_index_csv",
-    "write_normalization_csv",
-    "write_parallel_svg",
-    "write_report_json",
 ]

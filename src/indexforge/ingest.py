@@ -9,8 +9,8 @@ start with a UTF-8 byte-order mark, which is skipped. The small CSV inputs
 Every reader runs all of its checks inside ``open_input``, which alone puts
 the path at the head of each error.
 The JSON alternative for datasets is an object
-``{"regions": [...], "indicators": [...], "values": [[...]]}`` with string
-region and indicator names and one list of values per region.
+``{"regions": [...], "indicators": [...], "values": [[...]]}``, with no other
+key, string region and indicator names and one list of values per region.
 
 A CSV dataset body is parsed in C by one ``np.loadtxt`` pass (``csv.reader``
 reads only the header), which splits cells as ``csv.reader`` does and
@@ -31,9 +31,11 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from array import array
 from contextlib import contextmanager
 from functools import lru_cache
+from itertools import accumulate
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -234,9 +236,10 @@ def parse_dataset(path: str | Path, manifest: Manifest) -> IndicatorMatrix:
     (also for nan and inf), DuplicateRegionError, TooFewRegionsError,
     UnknownIndicatorError or MissingIndicatorError; a JSON file with more
     value rows than regions raises ExtraRowError, and one that is not valid
-    JSON, nests too deeply to decode, repeats an object key, holds a region
-    label that is not Unicode text (a lone surrogate escape) or is not laid
-    out as above raises DataFormatError. A file that is not
+    JSON, nests arrays or objects over ``_JSON_MAX_DEPTH`` deep (counted
+    before decoding), has a key other than the three, repeats an object key,
+    holds a region label that is not Unicode text (a lone surrogate escape)
+    or is not laid out as above raises DataFormatError. A file that is not
     UTF-8 raises FileEncodingError. The file is opened once and every check
     runs while it is open, so every error starts with the path.
 
@@ -345,18 +348,37 @@ def _read_csv_rows(handle, indicator_ids: tuple[str, ...], header_reader):
 #: The types of the numbers ``json.loads`` returns; bool is a type of its own.
 _JSON_NUMBERS = frozenset((int, float))
 
+#: How deep a JSON dataset may nest arrays and objects. Its layout needs 3;
+#: the cap keeps decoding far below Python's recursion limit.
+_JSON_MAX_DEPTH = 32
+#: A JSON string; one left open runs to the end of the text, so no match
+#: fails and is retried from a later quote, and the scan stays linear.
+_JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z)', re.S)
+_NOT_BRACKETS = bytes(byte for byte in range(256) if byte not in b"[]{}")
+_BRACKET_STEP = {ord("["): 1, ord("{"): 1, ord("]"): -1, ord("}"): -1}
+
+
+def _json_depth(text: str) -> int:
+    """How deep the arrays and objects of a JSON text nest, found without
+    decoding it: the running count of the brackets outside its strings."""
+    brackets = _JSON_STRING.sub("", text).encode("utf-8").translate(None, _NOT_BRACKETS)
+    return max(accumulate(map(_BRACKET_STEP.__getitem__, brackets)), default=0)
+
 
 def _read_dataset_json(handle, manifest: Manifest):
     """Regions, indicator ids and the regions x indicators values of an open JSON file."""
     text = handle.read()  # outside the try: a UnicodeDecodeError is a ValueError too
+    if _json_depth(text) > _JSON_MAX_DEPTH:
+        raise DataFormatError("the file nests JSON arrays or objects too deeply")
     try:
         payload = json.loads(text, object_pairs_hook=_json_object)
     except ValueError as exc:  # a JSONDecodeError, or an int of over 4,300 digits
         raise DataFormatError(f"the file is not valid JSON: {exc}") from None
-    except RecursionError:
-        raise DataFormatError("the file nests JSON arrays or objects too deeply") from None
     if not isinstance(payload, dict):
         raise DataFormatError(f"the file must hold a JSON object with keys {', '.join(JSON_KEYS)}")
+    unknown = next((key for key in payload if key not in JSON_KEYS), None)
+    if unknown is not None:
+        raise DataFormatError(f"unknown key {unknown!r}; the keys are {', '.join(JSON_KEYS)}")
     for key in JSON_KEYS:
         if not isinstance(payload.get(key), list):
             raise DataFormatError(f"the file has no {key!r} list")

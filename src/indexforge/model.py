@@ -3,8 +3,10 @@
 The engine works on a rectangular regions-by-indicators table. Indicators
 belong to one of four thematic pillars and carry a direction: for *benefit*
 indicators higher raw values mean more development, for *cost* indicators
-the opposite (they are inverse-normalized downstream). All types here are
-immutable after construction and safe to share between threads.
+the opposite (they are inverse-normalized downstream). Every type here is an
+Enum or a frozen dataclass, immutable once built and safe to share between
+threads. A Manifest and an IndicatorMatrix check themselves when built, so
+no invalid one exists.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -79,10 +81,27 @@ class IndicatorSpec:
 
 @dataclass(frozen=True)
 class Manifest:
-    """Validated, ordered collection of indicator specs covering all pillars."""
+    """Ordered collection of indicator specs covering all pillars, checked when built.
+
+    ``specs`` (any iterable) is stored as a tuple. Construction raises
+    DuplicateIndicatorIdError for the first repeated id, then EmptyPillarError
+    for the first pillar without an indicator; ``build_weight_scheme``, the one
+    owner of the weight rule, then checks the weights and builds the panel
+    weighting, kept as ``panel_weights`` and valid for every method.
+    """
 
     specs: tuple[IndicatorSpec, ...]
     panel_weights: WeightScheme = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "specs", tuple(self.specs))
+        if len(self._by_id) < len(self.specs):
+            seen: set[str] = set()
+            raise DuplicateIndicatorIdError(next(i for i in self.ids if i in seen or seen.add(i)))
+        for pillar in PILLARS:
+            if not self.pillar_ids(pillar):
+                raise EmptyPillarError(pillar)
+        object.__setattr__(self, "panel_weights", build_weight_scheme(self))
 
     @cached_property
     def ids(self) -> tuple[str, ...]:
@@ -105,25 +124,8 @@ class Manifest:
         return {pillar: len(self.pillar_ids(pillar)) for pillar in PILLARS}
 
 
-def validate_manifest(specs: Iterable[IndicatorSpec]) -> Manifest:
-    """Check uniqueness, pillar coverage and weights; return a Manifest.
-
-    Raises DuplicateIndicatorIdError or EmptyPillarError; ``build_weight_scheme``,
-    the one owner of the weight rule, checks the weights, and the panel weighting
-    it builds is kept as ``panel_weights``, valid for every method.
-    """
-    specs = tuple(specs)
-    seen: set[str] = set()
-    for spec in specs:
-        if spec.id in seen:
-            raise DuplicateIndicatorIdError(spec.id)
-        seen.add(spec.id)
-    manifest = Manifest(specs)
-    for pillar in PILLARS:
-        if not manifest.pillar_ids(pillar):
-            raise EmptyPillarError(pillar)
-    object.__setattr__(manifest, "panel_weights", build_weight_scheme(manifest))
-    return manifest
+#: The checked constructor under the name the readers and the README use.
+validate_manifest = Manifest
 
 
 @dataclass(frozen=True)
@@ -196,33 +198,30 @@ def _shares(weights: Mapping[str, float], kind: str, scope: str) -> list[float]:
     return [weight / total for weight in weights.values()]
 
 
+@dataclass(frozen=True, eq=False)
 class IndicatorMatrix:
     """Dense regions-by-indicators table of finite values.
 
     ``stage`` records whether the values are raw observations or already
-    min-max normalized to [0, 1]. The value buffer is made read-only so a
-    matrix can be shared freely once built.
+    min-max normalized to [0, 1]. The constructor copies ``values`` and checks
+    the shape, then that the labels are unique, then the values; the value
+    buffer is made read-only so a matrix can be shared freely once built.
     """
 
-    __slots__ = ("regions", "indicators", "values", "stage", "_column_of")
+    regions: tuple[str, ...]
+    indicators: tuple[str, ...]
+    values: np.ndarray
+    stage: Stage = Stage.RAW
 
-    def __init__(
-        self,
-        regions: Sequence[str],
-        indicators: Sequence[str],
-        values,
-        stage: Stage = Stage.RAW,
-    ):
-        regions = tuple(regions)
-        indicators = tuple(indicators)
-        array = np.array(values, dtype=float)
+    def __post_init__(self):
+        regions, indicators = tuple(self.regions), tuple(self.indicators)
+        array = np.array(self.values, dtype=float)
         _check_shape(array, regions, indicators)
         if len(set(regions)) != len(regions):
             raise ValueError("region labels must be unique")
-        column_of = {indicator_id: j for j, indicator_id in enumerate(indicators)}
-        if len(column_of) != len(indicators):
+        if len(set(indicators)) != len(indicators):
             raise ValueError("indicator ids must be unique")
-        self._freeze(regions, indicators, array, stage, column_of)
+        self._freeze(regions, indicators, array, self.stage)
 
     @classmethod
     def from_checked(
@@ -242,26 +241,21 @@ class IndicatorMatrix:
         array = np.ascontiguousarray(values, dtype=float)
         _check_shape(array, regions, indicators)
         matrix = cls.__new__(cls)
-        column_of = {indicator_id: j for j, indicator_id in enumerate(indicators)}
-        matrix._freeze(regions, indicators, array, stage, column_of)
+        matrix._freeze(regions, indicators, array, stage)
         return matrix
 
-    def _freeze(self, regions, indicators, array: np.ndarray, stage: Stage, column_of) -> None:
+    def _freeze(self, regions, indicators, array: np.ndarray, stage: Stage) -> None:
+        """Check the values, make their buffer read-only and set every field."""
         if not np.all(np.isfinite(array)):
             raise ValueError("matrix contains non-finite values")
         if stage is Stage.NORMALIZED and (array.min() < -1e-9 or array.max() > 1 + 1e-9):
             raise ValueError("normalized matrix has values outside [0, 1]")
         array.flags.writeable = False
-        self.regions = regions
-        self.indicators = indicators
-        self.values = array
-        self._column_of = column_of
-        self.stage = stage
+        vars(self).update(regions=regions, indicators=indicators, values=array, stage=stage)
 
-    def __setattr__(self, name, value):
-        if hasattr(self, "stage") and name in self.__slots__:
-            raise AttributeError("IndicatorMatrix is immutable")
-        super().__setattr__(name, value)
+    @cached_property
+    def _column_of(self) -> dict[str, int]:
+        return {indicator_id: j for j, indicator_id in enumerate(self.indicators)}
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -309,16 +303,16 @@ class IndexResult:
     """Final index of one method: raw and [0, 1] rescaled vectors, ranking.
 
     ``raw`` and ``rescaled`` are read-only vectors aligned to ``regions``.
-    The ranking is in descending rescaled order; ties are broken by the
-    code-point order of the region labels so that equal scores still produce
-    a deterministic order.
+    Every field is required. The ranking is in descending rescaled order;
+    ties are broken by the code-point order of the region labels so that
+    equal scores still produce a deterministic order.
     """
 
     method: Method
     regions: tuple[str, ...]
     raw: np.ndarray
     rescaled: np.ndarray
-    ranking: tuple[str, ...] = field(default=())
+    ranking: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "regions", tuple(self.regions))

@@ -10,9 +10,8 @@ the same IEEE operations as the per-element loop the tests keep as a
 bit-for-bit reference. The pass is four ufunc calls: two broadcast products,
 [c, s] times row p and [s, c] times row q, each element rounded once, then
 one subtraction and one addition into the two rows. A rotation costs about
-5 us at n = 50 (7 us with one call per product, 22 us for the per-element
-loop; one core of a Xeon VM), and a sweep over k columns makes k(k-1)/2 of
-them: negligible on the bundled dataset (at most 7x7), dominant on a wide
+5 us at n = 50 (one core of a Xeon VM), and a sweep over k columns makes
+k(k-1)/2 of them: negligible on the bundled dataset (at most 7x7), dominant on a wide
 table (50x50 pillar blocks for 200 indicators).
 ``eigen_symmetric`` returns plain arrays in the layout of
 ``numpy.linalg.eigh``: the eigenvalues (here in descending order) and the

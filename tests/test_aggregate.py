@@ -31,6 +31,7 @@ from indexforge.model import (
     validate_manifest,
 )
 from indexforge.normalize import DegenerateColumnWarning, normalize_matrix
+from indexforge.pca import compute_pca
 from indexforge.stats import pearson
 from indexforge.errors import NegativeInputError, WeightManifestMismatchError
 
@@ -443,6 +444,21 @@ class TestComputeDelphi:
     def test_default_weights_are_build_weight_scheme(self, norm_matrix, manifest):
         explicit = compute_delphi(norm_matrix, manifest, build_weight_scheme(manifest))
         assert explicit.raw.tobytes() == compute_delphi(norm_matrix, manifest).raw.tobytes()
+
+
+@pytest.mark.parametrize(
+    "compute, message",
+    [
+        (pillar_arithmetic_means, "pillar means are defined on a normalized matrix"),
+        (compute_delphi, "the weighted index is defined on a normalized matrix"),
+        (compute_pca, "the PCA index is defined on a normalized matrix"),
+    ],
+    ids=["pillar-means", "delphi", "pca"],
+)
+def test_raw_stage_matrix_rejected(raw_matrix, manifest, compute, message):
+    with pytest.raises(ValueError) as exc_info:
+        compute(raw_matrix, manifest)
+    assert str(exc_info.value) == message
 
 
 class TestIndexWriters:

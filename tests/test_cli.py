@@ -17,10 +17,10 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from indexforge import aggregate, cli, ingest, model
+from indexforge import aggregate, cli, ingest, model, pca
 from indexforge.cli import main
 from indexforge.datasets import data_path, load_nuts3_dataset, load_reference_indexes
-from indexforge.errors import DataFormatError
+from indexforge.errors import DataFormatError, NoConvergenceError
 from indexforge.ingest import parse_dataset
 from indexforge.model import Pillar, build_weight_scheme
 
@@ -79,6 +79,7 @@ REJECTED_INPUTS = {
     "json-lone-surrogate-label":
         "{data}: region 'r\\ud800' is not Unicode text: surrogates not allowed",
     "json-repeated-values-key": "{data}: key 'values' appears more than once in a JSON object",
+    "json-unknown-key": "{data}: unknown key 'valeus'; the keys are regions, indicators, values",
 }
 
 
@@ -107,6 +108,7 @@ def _spoiled_copies(case: str, tmp: Path) -> tuple[Path, Path]:
             "json-deep-cell": text.replace("103.8", "[" * 995 + "103.8" + "]" * 995),
             "json-lone-surrogate-label": text.replace('"Alto Minho"', '"r\\ud800"'),
             "json-repeated-values-key": text.replace('"values": ', '"values": [], "values": '),
+            "json-unknown-key": text.replace('"values": ', '"valeus": [[0]], "values": '),
         }[case], encoding="utf-8")
     return data, manifest
 
@@ -262,6 +264,58 @@ class TestValidate:
         assert code == 2
         assert f"'PopDens' has weight {weight}, which is not finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestErrorKinds:
+    """Each kind of failure: its exit code and its one line, on stderr or, with
+    --json, as one JSON object on stdout."""
+
+    NO_CONVERGENCE = "eigensolver did not converge after 100 sweeps (off-diagonal norm 1.500e-03)"
+
+    @pytest.fixture
+    def no_convergence(self, monkeypatch):
+        def fail(matrix, **kwargs):
+            raise NoConvergenceError(100, 1.5e-3)
+
+        monkeypatch.setattr(pca, "eigen_symmetric", fail)
+
+    def test_no_convergence_exit_4(self, tmp_path, capsys, no_convergence):
+        out = tmp_path / "out"
+        assert run(["compute", "--methods", "pca", "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error (numerical): {self.NO_CONVERGENCE}\n")
+        assert not out.exists()
+
+    def test_no_convergence_json(self, tmp_path, capsys, no_convergence):
+        out = tmp_path / "out"
+        assert run(["compute", "--methods", "pca", "--json", "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "" and len(captured.out.splitlines()) == 1
+        assert json.loads(captured.out) == {
+            "status": "error", "kind": "numerical", "message": self.NO_CONVERGENCE,
+        }
+        assert not out.exists()
+
+    def test_validate_json_missing_file(self, tmp_path, capsys):
+        missing = tmp_path / "nope.csv"
+        assert run(["validate", "--json", "--data", str(missing)]) == 3
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert captured.err == "" and len(captured.out.splitlines()) == 1
+        assert (payload["status"], payload["kind"]) == ("error", "io")
+        assert str(missing) in payload["message"]
+
+    def test_validate_json_bad_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(Path(FIXTURE_DATA).read_text(encoding="utf-8").replace("103.80", "oops", 1),
+                       encoding="utf-8")
+        assert run(["validate", "--json", "--data", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "" and len(captured.out.splitlines()) == 1
+        assert json.loads(captured.out) == {
+            "status": "error", "kind": "validation",
+            "message": f"{bad}: non-numeric value 'oops' at region 'Alto Minho', indicator 'PopDens'",
+        }
 
 
 class TestCompute:
@@ -1057,6 +1111,36 @@ def test_mutated_json_data_validates_as_it_computes(text):
     if codes[0] == 2:
         assert all(text.startswith(f"error (validation): {data}: ") for text in errors)
 
+
+def test_deep_json_cell_gives_one_line_in_fresh_processes(tmp_path):
+    """A cell nested 975-999 arrays deep: at every depth, validate and compute
+    print the same error line from the stack of a fresh process."""
+    paths = []
+    for depth in range(975, 1000):
+        path = tmp_path / f"deep-{depth}.json"
+        cell = "[" * depth + "103.8" + "]" * depth
+        path.write_text(BUNDLED_INPUTS["data.json"].replace("103.8", cell), encoding="utf-8")
+        paths.append(str(path))
+    out = tmp_path / "out"
+    code = (
+        "import sys\n"
+        "from indexforge import cli\n"
+        "command, *paths = sys.argv[1:]\n"
+        f"extra = [] if command == 'validate' else ['--methods', 'abreu', '--out', {str(out)!r}]\n"
+        "for path in paths:\n"
+        "    print(cli.main([command, '--data', path, *extra]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    errors = []
+    for command in ("validate", "compute"):
+        completed = subprocess.run([sys.executable, "-c", code, command, *paths], env=env,
+                                   capture_output=True, text=True, timeout=120)
+        assert completed.stdout.split() == ["2"] * len(paths), completed.stderr
+        errors.append(completed.stderr.splitlines())
+    expected = [f"error (validation): {path}: the file nests JSON arrays or objects too deeply"
+                for path in paths]
+    assert errors == [expected] * 2
+    assert not out.exists()
 
 def test_report_never_imports_numpy_ma(tmp_path):
     # numpy.ma costs 16-18 ms of start-up; np.median would import it lazily.

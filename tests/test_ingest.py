@@ -3,7 +3,9 @@ from __future__ import annotations
 import ast
 import csv
 import io
+import inspect
 import json
+import sys
 import tempfile
 import warnings
 from array import array
@@ -308,10 +310,14 @@ class TestParseDataset:
             ('{"regions": ["r1", "r2"], "indicators": ["a", "b", "c", "d"], '
              '"values": [[1, 2, 3, 4], [5, 6, 7, {"x": 1, "y": 2, "x": 3}]]}',
              "key 'x' appears more than once in a JSON object"),
+            ('{"regions": ["r1", "r2"], "indicators": ["a", "b", "c", "d"], '
+             '"values": [[1, 2, 3, 4], [5, 6, 7, 8]], "valeus": [[0]]}',
+             "unknown key 'valeus'; the keys are regions, indicators, values"),
         ],
         ids=["truncated", "no-indicators", "top-level-list", "regions-not-list",
              "region-not-string", "indicator-not-string", "row-not-list", "int-of-5000-digits",
-             "deep-values", "deep-cell", "repeated-values-key", "repeated-key-in-a-cell"],
+             "deep-values", "deep-cell", "repeated-values-key", "repeated-key-in-a-cell",
+             "unknown-top-level-key"],
     )
     def test_malformed_json(self, tmp_path, small_manifest, text, message):
         path = write_tmp_dataset(tmp_path, text, "data.json")
@@ -339,6 +345,38 @@ class TestParseDataset:
         assert str(exc_info.value) == (
             f"{path}: region {bad!r} is not Unicode text: surrogates not allowed"
         )
+
+    @pytest.mark.parametrize("cell_depth", [29, 30, 977])
+    def test_json_nesting_cap_does_not_depend_on_the_stack(
+        self, tmp_path, small_manifest, cell_depth
+    ):
+        """A cell nested ``cell_depth`` arrays deep sits at depth 3 + ``cell_depth``.
+        Up to the cap of 32 it is a bad cell; past it the file is rejected before
+        decoding, alike from a shallow and from a nearly exhausted Python stack."""
+        cell = "[" * cell_depth + "8" + "]" * cell_depth
+        text = ('{"regions": ["r1", "r2"], "indicators": ["a", "b", "c", "d"], '
+                f'"values": [[1, 2, 3, 4], [5, 6, 7, {cell}]]}}')
+        path = write_tmp_dataset(tmp_path, text, "data.json")
+        if cell_depth > 29:
+            expected = (DataFormatError, "the file nests JSON arrays or objects too deeply")
+        else:
+            expected = (NonNumericCellError, f"non-numeric value {repr(json.loads(cell))!r}")
+
+        def outcome():
+            try:
+                parse_dataset(path, small_manifest)
+            except (NonNumericCellError, DataFormatError) as exc:
+                return type(exc), str(exc)
+
+        def under_deep_stack(headroom):
+            if headroom <= 60:
+                return outcome()
+            return under_deep_stack(headroom - 1)
+
+        shallow = outcome()
+        deep = under_deep_stack(sys.getrecursionlimit() - len(inspect.stack(0)))
+        assert shallow == deep
+        assert shallow[0] is expected[0] and shallow[1].startswith(f"{path}: {expected[1]}")
 
     def test_json_region_with_an_escaped_surrogate_pair_accepted(self, tmp_path, small_manifest):
         text = ('{"regions": ["r\\ud83d\\ude00", "\\u00e9"], "indicators": ["a", "b", "c", "d"], '
@@ -844,6 +882,10 @@ class TestCompositeIndicator:
         with pytest.raises(ValueError):
             composite_indicator({"only": [1, 2]})
 
+    def test_components_of_different_lengths_rejected(self):
+        with pytest.raises(ValueError, match="^component columns must cover the same regions$"):
+            composite_indicator({"doctors": [1.0, 2.0, 3.0], "beds": [2.0, 4.0]})
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_component_named(self, bad):
         """A nan or inf cell is a ValueError naming its component, with no warning."""
@@ -935,3 +977,32 @@ def test_only_the_artifact_writers_write_text():
 def test_only_ingest_and_cli_import_json():
     """Every JSON artifact is laid out by ingest.write_json; cli prints stdout diagnostics."""
     assert _importers("json") == {"ingest.py", "cli.py"}
+
+
+def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+        and any(k.arg == "frozen" and getattr(k.value, "value", None) is True for k in d.keywords)
+        for d in node.decorator_list
+    )
+
+
+def test_every_model_class_is_an_enum_or_a_frozen_dataclass():
+    """One immutability mechanism in model: no class freezes itself by hand."""
+    module = Path(data_path("manifest.csv")).parents[1] / "model.py"
+    classes = [node for node in ast.walk(ast.parse(module.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef)]
+    assert len(classes) >= 9
+    assert [node.name for node in classes
+            if not (_is_frozen_dataclass(node)
+                    or any(getattr(base, "id", None) == "Enum" for base in node.bases))] == []
+
+
+def test_no_module_defines_setattr():
+    package = Path(data_path("manifest.csv")).parents[1]
+    assert [
+        (module.name, node.lineno)
+        for module in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "__setattr__"
+    ] == []

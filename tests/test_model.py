@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import indexforge
+from indexforge.aggregate import compute_delphi
 from indexforge.model import (
     DEFAULT_PILLAR_WEIGHTS,
     PILLARS,
@@ -10,6 +12,7 @@ from indexforge.model import (
     IndexResult,
     IndicatorMatrix,
     IndicatorSpec,
+    Manifest,
     Method,
     Pillar,
     Stage,
@@ -83,6 +86,35 @@ class TestValidateManifest:
                  for i, pillar in enumerate(PILLARS)]
         with pytest.raises(AllZeroWeightsError):
             validate_manifest(specs)
+
+
+class TestManifestConstructor:
+    def test_validate_manifest_is_the_constructor(self):
+        assert indexforge.validate_manifest is Manifest
+
+    def test_built_directly_it_carries_the_panel_weighting(self, manifest, norm_matrix):
+        direct = Manifest(list(manifest.specs))
+        assert direct == manifest and direct.specs == manifest.specs
+        assert direct.panel_weights == build_weight_scheme(manifest)
+        got = compute_delphi(norm_matrix, direct)
+        assert got.raw.tobytes() == compute_delphi(norm_matrix, manifest).raw.tobytes()
+
+    @pytest.mark.parametrize(
+        "edit, error, message",
+        [
+            (lambda specs: specs + [IndicatorSpec(id="i0", label="dup", pillar=Pillar.ECONOMY)],
+             DuplicateIndicatorIdError, "duplicate indicator id 'i0'"),
+            (lambda specs: [s for s in specs if s.pillar is not Pillar.ENVIRONMENT],
+             EmptyPillarError, "no indicators assigned to pillar 'Environment'"),
+            (lambda specs: [spec(0, PILLARS[0], weight=-0.5), *specs[1:]],
+             NegativeWeightError, "indicator 'i0' has negative weight -0.5"),
+        ],
+        ids=["duplicate-id", "empty-pillar", "negative-weight"],
+    )
+    def test_checks_itself(self, edit, error, message):
+        with pytest.raises(error) as exc_info:
+            Manifest(edit([spec(i, pillar) for i, pillar in enumerate(PILLARS)]))
+        assert str(exc_info.value) == message
 
 
 class TestBuildWeightScheme:
@@ -289,3 +321,7 @@ class TestResultEquality:
         assert a == same and a == reordered
         assert a != IndexResult(Method.DELPHI, ("x", "y"), [0.2, 0.5], [0.0, 1.0], ("y", "x"))
         assert a != IndexResult(Method.ABREU, ("x", "y"), [0.2, 0.6], [0.0, 1.0], ("y", "x"))
+
+    def test_ranking_is_required(self):
+        with pytest.raises(TypeError, match="ranking"):
+            IndexResult(Method.ABREU, ("x", "y"), [0.2, 0.5], [0.0, 1.0])
