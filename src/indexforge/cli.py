@@ -133,8 +133,13 @@ def _compute_results(args):
 
 def run_pipeline(args) -> int:
     """compute | compare | report: the results of ``--methods``, the comparison
-    unless the command is ``compute``, then the command's artifacts."""
+    unless the command is ``compute``, then the command's artifacts.
+
+    Prints a plain-text line per step, or with ``--json`` one JSON object at
+    the end: status, command, methods, out and, when comparing, the Pearson
+    r of each method pair keyed ``a:b``."""
     compare = args.command != "compute"
+    say = (lambda line: None) if args.json else print
     if compare and len(args.methods) < 2:
         raise FewerThanTwoMethodsError(
             f"comparison needs at least two methods, got {len(args.methods)}"
@@ -154,16 +159,22 @@ def run_pipeline(args) -> int:
             write_index_json(result, out / f"{method.value}.json")
         if audit is not None:
             write_pca_audit(audit, out / "pca_audit.json")
-        print(f"computed {', '.join(m.value for m in results)} -> {out}")
+        say(f"computed {', '.join(m.value for m in results)} -> {out}")
+    summary = {"status": "ok", "command": args.command, "methods": [m.value for m in results],
+               "out": args.out}
     if compare:
         write_report_json(report, out / "report.json")
         write_report_csv(report, out / "report.csv")
         write_parallel_csv(report, out / "parallel.csv")
         write_parallel_svg(report, out / "parallel.svg")
         write_scatter_csv(report, out / "scatter.csv")
-        for (i, a), (j, b) in combinations(enumerate(report.names), 2):
-            print(f"pearson {a}:{b} = {report.r[i, j]:.4f}")
-        print(f"comparison artifacts -> {args.out}")
+        pairs = combinations(enumerate(report.names), 2)
+        summary["pearson"] = {f"{a}:{b}": report.r[i, j].item() for (i, a), (j, b) in pairs}
+        for pair, r in summary["pearson"].items():
+            say(f"pearson {pair} = {r:.4f}")
+        say(f"comparison artifacts -> {args.out}")
+    if args.json:
+        print(json.dumps(summary, ensure_ascii=False, sort_keys=True))
     return EXIT_OK
 
 
@@ -186,7 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(command, help=text)
         sub.add_argument("--data", default=default_data, help="dataset CSV/JSON path")
         sub.add_argument("--manifest", default=default_manifest, help="manifest CSV path")
-        sub.add_argument("--json", action="store_true", help="machine-readable diagnostics")
+        sub.add_argument(
+            "--json", action="store_true", help="print one JSON object: the summary or the error"
+        )
         if command == "validate":
             sub.set_defaults(func=cmd_validate)
             continue

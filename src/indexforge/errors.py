@@ -161,7 +161,9 @@ class NegativeInputError(CompositeIndexError):
 # -- eigensolver / PCA -------------------------------------------------------
 
 class NotSymmetricError(CompositeIndexError):
-    """Input matrix is not symmetric within tolerance."""
+    """Eigensolver input is not a finite symmetric matrix the solver can take:
+    empty or not square, holding a nan or inf, with a Frobenius norm beyond
+    the float range, or not symmetric within tolerance."""
 
 
 class NoConvergenceError(CompositeIndexError):

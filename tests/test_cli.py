@@ -318,6 +318,43 @@ class TestErrorKinds:
         }
 
 
+class TestSuccessSummary:
+    """A successful compute, compare or report prints plain lines, or with
+    --json one JSON object in the style of validate --json."""
+
+    @pytest.mark.parametrize(
+        "argv, methods",
+        [
+            (["compute", "--methods", "abreu,delphi"], ["abreu", "delphi"]),
+            (["compare", "--methods", "pca,abreu"], ["pca", "abreu"]),
+            (["report", "--methods", "all"], ["abreu", "delphi", "pca"]),
+            (["compare", "--published"], ["abreu", "delphi", "pca"]),
+        ],
+        ids=["compute", "compare", "report", "compare-published"],
+    )
+    def test_json_prints_one_object(self, tmp_path, capsys, argv, methods):
+        out = tmp_path / "out"
+        assert run([*argv, "--json", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        payload = json.loads(printed)
+        assert printed == json.dumps(payload, ensure_ascii=False, sort_keys=True) + "\n"
+        expected = {"status": "ok", "command": argv[0], "methods": methods, "out": str(out)}
+        if argv[0] != "compute":
+            pairwise_r = json.loads((out / "report.json").read_text(encoding="utf-8"))["pairwise_r"]
+            pairs = [f"{a}:{b}" for i, a in enumerate(methods) for b in methods[i + 1:]]
+            expected["pearson"] = {pair: pairwise_r[pair] for pair in pairs}
+        assert payload == expected
+
+    def test_plain_lines_without_json(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["report", "--methods", "abreu,delphi", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            f"computed abreu, delphi -> {out}\n"
+            "pearson abreu:delphi = 0.9636\n"
+            f"comparison artifacts -> {out}\n"
+        )
+
+
 class TestCompute:
     def test_all_methods_artifacts(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from indexforge import pca
 from indexforge.errors import ConstantColumnError, NoConvergenceError, NotSymmetricError
@@ -157,13 +159,13 @@ def factor_model_covariance(rng: np.random.Generator, columns: int, regions: int
     return (centered.T @ centered) / regions
 
 
-def assert_eigen_properties(a: np.ndarray) -> None:
-    """Residual, trace and orthogonality of ``eigen_symmetric(a)`` within 1e-8."""
+def assert_eigen_properties(a: np.ndarray, tol: float = 1e-8) -> None:
+    """Residual and trace of ``eigen_symmetric(a)`` within ``tol``, orthogonality within 1e-8."""
     n = a.shape[0]
     values, vectors = eigen_symmetric(a)
     for value, vector in zip(values, vectors.T):
-        assert np.linalg.norm(a @ vector - value * vector) <= 1e-8
-    assert abs(values.sum() - np.trace(a)) <= 1e-8
+        assert np.linalg.norm(a @ vector - value * vector) <= tol
+    assert abs(values.sum() - np.trace(a)) <= tol
     assert np.abs(vectors.T @ vectors - np.eye(n)).max() <= 1e-8
 
 
@@ -203,10 +205,16 @@ class TestBitIdentity:
     def test_random_symmetric(self, n):
         rng = np.random.default_rng(64 + n)
         for _ in range(5):
-            assert_bit_identical(random_symmetric(rng, n))
+            a = random_symmetric(rng, n)
+            # Near both ends of the float range, entries and norm stay finite.
+            for scale in (1.0, 1e150, 1e-300, 1e-320):
+                assert_bit_identical(scale * a)
 
     def test_diagonal(self):
         assert_bit_identical(np.diag([0.5, 3.0, -1.0, 2.0]))
+        # No coupling to rotate: each zero keeps its sign through to the values.
+        for matrix in ([[-0.0]], [[0.0]], [[-0.0, 0.0], [0.0, 2.0]], [[1.0, -0.0], [-0.0, -0.0]]):
+            assert_bit_identical(matrix)
 
     def test_block_diagonal_skips_zero_couplings(self):
         # Rotations inside one block leave the cross-block entries exactly
@@ -240,6 +248,10 @@ class TestBitIdentity:
         for i, j in [(0, 2), (1, 3), (10, 40), (21, 47)]:
             a[i, j] = a[j, i] = 0.0
         assert np.signbit(a[0, 1]) and a[0, 2] == 0.0
+        assert_bit_identical(a)
+        # Zeros of either sign on the diagonal, with nonzero couplings to rotate.
+        assert_bit_identical([[-0.0, 1.0, 0.5], [1.0, 0.0, -2.0], [0.5, -2.0, -0.0]])
+        a[np.diag_indices(50)] = np.tile([-0.0, 0.0], 25)
         assert_bit_identical(a)
 
     def test_back_to_back_calls(self):
@@ -307,6 +319,25 @@ class TestEigenSymmetric:
         with pytest.raises(NotSymmetricError):
             eigen_symmetric([[1.0, 2.0, 3.0]])
 
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            ([[1.0, 1e200], [1e200, 1.0]], "matrix is too large: its Frobenius norm overflows"),
+            # Each square is finite; their sum is not.
+            ([[1e154, 1e154], [1e154, 1e154]], "matrix is too large: its Frobenius norm overflows"),
+            ([[1.0, math.inf], [math.inf, 2.0]], "matrix holds a nan or inf"),
+            ([[1.0, 0.5], [0.5, -math.inf]], "matrix holds a nan or inf"),
+            (np.full((3, 3), math.nan), "matrix holds a nan or inf"),
+            (np.zeros((0, 0)), "expected a nonempty square matrix, got shape (0, 0)"),
+        ],
+        ids=["norm-overflows", "squares-sum-overflows", "inf", "diagonal-inf", "all-nan", "empty"],
+    )
+    def test_non_finite_or_overflowing_input_rejected(self, matrix, message):
+        # pyproject.toml makes a RuntimeWarning an error, so none may come first.
+        with pytest.raises(NotSymmetricError) as exc_info:
+            eigen_symmetric(matrix)
+        assert str(exc_info.value) == message
+
     def test_no_convergence_raised(self):
         with pytest.raises(NoConvergenceError):
             eigen_symmetric([[1.0, 0.5], [0.5, 1.0]], max_sweeps=0)
@@ -319,6 +350,52 @@ class TestEigenSymmetric:
             eigen_symmetric(a, max_sweeps=1)
         assert got.value.sweeps == 1
         assert got.value.off_norm == expected.value.off_norm > 0.0
+
+
+@st.composite
+def symmetric_matrices(draw) -> np.ndarray:
+    """Symmetric n x n, n <= 6: zeros of both signs, subnormals, and magnitudes
+    of either sign from 1e-300 up to a drawn power of ten no larger than 1e299,
+    one pair of entries then replaced by a nan or an inf in a quarter of cases."""
+    n = draw(st.integers(0, 6))
+    top = draw(st.integers(-300, 299))
+    entries = st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-2.2e-308, 2.2e-308),
+        st.builds(
+            lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+            st.sampled_from([1.0, -1.0]),
+            st.floats(1.0, 10.0, exclude_max=True),
+            st.integers(-300, top),
+        ),
+    )
+    size = n * (n + 1) // 2
+    a = np.empty((n, n))
+    upper = np.triu_indices(n)
+    a[upper] = a[upper[::-1]] = draw(st.lists(entries, min_size=size, max_size=size))
+    if n and draw(st.integers(0, 3)) == 0:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        a[i, j] = a[j, i] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return a
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(symmetric_matrices())
+def test_eigensolver_solves_or_rejects_every_symmetric_matrix(a):
+    """Each small symmetric matrix is solved, within a tolerance scaled by its
+    norm, or rejected with a named error; no other exception and no
+    RuntimeWarning (which pyproject.toml makes an error) gets out."""
+    norm = math.hypot(*a.flat)  # exact up to rounding: inf or nan only for such entries
+    try:
+        assert_eigen_properties(a, tol=1e-8 * max(1.0, norm))
+    except NotSymmetricError as exc:
+        event(f"rejected: {exc}")
+        # A nonempty matrix of finite entries and norm is always solved.
+        assert a.size == 0 or not norm < 1e154
+    except NoConvergenceError:
+        event("no convergence")
+    else:
+        event("solved")
 
 
 def reference_orient_sign(vector: np.ndarray) -> tuple[np.ndarray, bool]:
