@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError
-from .ingest import _check_regions, open_input, parse_dataset, parse_manifest, read_csv_input
+from .errors import DataFormatError, TooFewRegionsError
+from .ingest import open_input, parse_dataset, parse_manifest, read_csv_input
 from .model import IndexResult, IndicatorMatrix, Manifest, Method
 from .aggregate import build_index_result
 
@@ -54,7 +54,7 @@ def load_reference_indexes(path: str | Path | None = None) -> dict[Method, Index
     """
     path = data_path(REFERENCE_FILE) if path is None else Path(path)
     regions: list[str] = []
-    columns: dict[Method, list[float]] = {m: [] for m in Method}
+    values: list[float] = []  # row by row, one value per method
     with open_input(path) as handle:
         header, rows = read_csv_input(handle, DataFormatError)
         expected = {"region", *(m.value for m in Method)}
@@ -82,9 +82,11 @@ def load_reference_indexes(path: str | Path | None = None) -> dict[Method, Index
                     raise DataFormatError(
                         f"non-numeric {method.value} value {text!r} for region {row['region']!r}"
                     ) from None
-                columns[method].append(value)
-        _check_regions(regions)
-        return {
-            method: build_index_result(method, regions, column)
-            for method, column in columns.items()
-        }
+                values.append(value)
+        # The matrix checks the table's rules: each region listed once among them.
+        table = IndicatorMatrix(
+            regions, [m.value for m in Method], np.reshape(values, (-1, len(Method)))
+        )
+        if len(regions) < 2:
+            raise TooFewRegionsError(len(regions))
+        return {m: build_index_result(m, regions, table.column(m.value)) for m in Method}

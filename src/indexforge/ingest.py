@@ -7,7 +7,9 @@ start with a UTF-8 byte-order mark, which is skipped. The small CSV inputs
 (manifest, weight overrides, reference indexes) go through one reader,
 ``read_csv_input``: one cell per header column, errors that name the line.
 Every reader runs all of its checks inside ``open_input``, which alone puts
-the path at the head of each error.
+the path at the head of each error. A reader checks its file's own rules and
+builds the model object, whose constructor checks the rest: ``Manifest`` the
+ids, pillars and weights, ``IndicatorMatrix`` the labels and values.
 The JSON alternative for datasets is an object
 ``{"regions": [...], "indicators": [...], "values": [[...]]}``, with no other
 key, string region and indicator names and one list of values per region.
@@ -45,7 +47,6 @@ import numpy as np
 from .errors import (
     CompositeIndexError,
     DataFormatError,
-    DuplicateRegionError,
     ExtraCellError,
     ExtraRowError,
     FileEncodingError,
@@ -57,7 +58,7 @@ from .errors import (
     UnknownIndicatorError,
     WeightFormatError,
 )
-from .model import Direction, IndicatorMatrix, IndicatorSpec, Manifest, Pillar, Stage, WeightScheme
+from .model import Direction, IndicatorMatrix, IndicatorSpec, Manifest, Pillar, WeightScheme
 from .model import build_weight_scheme, validate_manifest
 
 MANIFEST_COLUMNS = ("id", "label", "pillar", "direction", "weight", "unit")
@@ -205,43 +206,26 @@ def _check_header(indicator_ids: Sequence[str], manifest: Manifest) -> None:
         raise DataFormatError(f"duplicate indicator columns: {', '.join(duplicates)}")
 
 
-def _check_regions(regions: Sequence[str]) -> None:
-    """At least two regions, each listed once."""
-    if len(set(regions)) != len(regions):
-        seen: set[str] = set()
-        for region in regions:
-            if region in seen:
-                raise DuplicateRegionError(region)
-            seen.add(region)
-    if len(regions) < 2:
-        raise TooFewRegionsError(len(regions))
-
-
-def _check_finite(
-    values: np.ndarray, regions: Sequence[str], indicator_ids: Sequence[str]
-) -> None:
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        i, j = bad[0]
-        raise NonNumericCellError(regions[i], indicator_ids[j], str(values[i, j]))
-
-
 def parse_dataset(path: str | Path, manifest: Manifest) -> IndicatorMatrix:
     """Parse a raw dataset file (CSV or JSON by extension) against a manifest.
 
-    The data columns must match the manifest ids exactly, order-insensitive;
-    column order of the file is preserved in the returned matrix. Every row
-    has exactly one finite value per column, and there are at least two
-    regions. Raises MissingCellError, ExtraCellError, NonNumericCellError
-    (also for nan and inf), DuplicateRegionError, TooFewRegionsError,
-    UnknownIndicatorError or MissingIndicatorError; a JSON file with more
-    value rows than regions raises ExtraRowError, and one that is not valid
-    JSON, nests arrays or objects over ``_JSON_MAX_DEPTH`` deep (counted
-    before decoding), has a key other than the three, repeats an object key,
-    holds a region label that is not Unicode text (a lone surrogate escape)
-    or is not laid out as above raises DataFormatError. A file that is not
-    UTF-8 raises FileEncodingError. The file is opened once and every check
-    runs while it is open, so every error starts with the path.
+    Read, then construct: the reader checks the file's own rules as it reads,
+    naming the first bad row or cell. The data columns must match the manifest
+    ids exactly, order-insensitive (UnknownIndicatorError, MissingIndicatorError,
+    DataFormatError for a repeated column); column order of the file is
+    preserved in the returned matrix. Every row has exactly one number per
+    column (MissingCellError, ExtraCellError, NonNumericCellError). The
+    IndicatorMatrix constructor then checks the table: a repeated region
+    (DuplicateRegionError) before a nan or inf (NonNumericCellError, first in
+    row-major order). Last, fewer than two regions raise TooFewRegionsError.
+    A JSON file with more value rows than regions raises ExtraRowError, and
+    one that is not valid JSON, nests arrays or objects over
+    ``_JSON_MAX_DEPTH`` deep (counted before decoding), has a key other than
+    the three, repeats an object key, holds a region label that is not
+    Unicode text (a lone surrogate escape) or is not laid out as above raises
+    DataFormatError. A file that is not UTF-8 raises FileEncodingError. The
+    file is opened once and every check, the constructor's included, runs
+    while it is open, so every error starts with the path.
 
     A CSV body is read in one ``np.loadtxt`` pass; only a file that pass
     rejects is read again row by row, to name the first bad row or cell (or
@@ -250,10 +234,10 @@ def parse_dataset(path: str | Path, manifest: Manifest) -> IndicatorMatrix:
     path = Path(path)
     read = _read_dataset_json if path.suffix.lower() == ".json" else _read_dataset_csv
     with open_input(path) as handle:
-        regions, indicator_ids, values = read(handle, manifest)
-        _check_finite(values, regions, indicator_ids)
-        _check_regions(regions)
-    return IndicatorMatrix.from_checked(tuple(regions), indicator_ids, values, stage=Stage.RAW)
+        matrix = IndicatorMatrix(*read(handle, manifest))
+        if len(matrix.regions) < 2:
+            raise TooFewRegionsError(len(matrix.regions))
+    return matrix
 
 
 def _check_row_length(region: str, indicator_ids: Sequence[str], n_cells: int) -> None:

@@ -5,8 +5,8 @@ belong to one of four thematic pillars and carry a direction: for *benefit*
 indicators higher raw values mean more development, for *cost* indicators
 the opposite (they are inverse-normalized downstream). Every type here is an
 Enum or a frozen dataclass, immutable once built and safe to share between
-threads. A Manifest and an IndicatorMatrix check themselves when built, so
-no invalid one exists.
+threads. A Manifest, an IndicatorMatrix and an IndexResult check themselves
+when built, so no invalid one exists.
 """
 
 from __future__ import annotations
@@ -22,9 +22,12 @@ import numpy as np
 from .errors import (
     AllZeroWeightsError,
     DuplicateIndicatorIdError,
+    DuplicateRegionError,
     EmptyPillarError,
+    LengthMismatchError,
     NegativeWeightError,
     NonFiniteWeightError,
+    NonNumericCellError,
     WeightFormatError,
     WeightManifestMismatchError,
     WeightSumOverflowError,
@@ -96,8 +99,7 @@ class Manifest:
     def __post_init__(self):
         object.__setattr__(self, "specs", tuple(self.specs))
         if len(self._by_id) < len(self.specs):
-            seen: set[str] = set()
-            raise DuplicateIndicatorIdError(next(i for i in self.ids if i in seen or seen.add(i)))
+            raise DuplicateIndicatorIdError(_first_repeat(self.ids))
         for pillar in PILLARS:
             if not self.pillar_ids(pillar):
                 raise EmptyPillarError(pillar)
@@ -126,6 +128,12 @@ class Manifest:
 
 #: The checked constructor under the name the readers and the README use.
 validate_manifest = Manifest
+
+
+def _first_repeat(labels: Sequence[str]) -> str:
+    """The first label of ``labels`` that an earlier one equals; there must be one."""
+    seen: set[str] = set()
+    return next(label for label in labels if label in seen or seen.add(label))
 
 
 @dataclass(frozen=True)
@@ -200,12 +208,15 @@ def _shares(weights: Mapping[str, float], kind: str, scope: str) -> list[float]:
 
 @dataclass(frozen=True, eq=False)
 class IndicatorMatrix:
-    """Dense regions-by-indicators table of finite values.
+    """Dense regions-by-indicators table of finite values, checked when built.
 
     ``stage`` records whether the values are raw observations or already
     min-max normalized to [0, 1]. The constructor copies ``values`` and checks
-    the shape, then that the labels are unique, then the values; the value
-    buffer is made read-only so a matrix can be shared freely once built.
+    the shape (ValueError), then the labels (DuplicateRegionError, then
+    DuplicateIndicatorIdError, naming the first repeat), then the values
+    (NonNumericCellError for the first nan or inf in row-major order,
+    ValueError for a normalized value outside [0, 1]). The value buffer is
+    made read-only so a matrix can be shared freely once built.
     """
 
     regions: tuple[str, ...]
@@ -216,38 +227,30 @@ class IndicatorMatrix:
     def __post_init__(self):
         regions, indicators = tuple(self.regions), tuple(self.indicators)
         array = np.array(self.values, dtype=float)
-        _check_shape(array, regions, indicators)
-        if len(set(regions)) != len(regions):
-            raise ValueError("region labels must be unique")
-        if len(set(indicators)) != len(indicators):
-            raise ValueError("indicator ids must be unique")
+        if array.shape != (len(regions), len(indicators)):
+            raise ValueError(
+                f"values shape {array.shape} does not match "
+                f"{len(regions)} regions x {len(indicators)} indicators"
+            )
+        if len(set(regions)) < len(regions):
+            raise DuplicateRegionError(_first_repeat(regions))
+        if len(set(indicators)) < len(indicators):
+            raise DuplicateIndicatorIdError(_first_repeat(indicators))
         self._freeze(regions, indicators, array, self.stage)
 
-    @classmethod
-    def from_checked(
-        cls,
-        regions: tuple[str, ...],
-        indicators: tuple[str, ...],
-        values: np.ndarray,
-        stage: Stage = Stage.RAW,
-    ) -> IndicatorMatrix:
-        """A matrix over labels the caller has already checked to be unique.
-
-        Only the values are checked: their shape, that they are finite and,
-        for a normalized matrix, that they lie in [0, 1]. ``values`` becomes
-        the matrix's read-only buffer; it is copied only if it is not a
-        C-contiguous float array, so a caller hands over an array it owns.
-        """
-        array = np.ascontiguousarray(values, dtype=float)
-        _check_shape(array, regions, indicators)
-        matrix = cls.__new__(cls)
-        matrix._freeze(regions, indicators, array, stage)
+    def _with_values(self, array: np.ndarray, stage: Stage) -> IndicatorMatrix:
+        """A matrix over this one's checked labels holding ``array``, a fresh
+        C-contiguous float array of the same shape that it takes over without
+        a copy; only the values are checked."""
+        matrix = object.__new__(IndicatorMatrix)
+        matrix._freeze(self.regions, self.indicators, array, stage)
         return matrix
 
     def _freeze(self, regions, indicators, array: np.ndarray, stage: Stage) -> None:
         """Check the values, make their buffer read-only and set every field."""
-        if not np.all(np.isfinite(array)):
-            raise ValueError("matrix contains non-finite values")
+        if not np.isfinite(array).all():
+            i, j = np.argwhere(~np.isfinite(array))[0]
+            raise NonNumericCellError(regions[i], indicators[j], str(array[i, j]))
         if stage is Stage.NORMALIZED and (array.min() < -1e-9 or array.max() > 1 + 1e-9):
             raise ValueError("normalized matrix has values outside [0, 1]")
         array.flags.writeable = False
@@ -284,14 +287,6 @@ class IndicatorMatrix:
         return f"IndicatorMatrix({rows} regions x {cols} indicators, stage={self.stage.value})"
 
 
-def _check_shape(array: np.ndarray, regions: tuple, indicators: tuple) -> None:
-    if array.shape != (len(regions), len(indicators)):
-        raise ValueError(
-            f"values shape {array.shape} does not match "
-            f"{len(regions)} regions x {len(indicators)} indicators"
-        )
-
-
 def _read_only(values) -> np.ndarray:
     array = np.array(values, dtype=float)
     array.flags.writeable = False
@@ -303,7 +298,8 @@ class IndexResult:
     """Final index of one method: raw and [0, 1] rescaled vectors, ranking.
 
     ``raw`` and ``rescaled`` are read-only vectors aligned to ``regions``.
-    Every field is required. The ranking is in descending rescaled order;
+    Every field is required; a vector or ranking not one entry per region
+    raises LengthMismatchError. The ranking is in descending rescaled order;
     ties are broken by the code-point order of the region labels so that
     equal scores still produce a deterministic order.
     """
@@ -315,9 +311,14 @@ class IndexResult:
     ranking: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "regions", tuple(self.regions))
-        object.__setattr__(self, "raw", _read_only(self.raw))
-        object.__setattr__(self, "rescaled", _read_only(self.rescaled))
+        regions = tuple(self.regions)
+        raw, rescaled = _read_only(self.raw), _read_only(self.rescaled)
+        for vector in (raw, rescaled):
+            if vector.shape != (len(regions),):
+                raise LengthMismatchError(len(regions), vector.size)
+        if len(self.ranking) != len(regions):
+            raise LengthMismatchError(len(regions), len(self.ranking))
+        vars(self).update(regions=regions, raw=raw, rescaled=rescaled)
 
     def __eq__(self, other) -> bool:
         # Same method, ranking and region -> value pairs, in any region order.

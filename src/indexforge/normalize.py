@@ -12,9 +12,10 @@ vectorized pass; ``normalize_column`` runs the same kernel on a single
 column, so both give the same bytes for the same column. The kernel is the
 package's only min-max code: ``composite_indicator`` averages scaled
 component columns into a derived column, and ``aggregate.build_index_result``
-rescales each raw index with one ``normalize_column`` call. The kernel alone
+rescales each raw index with one ``normalize_column`` call. The kernel
 rejects a column holding a nan or inf (ValueError) or one whose max - min
-overflows (ColumnSpanOverflowError), naming it.
+overflows (ColumnSpanOverflowError), naming it; an IndicatorMatrix holds no
+nan or inf, so for ``normalize_matrix`` only the overflow can occur.
 """
 
 from __future__ import annotations
@@ -109,16 +110,15 @@ def normalize_matrix(
     """Normalize every column of a raw matrix per its manifest direction.
 
     One vectorized pass over the whole matrix; records and warnings follow
-    the matrix's column order.
+    the matrix's column order. The result keeps the raw matrix's labels,
+    checked when it was built, and takes over the scaled array; the matrix
+    checks only its values.
     """
     if matrix.stage is not Stage.RAW:
         raise ValueError("normalize_matrix expects a raw-stage matrix")
     directions = [manifest.spec(indicator_id).direction for indicator_id in matrix.indicators]
     scaled, records = _scale_columns(matrix.values, directions, matrix.indicators)
-    normalized = IndicatorMatrix.from_checked(
-        matrix.regions, matrix.indicators, scaled, stage=Stage.NORMALIZED
-    )
-    return normalized, records
+    return matrix._with_values(scaled, Stage.NORMALIZED), records
 
 
 def composite_indicator(components: Mapping[str, Sequence[float]]) -> np.ndarray:

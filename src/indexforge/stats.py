@@ -15,6 +15,7 @@ whole columns of the table to ``ingest.write_csv``.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
@@ -331,5 +332,12 @@ def write_parallel_svg(report: ComparisonReport, path: str | Path) -> None:
     Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
 
 
+#: The characters XML 1.0 forbids: C0 controls other than tab, LF and CR; U+FFFE; U+FFFF.
+_XML_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+
+
 def _xml_escape(text: str) -> str:
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """``text`` as XML character data, so the SVG is well-formed for every label:
+    markup escaped, a character XML forbids drawn as U+FFFD."""
+    escaped = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return _XML_FORBIDDEN.sub("\ufffd", escaped)

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -73,6 +74,8 @@ REJECTED_INPUTS = {
         "{manifest}: weights in scope 'Population' sum beyond the float range",
     "manifest-weight-nan": "{manifest}: indicator 'DmgDep' has weight nan, which is not finite",
     "missing-cell": "{data}: missing value at region 'Alto Minho', indicator 'PopDens'",
+    # The table's labels are checked before its values: the repeat is named, not the cell.
+    "repeated-region-and-nan": "{data}: region 'Alto Minho' appears more than once",
     "non-utf8-data": "{data} is not UTF-8 text (invalid continuation byte)",
     "json-deep-values": "{data}: the file nests JSON arrays or objects too deeply",
     "json-deep-cell": "{data}: the file nests JSON arrays or objects too deeply",
@@ -80,6 +83,7 @@ REJECTED_INPUTS = {
         "{data}: region 'r\\ud800' is not Unicode text: surrogates not allowed",
     "json-repeated-values-key": "{data}: key 'values' appears more than once in a JSON object",
     "json-unknown-key": "{data}: unknown key 'valeus'; the keys are regions, indicators, values",
+    "json-repeated-region-and-inf": "{data}: region 'Alto Minho' appears more than once",
 }
 
 
@@ -96,6 +100,8 @@ def _spoiled_copies(case: str, tmp: Path) -> tuple[Path, Path]:
         rows[0][column], rows[1][column] = "1e308", "-1e308"
     elif case == "missing-cell":
         rows[0][header.index("PopDens")] = ""
+    elif case == "repeated-region-and-nan":
+        rows[0][header.index("PopDens")], rows[1][0] = "nan", rows[0][0]
     _write_rows(data, [header, *rows])
     if case == "non-utf8-data":  # the region labels hold letters Latin-1 writes as one byte
         data.write_bytes(data.read_text(encoding="utf-8").encode("latin-1"))
@@ -109,6 +115,8 @@ def _spoiled_copies(case: str, tmp: Path) -> tuple[Path, Path]:
             "json-lone-surrogate-label": text.replace('"Alto Minho"', '"r\\ud800"'),
             "json-repeated-values-key": text.replace('"values": ', '"values": [], "values": '),
             "json-unknown-key": text.replace('"values": ', '"valeus": [[0]], "values": '),
+            "json-repeated-region-and-inf": text.replace("103.8", "1e999").replace(
+                '"Terras de Trás-os-Montes"', '"Alto Minho"'),
         }[case], encoding="utf-8")
     return data, manifest
 
@@ -986,6 +994,20 @@ def test_carriage_return_label_round_trips_through_every_csv_artifact(tmp_path):
                 assert all(sorted(column) == sorted(regions) for column in zip(*ranked))
             else:
                 assert len(rows) == 26
+
+
+def test_control_character_label_keeps_the_svg_well_formed(tmp_path):
+    """XML 1.0 forbids U+0001: the SVG draws it as U+FFFD, the other artifacts keep it."""
+    data = _with_first_label("Alto\x01Minho", tmp_path / "data.csv")
+    out = tmp_path / "out"
+    assert run(["report", "--methods", "all", "--data", str(data), "--out", str(out)]) == 0
+    svg = ElementTree.parse(out / "parallel.svg").getroot()
+    labels = [text.text for text in svg.iter("{http://www.w3.org/2000/svg}text")]
+    assert "Alto\ufffdMinho" in labels and "Alto Minho" not in labels
+    with (out / "parallel.csv").open(newline="", encoding="utf-8") as handle:
+        assert "Alto\x01Minho" in {row[0] for row in csv.reader(handle)}
+    assert "Alto\x01Minho" in json.loads((out / "report.json").read_text(encoding="utf-8"))[
+        "rankings"]["abreu"]
 
 
 WEIGHTS = (

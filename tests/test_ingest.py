@@ -482,11 +482,18 @@ BAD_INPUTS = {
     "csv-missing-cell": ("data", "data.csv", "region,a,b,c,d\nr1,1,2,,4\nr2,5,6,7,8\n",
                          MissingCellError),
     "csv-one-region": ("data", "data.csv", "region,a,b,c,d\nr1,1,2,3,4\n", TooFewRegionsError),
+    "csv-repeated-region": ("data", "data.csv", "region,a,b,c,d\nr1,1,2,3,4\nr1,5,6,7,8\n",
+                            DuplicateRegionError),
+    "csv-nan-cell": ("data", "data.csv", "region,a,b,c,d\nr1,1,nan,3,4\nr2,5,6,7,8\n",
+                     NonNumericCellError),
     "json-invalid": ("data", "data.json", '{"regions": ["r1", "r2"], ', DataFormatError),
     "json-non-numeric-cell": ("data", "data.json", json.dumps(
         {"regions": ["r1", "r2"], "indicators": list("abcd"),
          "values": [[1, 2, 3, 4], [5, "x", 7, 8]]}
     ), NonNumericCellError),
+    "json-overflowing-cell": ("data", "data.json",
+                              '{"regions": ["r1", "r2"], "indicators": ["a", "b", "c", "d"], '
+                              '"values": [[1, 2, 3, 4], [5, 6, 1e999, 8]]}', NonNumericCellError),
     "reference-missing-column": ("reference", "t.csv", "region,abreu,delphi\nr1,0,0\nr2,1,1\n",
                                  DataFormatError),
     "reference-repeated-region": ("reference", "t.csv",
@@ -918,6 +925,21 @@ def _importers(name: str) -> set[str]:
 def test_only_ingest_imports_csv():
     """Every CSV input goes through ingest's reader: no other module imports csv."""
     assert _importers("csv") == {"ingest.py"}
+
+
+def test_no_module_imports_a_private_name_from_another():
+    """A name that starts with an underscore stays in its module: each rule has
+    one owner, and another module reaches it through a public name."""
+    package = Path(data_path("manifest.csv")).parents[1]
+    assert len(list(package.glob("*.py"))) >= 10
+    assert [
+        (module.name, node.lineno, alias.name)
+        for module in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("indexforge"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ] == []
 
 
 def _path_formatters() -> set[tuple[str, str]]:

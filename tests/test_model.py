@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import indexforge
-from indexforge.aggregate import compute_delphi
+from indexforge.aggregate import build_index_result, compute_delphi
 from indexforge.model import (
     DEFAULT_PILLAR_WEIGHTS,
     PILLARS,
@@ -22,9 +22,12 @@ from indexforge.model import (
 from indexforge.errors import (
     AllZeroWeightsError,
     DuplicateIndicatorIdError,
+    DuplicateRegionError,
     EmptyPillarError,
+    LengthMismatchError,
     NegativeWeightError,
     NonFiniteWeightError,
+    NonNumericCellError,
     WeightFormatError,
     WeightManifestMismatchError,
     WeightSumOverflowError,
@@ -236,11 +239,12 @@ class TestIndicatorMatrix:
             IndicatorMatrix(("a", "b"), ("x",), [[1.0], [2.0], [3.0]])
 
     def test_rejects_duplicate_regions(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DuplicateRegionError, match="^region 'a' appears more than once$"):
             IndicatorMatrix(("a", "a"), ("x",), [[1.0], [2.0]])
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        message = "^non-numeric value 'nan' at region 'b', indicator 'x'$"
+        with pytest.raises(NonNumericCellError, match=message):
             IndicatorMatrix(("a", "b"), ("x",), [[1.0], [float("nan")]])
 
     def test_rejects_out_of_range_normalized(self):
@@ -248,58 +252,53 @@ class TestIndicatorMatrix:
             IndicatorMatrix(("a", "b"), ("x",), [[0.1], [1.4]], stage=Stage.NORMALIZED)
 
     @pytest.mark.parametrize(
-        "regions, indicators, values, stage, message",
+        "regions, indicators, values, stage, error, message",
         [
-            (("a", "b"), ("x",), [[1.0], [2.0], [3.0]], Stage.RAW,
+            (("a", "b"), ("x",), [[1.0], [2.0], [3.0]], Stage.RAW, ValueError,
              "values shape (3, 1) does not match 2 regions x 1 indicators"),
-            (("a", "a"), ("x",), [[1.0], [2.0]], Stage.RAW, "region labels must be unique"),
+            (("a", "a"), ("x",), [[1.0], [2.0]], Stage.RAW, DuplicateRegionError,
+             "region 'a' appears more than once"),
             (("a", "b"), ("x", "x"), [[1.0, 1.0], [2.0, 2.0]], Stage.RAW,
-             "indicator ids must be unique"),
-            (("a", "b"), ("x",), [[1.0], [float("inf")]], Stage.RAW,
-             "matrix contains non-finite values"),
-            (("a", "b"), ("x",), [[-0.1], [1.0]], Stage.NORMALIZED,
+             DuplicateIndicatorIdError, "duplicate indicator id 'x'"),
+            (("a", "b"), ("x",), [[1.0], [float("inf")]], Stage.RAW, NonNumericCellError,
+             "non-numeric value 'inf' at region 'b', indicator 'x'"),
+            (("a", "b"), ("x",), [[-0.1], [1.0]], Stage.NORMALIZED, ValueError,
              "normalized matrix has values outside [0, 1]"),
             # The shape is checked first, then the labels, then the values.
-            (("a", "a"), ("x",), [[1.0]], Stage.RAW,
+            (("a", "a"), ("x",), [[1.0]], Stage.RAW, ValueError,
              "values shape (1, 1) does not match 2 regions x 1 indicators"),
-            (("a", "a"), ("x",), [[1.0], [float("nan")]], Stage.RAW,
-             "region labels must be unique"),
+            (("a", "a"), ("x",), [[1.0], [float("nan")]], Stage.RAW, DuplicateRegionError,
+             "region 'a' appears more than once"),
+            (("a", "a"), ("x", "x"), [[1.0, 2.0], [3.0, 4.0]], Stage.RAW, DuplicateRegionError,
+             "region 'a' appears more than once"),
+            (("a", "b"), ("x", "x"), [[float("nan"), 2.0], [3.0, 4.0]], Stage.RAW,
+             DuplicateIndicatorIdError, "duplicate indicator id 'x'"),
+            # Each names the first repeat, and the first bad cell in row-major order.
+            (("a", "b", "c", "b", "a"), ("x",), np.zeros((5, 1)), Stage.RAW, DuplicateRegionError,
+             "region 'b' appears more than once"),
+            (("a",), ("x", "y", "z", "y", "x"), np.zeros((1, 5)), Stage.RAW,
+             DuplicateIndicatorIdError, "duplicate indicator id 'y'"),
+            (("a", "b"), ("x", "y"), [[1.0, float("-inf")], [float("nan"), 2.0]], Stage.RAW,
+             NonNumericCellError, "non-numeric value '-inf' at region 'a', indicator 'y'"),
+            (("a", "b"), ("x",), [[float("nan")], [1.4]], Stage.NORMALIZED, NonNumericCellError,
+             "non-numeric value 'nan' at region 'a', indicator 'x'"),
         ],
-        ids=["shape", "regions", "indicators", "finite", "bounds", "shape-first", "labels-first"],
+        ids=["shape", "regions", "indicators", "finite", "bounds", "shape-first", "labels-first",
+             "regions-before-indicators", "indicators-before-values", "first-repeated-region",
+             "first-repeated-indicator", "first-bad-cell", "finite-before-bounds"],
     )
-    def test_constructor_messages(self, regions, indicators, values, stage, message):
-        with pytest.raises(ValueError) as exc_info:
+    def test_constructor_messages(self, regions, indicators, values, stage, error, message):
+        with pytest.raises(error) as exc_info:
             IndicatorMatrix(regions, indicators, values, stage=stage)
+        assert type(exc_info.value) is error
         assert str(exc_info.value) == message
 
-    def test_from_checked_takes_over_an_owned_array(self):
-        values = np.array([[0.0, 1.0], [0.5, 0.25]])
-        matrix = IndicatorMatrix.from_checked(("a", "b"), ("x", "y"), values, Stage.NORMALIZED)
-        assert matrix.values is values and not values.flags.writeable
-        assert matrix.column("y").tolist() == [1.0, 0.25]
-        assert matrix == IndicatorMatrix(("a", "b"), ("x", "y"), values, stage=Stage.NORMALIZED)
-
-    def test_from_checked_copies_a_strided_view_once(self):
+    def test_constructor_copies_a_strided_view(self):
         table = np.arange(12.0).reshape(3, 4)
-        matrix = IndicatorMatrix.from_checked(("a", "b", "c"), ("x", "y"), table[:, 1:3])
+        matrix = IndicatorMatrix(("a", "b", "c"), ("x", "y"), table[:, 1:3])
         assert matrix.values.flags.c_contiguous and not np.shares_memory(matrix.values, table)
         assert matrix.values.tolist() == [[1.0, 2.0], [5.0, 6.0], [9.0, 10.0]]
-
-    @pytest.mark.parametrize(
-        "values, stage, message",
-        [
-            (np.ones((3, 1)), Stage.RAW,
-             "values shape (3, 1) does not match 2 regions x 1 indicators"),
-            (np.array([[1.0], [np.nan]]), Stage.RAW, "matrix contains non-finite values"),
-            (np.array([[0.1], [1.4]]), Stage.NORMALIZED,
-             "normalized matrix has values outside [0, 1]"),
-        ],
-        ids=["shape", "finite", "bounds"],
-    )
-    def test_from_checked_still_checks_values(self, values, stage, message):
-        with pytest.raises(ValueError) as exc_info:
-            IndicatorMatrix.from_checked(("a", "b"), ("x",), values, stage)
-        assert str(exc_info.value) == message
+        assert table.flags.writeable and not matrix.values.flags.writeable
 
     def test_values_are_read_only(self):
         matrix = IndicatorMatrix(("a", "b"), ("x",), [[1.0], [2.0]])
@@ -325,3 +324,27 @@ class TestResultEquality:
     def test_ranking_is_required(self):
         with pytest.raises(TypeError, match="ranking"):
             IndexResult(Method.ABREU, ("x", "y"), [0.2, 0.5], [0.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "raw, rescaled, ranking, message",
+        [
+            ([0.2, 0.5], [0.0, 1.0, 0.5], ("y", "x", "z"), "(3 vs 2)"),
+            ([0.2, 0.5, 0.3], [0.0, 1.0], ("y", "x", "z"), "(3 vs 2)"),
+            ([0.2, 0.5, 0.3, 0.1], [0.0, 1.0, 0.5], ("y", "x", "z"), "(3 vs 4)"),
+            ([0.2, 0.5, 0.3], [0.0, 1.0, 0.5], ("y", "x"), "(3 vs 2)"),
+            ([0.2, 0.5, 0.3], [0.0, 1.0, 0.5], ("y", "x", "z", "x"), "(3 vs 4)"),
+            ([[0.2], [0.5], [0.3]], [0.0, 1.0, 0.5], ("y", "x", "z"), None),  # not 1-D
+            ([0.2, 0.5, 0.3], 0.5, ("y", "x", "z"), "(3 vs 1)"),
+        ],
+        ids=["short-raw", "short-rescaled", "long-raw", "short-ranking", "long-ranking",
+             "column-raw", "scalar-rescaled"],
+    )
+    def test_lengths_are_checked(self, raw, rescaled, ranking, message):
+        with pytest.raises(LengthMismatchError) as exc_info:
+            IndexResult(Method.ABREU, ("x", "y", "z"), raw, rescaled, ranking)
+        if message:
+            assert str(exc_info.value) == f"vectors have different lengths {message}"
+
+    def test_build_index_result_checks_the_region_count(self):
+        with pytest.raises(LengthMismatchError, match=r"^vectors have different lengths \(3 vs 2\)$"):
+            build_index_result(Method.ABREU, ("a", "b", "c"), [1.0, 2.0])

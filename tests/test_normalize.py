@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from indexforge import normalize
 from indexforge.datasets import data_path
 from indexforge.errors import ColumnSpanOverflowError, ConstantComponentError
 from indexforge.ingest import parse_dataset
@@ -152,16 +153,25 @@ class TestNormalizeMatrix:
                 assert zeros == 1 and ones == 1
 
     def test_labels_are_checked_once(self, manifest, monkeypatch):
-        # parse_dataset checks the labels itself and normalize_matrix reuses
-        # them, so neither runs the validating constructor again.
+        # parse_dataset builds the raw matrix, whose constructor checks the
+        # labels; normalize_matrix reuses them and takes over the scaled array
+        # without running the constructor again.
+        raw = parse_dataset(data_path("nuts3.csv"), manifest)
+        scaled = []
+
         def validating_constructor(*args, **kwargs):
             raise AssertionError("IndicatorMatrix() called")
 
+        def recorded_scale_columns(*args, scale_columns=normalize._scale_columns):
+            result = scale_columns(*args)
+            scaled.append(result[0])
+            return result
+
         monkeypatch.setattr(IndicatorMatrix, "__init__", validating_constructor)
-        raw = parse_dataset(data_path("nuts3.csv"), manifest)
+        monkeypatch.setattr(normalize, "_scale_columns", recorded_scale_columns)
         matrix, _ = normalize_matrix(raw, manifest)
         assert matrix.regions is raw.regions and matrix.indicators is raw.indicators
-        assert not matrix.values.flags.writeable
+        assert matrix.values is scaled[0] and not matrix.values.flags.writeable
         assert not np.shares_memory(matrix.values, raw.values)
 
     def test_no_degenerate_columns_in_bundle(self, normalized):

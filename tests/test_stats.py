@@ -4,6 +4,7 @@ import csv
 import io
 import json
 from itertools import combinations
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -393,6 +394,24 @@ class TestParallelCoordinates:
         assert text.count("<line") == 3
         assert "abreu" in text and "delphi" in text and "pca" in text
         assert "Região Autónoma da Madeira" in text
+
+    def test_svg_is_well_formed_for_every_label(self, tmp_path):
+        """Each character XML 1.0 forbids is drawn as U+FFFD; markup, tab, LF and
+        other text keep their meaning; the CSV artifact keeps the labels verbatim."""
+        forbidden = [chr(c) for c in [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF]]
+        regions = [f"r{i}{char}x" for i, char in enumerate(forbidden)]
+        regions += ["Alto\x01Minho", "tab\tlf\nend", "<&>\x00\x7f\x85\ufffd", "\U0001d11e"]
+        results = [build_index_result(method, regions, np.arange(len(regions), dtype=float) * k)
+                   for k, method in enumerate((Method.ABREU, Method.DELPHI), 1)]
+        report = build_comparison(results)
+        write_parallel_svg(report, tmp_path / "parallel.svg")
+        write_parallel_csv(report, tmp_path / "parallel.csv")
+        svg = ElementTree.parse(tmp_path / "parallel.svg").getroot()
+        drawn = [text.text for text in svg.iter("{http://www.w3.org/2000/svg}text")][-len(regions):]
+        assert drawn == [f"r{i}\ufffdx" for i in range(len(forbidden))] + [
+            "Alto\ufffdMinho", "tab\tlf\nend", "<&>\ufffd\x7f\x85\ufffd", "\U0001d11e"
+        ]
+        assert set(read_polylines(tmp_path / "parallel.csv")) == set(regions)
 
     def test_vertices_within_axis_bounds(self, tmp_path, reference_triple):
         path = tmp_path / "parallel.csv"
