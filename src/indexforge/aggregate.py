@@ -118,25 +118,18 @@ def compute_delphi(
 ) -> IndexResult:
     """Two-level weighted arithmetic mean of the normalized indicators.
 
-    raw(region) = sum over pillars of pillar_weight *
-    sum over the pillar's indicators of indicator_weight * value.
+    raw(region) = sum over indicators of flat_weight * value, where each flat
+    weight is the indicator's pillar weight times its weight within the pillar.
     ``weights`` defaults to the panel weighting, ``manifest.panel_weights``.
     """
     if matrix.stage is not Stage.NORMALIZED:
         raise ValueError("the weighted index is defined on a normalized matrix")
     weights = manifest.panel_weights if weights is None else weights
-    differing = set(weights.indicator_weights) ^ set(manifest.ids)
+    differing = set(weights.flat_weights) ^ set(manifest.ids)
     differing |= set(weights.pillar_weights) ^ set(PILLARS)
     if differing:
         raise WeightManifestMismatchError(differing)
-
-    # Flatten the two weight levels: each column weighs pillar_w * indicator_w.
-    flat = np.array(
-        [
-            weights.pillar_weights[manifest.spec(ind).pillar] * weights.indicator_weights[ind]
-            for ind in matrix.indicators
-        ]
-    )
+    flat = np.array([weights.flat_weights[ind] for ind in matrix.indicators])
     return build_index_result(Method.DELPHI, matrix.regions, matrix.values @ flat)
 
 

@@ -191,10 +191,13 @@ class ConstantVectorError(CompositeIndexError):
 
 
 class LengthMismatchError(CompositeIndexError):
-    def __init__(self, len_x: int, len_y: int):
+    def __init__(self, len_x: int, len_y: int | tuple[int, ...]):
         self.len_x = len_x
-        self.len_y = len_y
-        super().__init__(f"vectors have different lengths ({len_x} vs {len_y})")
+        self.len_y = len_y  # the shape of a side that is not 1-D
+        super().__init__(
+            f"expected a vector of {len_x} values, got shape {len_y}" if isinstance(len_y, tuple)
+            else f"vectors have different lengths ({len_x} vs {len_y})"
+        )
 
 
 class TooShortError(CompositeIndexError):

@@ -46,12 +46,12 @@ PILLARS: tuple[Pillar, ...] = tuple(Pillar)
 
 #: Default pillar weighting for the weighted-mean method, as elicited from
 #: an expert panel (percentages; renormalized because they sum to 99.6).
-DEFAULT_PILLAR_WEIGHTS: dict[Pillar, float] = {
+DEFAULT_PILLAR_WEIGHTS: Mapping[Pillar, float] = MappingProxyType({
     Pillar.ECONOMY: 28.4,
     Pillar.SOCIAL_WELFARE: 26.2,
     Pillar.ENVIRONMENT: 24.0,
     Pillar.POPULATION: 21.0,
-}
+})
 
 
 class Direction(str, Enum):
@@ -141,11 +141,17 @@ class WeightScheme:
     """Two-level weights: across pillars, and across indicators within a pillar.
 
     ``build_weight_scheme`` renormalizes both levels (pillar weights sum to 1,
-    and so do each pillar's indicator weights); construction checks nothing.
+    and so do each pillar's indicator weights) and multiplies them into
+    ``flat_weights``. Construction checks nothing and keeps read-only copies.
     """
 
     pillar_weights: Mapping[Pillar, float]
     indicator_weights: Mapping[str, float]
+    flat_weights: Mapping[str, float]
+
+    def __post_init__(self):
+        for name in ("pillar_weights", "indicator_weights", "flat_weights"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
 
 def build_weight_scheme(
@@ -180,14 +186,17 @@ def build_weight_scheme(
         raise WeightManifestMismatchError(unknown)
 
     normalized_indicator: dict[str, float] = {}
-    for pillar in PILLARS:
+    flat: dict[str, float] = {}
+    for pillar, pillar_share in normalized_pillar.items():
         raw = {
             indicator_id: float(overrides.get(indicator_id, manifest.spec(indicator_id).weight))
             for indicator_id in manifest.pillar_ids(pillar)
         }
-        normalized_indicator.update(zip(raw, _shares(raw, "indicator", pillar.value)))
+        shares = _shares(raw, "indicator", pillar.value)
+        normalized_indicator.update(zip(raw, shares))
+        flat.update(zip(raw, (pillar_share * share for share in shares)))
 
-    return WeightScheme(pillar_weights=normalized_pillar, indicator_weights=normalized_indicator)
+    return WeightScheme(normalized_pillar, normalized_indicator, flat)
 
 
 def _shares(weights: Mapping[str, float], kind: str, scope: str) -> list[float]:
@@ -283,8 +292,11 @@ class IndicatorMatrix:
         )
 
     def __repr__(self) -> str:
-        rows, cols = self.shape
-        return f"IndicatorMatrix({rows} regions x {cols} indicators, stage={self.stage.value})"
+        values, stage = vars(self).get("values"), vars(self).get("stage")
+        if not (isinstance(values, np.ndarray) and values.ndim == 2 and isinstance(stage, Stage)):
+            return f"IndicatorMatrix({vars(self)!r})"  # a constructor raised on these arguments
+        rows, cols = values.shape
+        return f"IndicatorMatrix({rows} regions x {cols} indicators, stage={stage.value})"
 
 
 def _read_only(values) -> np.ndarray:
@@ -299,9 +311,10 @@ class IndexResult:
 
     ``raw`` and ``rescaled`` are read-only vectors aligned to ``regions``.
     Every field is required; a vector or ranking not one entry per region
-    raises LengthMismatchError. The ranking is in descending rescaled order;
-    ties are broken by the code-point order of the region labels so that
-    equal scores still produce a deterministic order.
+    raises LengthMismatchError (naming the shape of one that is not 1-D). The
+    ranking is in descending rescaled order; ties are broken by the code-point
+    order of the region labels so that equal scores still produce a
+    deterministic order.
     """
 
     method: Method
@@ -315,7 +328,8 @@ class IndexResult:
         raw, rescaled = _read_only(self.raw), _read_only(self.rescaled)
         for vector in (raw, rescaled):
             if vector.shape != (len(regions),):
-                raise LengthMismatchError(len(regions), vector.size)
+                got = vector.size if vector.ndim == 1 else vector.shape
+                raise LengthMismatchError(len(regions), got)
         if len(self.ranking) != len(regions):
             raise LengthMismatchError(len(regions), len(self.ranking))
         vars(self).update(regions=regions, raw=raw, rescaled=rescaled)

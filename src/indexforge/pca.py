@@ -10,29 +10,23 @@ the same IEEE operations as the per-element loop the tests keep as a
 bit-for-bit reference. The pass is six ufunc calls: four products, c and s
 times row p and s and c times row q, each element rounded once, then one
 subtraction and one addition into the two rows. c and s are 0-d arrays and
-every output buffer is passed positionally, so numpy neither converts a
-Python float nor parses a keyword: one call per product is cheaper than one
-broadcast product of [c, s] (0.4 us against 1.0 us at n = 50). The
-rotation reads a[p, p] and a[q, q] from a list that mirrors the diagonal;
-the 2x2 block, the only code that changes the diagonal, writes both. A
-rotation costs about 3.6 us at n = 50 (one core of a Xeon VM), and a sweep
-over k columns makes k(k-1)/2 of them: negligible on the bundled dataset
-(at most 7x7), dominant on a wide table (50x50 pillar blocks for 200
-indicators).
+every output buffer is passed positionally. The rotation reads a[p, p] and
+a[q, q] from a list that mirrors the diagonal; the 2x2 block, the only code
+that changes the diagonal, writes both. A sweep over k columns makes
+k(k-1)/2 rotations: negligible on the bundled dataset (at most 7x7),
+dominant on a wide table (50x50 pillar blocks for 200 indicators).
 ``eigen_symmetric`` returns plain arrays in the layout of
 ``numpy.linalg.eigh``: the eigenvalues (here in descending order) and the
-eigenvectors as the columns of one read-only matrix. Swapping in ``eigh``
-waits on one decision: it flips some of the raw eigenvector signs that
-``pca_audit.json`` records as sign flips, so the benchmark's seed-artifact
-check must first say how it treats those solver-dependent booleans.
+eigenvectors as the columns of one read-only matrix. ``eigh`` is not used
+because it flips some of the raw eigenvector signs ``pca_audit.json`` records.
 
 Each PCA stage runs on the columns it is given: mean-centered covariance
 PCA. The pillar columns arrive min-max normalized to [0, 1], which puts
 them on a common scale, so the covariance spectrum is already comparable
 across indicators; the four pillar sub-indexes feed the final stage in
-their factor-score scale. Retained factors are combined into a single
-column by weighting each factor score with its share of explained
-variance (renormalized over the retained set).
+their factor-score scale. Each stage keeps at least two factors, and joins
+the retained ones into a single column by weighting each factor score with
+its share of explained variance (renormalized over the retained set).
 
 Sign convention: each retained eigenvector is flipped so its loading sum
 is nonnegative (ties resolved by making the first nonzero loading
@@ -46,6 +40,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -63,13 +58,16 @@ STAGE2_CAP = 2
 #: Cumulative explained-variance threshold for factor retention.
 VARIANCE_THRESHOLD = 0.80
 
-#: Retention floor used by compute_pca: keep at least two factors per stage
-#: even when the first one clears the variance threshold on its own, so a
-#: secondary movement pattern is never discarded outright.
+#: Retention floor of every PCA stage: keep at least two factors even when
+#: the first one clears the variance threshold on its own, so a secondary
+#: movement pattern is never discarded outright.
 PIPELINE_MIN_FACTORS = 2
 
+#: Full Jacobi sweeps before eigen_symmetric gives up with NoConvergenceError.
+MAX_SWEEPS = 100
 
-def eigen_symmetric(matrix, *, max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
+
+def eigen_symmetric(matrix) -> tuple[np.ndarray, np.ndarray]:
     """All eigenpairs of a symmetric matrix via cyclic Jacobi rotations.
 
     Returns ``(values, vectors)``, both read-only: the eigenvalues in
@@ -79,7 +77,7 @@ def eigen_symmetric(matrix, *, max_sweeps: int = 100) -> tuple[np.ndarray, np.nd
     arithmetic that could overflow, when the input is empty or not square,
     holds a nan or inf, has a Frobenius norm beyond the float range, or is
     not symmetric within loose tolerance; and NoConvergenceError if the
-    off-diagonal mass has not vanished after ``max_sweeps`` full sweeps
+    off-diagonal mass has not vanished after MAX_SWEEPS full sweeps
     (quadratic convergence makes that effectively unreachable for
     well-posed inputs).
     """
@@ -115,7 +113,7 @@ def eigen_symmetric(matrix, *, max_sweeps: int = 100) -> tuple[np.ndarray, np.nd
         return float(np.sqrt((off * off).sum()))
 
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         if off_norm() <= stop:
             converged = True
             break
@@ -152,7 +150,7 @@ def eigen_symmetric(matrix, *, max_sweeps: int = 100) -> tuple[np.ndarray, np.nd
     else:
         converged = off_norm() <= stop
     if not converged:
-        raise NoConvergenceError(max_sweeps, off_norm())
+        raise NoConvergenceError(MAX_SWEEPS, off_norm())
 
     eigenvalues = np.diag(a)
     order = np.argsort(-eigenvalues, kind="stable")
@@ -187,22 +185,17 @@ class PcaStage:
 
 
 def pca_pillar(
-    columns,
-    column_ids: Sequence[str] | None = None,
-    cap: int = STAGE1_CAP,
-    min_factors: int = 1,
+    columns, column_ids: Sequence[str], cap: int = STAGE1_CAP
 ) -> tuple[PcaStage, np.ndarray]:
     """PCA-aggregate one pillar's normalized columns into a sub-index column.
 
     Retains the smallest factor count whose cumulative variance share
-    reaches VARIANCE_THRESHOLD (but never fewer than ``min_factors``),
+    reaches VARIANCE_THRESHOLD (but never fewer than PIPELINE_MIN_FACTORS),
     capped at ``cap``; reaching the cap below the threshold is flagged, not
     fatal. The sub-index is the variance-share weighted sum of the retained
     factor scores. Constant columns are dropped with a warning beforehand.
     """
     columns = np.asarray(columns, dtype=float)
-    if column_ids is None:
-        column_ids = [str(i) for i in range(columns.shape[1])]
     names = tuple(column_ids)
 
     keep = columns.max(axis=0) > columns.min(axis=0)
@@ -228,7 +221,7 @@ def pca_pillar(
     cumulative = np.cumsum(shares)
 
     k = int(np.searchsorted(cumulative, VARIANCE_THRESHOLD - 1e-12) + 1)
-    k = max(k, min(min_factors, len(eigenvalues)))
+    k = max(k, min(PIPELINE_MIN_FACTORS, len(eigenvalues)))
     cap_reached = k > cap and cumulative[cap - 1] < VARIANCE_THRESHOLD
     k = min(k, cap)
     if cap_reached:
@@ -271,36 +264,40 @@ def pca_pillar(
 
 @dataclass(frozen=True)
 class PcaAudit:
-    """Full trace of a two-stage PCA run, exportable as JSON."""
+    """Full trace of a two-stage PCA run, exportable as JSON; its mappings are read-only."""
 
-    parameters: dict
+    parameters: Mapping[str, object]
     pillar_stages: Mapping[Pillar, PcaStage]
     final_stage: PcaStage
     notes: tuple[str, ...] = field(default=())
+
+    def __post_init__(self):
+        object.__setattr__(self, "parameters", MappingProxyType(dict(self.parameters)))
+        object.__setattr__(self, "pillar_stages", MappingProxyType(dict(self.pillar_stages)))
 
 
 #: Documented variance profile of the bundled dataset, used to annotate the
 #: audit when the pipeline is run on it: per pillar (retained factors,
 #: cumulative variance), and for the final stage (retained, cumulative,
-#: first-factor share).
-REFERENCE_VARIANCE_PROFILE = {
-    "pillars": {
+#: first-factor share). Read-only at every level.
+REFERENCE_VARIANCE_PROFILE: Mapping[str, object] = MappingProxyType({
+    "pillars": MappingProxyType({
         Pillar.POPULATION: (2, 0.96),
         Pillar.SOCIAL_WELFARE: (2, 0.81),
         Pillar.ECONOMY: (3, 0.88),
         Pillar.ENVIRONMENT: (3, 0.84),
-    },
+    }),
     "final": (2, 0.94, 0.80),
     "pillar_tolerance": 0.03,
     "final_tolerance": (0.03, 0.04),
-}
+})
 
 
 def compute_pca(
     matrix: IndicatorMatrix,
     manifest: Manifest,
     *,
-    reference_profile: dict | None = None,
+    reference_profile: Mapping[str, object] | None = None,
 ) -> tuple[IndexResult, PcaAudit]:
     """Two-stage PCA index over a normalized matrix.
 
@@ -317,21 +314,12 @@ def compute_pca(
     sub_columns = []
     for pillar in PILLARS:
         ids = manifest.pillar_ids(pillar)
-        stage, sub_index = pca_pillar(
-            matrix.columns(ids),
-            column_ids=ids,
-            min_factors=PIPELINE_MIN_FACTORS,
-        )
+        stage, sub_index = pca_pillar(matrix.columns(ids), ids)
         pillar_stages[pillar] = stage
         sub_columns.append(sub_index)
 
     sub_matrix = np.column_stack(sub_columns)
-    final_stage, raw_vector = pca_pillar(
-        sub_matrix,
-        column_ids=[p.value for p in PILLARS],
-        cap=STAGE2_CAP,
-        min_factors=PIPELINE_MIN_FACTORS,
-    )
+    final_stage, raw_vector = pca_pillar(sub_matrix, [p.value for p in PILLARS], STAGE2_CAP)
 
     result = build_index_result(Method.PCA, matrix.regions, raw_vector)
 
@@ -358,7 +346,7 @@ def compute_pca(
 
 
 def _profile_notes(
-    pillar_stages: Mapping[Pillar, PcaStage], final_stage: PcaStage, profile: dict
+    pillar_stages: Mapping[Pillar, PcaStage], final_stage: PcaStage, profile: Mapping
 ) -> list[str]:
     notes = []
     tol = profile["pillar_tolerance"]
@@ -407,7 +395,7 @@ def _stage_payload(stage: PcaStage) -> dict:
 def write_pca_audit(audit: PcaAudit, path: str | Path) -> None:
     """Write the PCA audit (eigenvalues, shares, loadings, flips, notes) as JSON."""
     payload = {
-        "parameters": audit.parameters,
+        "parameters": dict(audit.parameters),
         "pillar_stages": {
             pillar.value: _stage_payload(stage) for pillar, stage in audit.pillar_stages.items()
         },

@@ -20,6 +20,7 @@ from indexforge.aggregate import (
     write_index_json,
 )
 from indexforge.model import (
+    DEFAULT_PILLAR_WEIGHTS,
     PILLARS,
     IndicatorMatrix,
     IndicatorSpec,
@@ -437,9 +438,44 @@ class TestComputeDelphi:
     def test_scheme_without_a_pillar_rejected(self, norm_matrix, manifest):
         full = build_weight_scheme(manifest)
         pillars = {p: w for p, w in full.pillar_weights.items() if p is not Pillar.POPULATION}
-        scheme = WeightScheme(pillars, full.indicator_weights)
+        scheme = WeightScheme(pillars, full.indicator_weights, full.flat_weights)
         with pytest.raises(WeightManifestMismatchError, match="differ on: Population$"):
             compute_delphi(norm_matrix, manifest, scheme)
+
+    def test_flat_weights_keep_the_two_level_bits(self, norm_matrix, manifest):
+        """delphi through ``flat_weights`` has the bits of the product of the two
+        levels per column, for the panel weighting and for random overrides."""
+        rng = np.random.default_rng(47)
+        overrides = {i: float(rng.uniform(0.1, 3)) for i in manifest.ids}
+        pillars = {p: float(rng.uniform(0.1, 5)) for p in PILLARS}
+        for scheme in (manifest.panel_weights, build_weight_scheme(manifest, pillars, overrides)):
+            two_level = np.array([
+                scheme.pillar_weights[manifest.spec(i).pillar] * scheme.indicator_weights[i]
+                for i in norm_matrix.indicators
+            ])
+            got = compute_delphi(norm_matrix, manifest, scheme).raw
+            assert got.tobytes() == (norm_matrix.values @ two_level).tobytes()
+
+    def test_panel_weighting_cannot_be_rewritten(self, norm_matrix, manifest):
+        """Every call on a manifest shares its panel weighting, and every manifest
+        the default pillar weights: writing any of their mappings raises, so no
+        later index is re-ranked."""
+        before = compute_delphi(norm_matrix, manifest)
+        panel = manifest.panel_weights
+        for mapping, key in [
+            (panel.pillar_weights, Pillar.ECONOMY),
+            (panel.indicator_weights, "PopDens"),
+            (panel.flat_weights, "PopDens"),
+            (DEFAULT_PILLAR_WEIGHTS, Pillar.ECONOMY),
+        ]:
+            with pytest.raises(TypeError):
+                mapping[key] = 0.0
+            with pytest.raises(TypeError):
+                del mapping[key]
+        after = compute_delphi(norm_matrix, manifest)
+        assert after.ranking == before.ranking
+        assert after.raw.tobytes() == before.raw.tobytes()
+        assert validate_manifest(manifest.specs).panel_weights == panel
 
     def test_default_weights_are_build_weight_scheme(self, norm_matrix, manifest):
         explicit = compute_delphi(norm_matrix, manifest, build_weight_scheme(manifest))

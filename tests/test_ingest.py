@@ -942,6 +942,22 @@ def test_no_module_imports_a_private_name_from_another():
     ] == []
 
 
+def test_no_module_binds_a_public_name_to_a_mutable_container():
+    """A public module-level name is shared by every caller, so it holds no dict,
+    list or set display or comprehension: a write to one would change every
+    later run. Such a table is a MappingProxyType, a tuple or a frozenset."""
+    package = Path(data_path("manifest.csv")).parents[1]
+    mutable = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    assert [
+        (module.name, node.lineno, target.id)
+        for module in sorted(package.glob("*.py"))
+        for node in ast.parse(module.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, mutable)
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and not target.id.startswith("_")
+    ] == []
+
+
 def _path_formatters() -> set[tuple[str, str]]:
     """(module, top-level function or class) of every line of the package that
     holds ``{path`` or ``str(path)``; a line outside any counts as ``<module>``."""

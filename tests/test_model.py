@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import traceback
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from indexforge.model import (
     Method,
     Pillar,
     Stage,
+    WeightScheme,
     build_weight_scheme,
     validate_manifest,
 )
@@ -228,6 +231,23 @@ class TestBuildWeightScheme:
             build_weight_scheme(manifest, pillar_weights, indicator_weights)
         assert exc_info.value.scope == scope
 
+    def test_flat_weights_are_pillar_share_times_indicator_share(self, manifest):
+        scheme = build_weight_scheme(manifest, {p: k + 1.0 for k, p in enumerate(PILLARS)})
+        assert set(scheme.flat_weights) == set(manifest.ids)
+        for i in manifest.ids:
+            pillar_share = scheme.pillar_weights[manifest.spec(i).pillar]
+            assert scheme.flat_weights[i] == pillar_share * scheme.indicator_weights[i]
+        assert sum(scheme.flat_weights.values()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_scheme_keeps_read_only_copies(self):
+        pillars, indicators, flat = {p: 0.25 for p in PILLARS}, {"i0": 1.0}, {"i0": 0.25}
+        scheme = WeightScheme(pillars, indicators, flat)
+        pillars[Pillar.ECONOMY], indicators["i0"], flat["i0"] = 0.0, 0.0, 0.0
+        assert scheme == WeightScheme({p: 0.25 for p in PILLARS}, {"i0": 1.0}, {"i0": 0.25})
+        for mapping in (scheme.pillar_weights, scheme.indicator_weights, scheme.flat_weights):
+            with pytest.raises(TypeError):
+                mapping[next(iter(mapping))] = 0.0
+
     def test_unknown_indicator_override_rejected(self):
         with pytest.raises(WeightManifestMismatchError):
             build_weight_scheme(small_manifest(), indicator_weights={"nope": 1.0})
@@ -250,6 +270,33 @@ class TestIndicatorMatrix:
     def test_rejects_out_of_range_normalized(self):
         with pytest.raises(ValueError):
             IndicatorMatrix(("a", "b"), ("x",), [[0.1], [1.4]], stage=Stage.NORMALIZED)
+
+    @pytest.mark.parametrize(
+        "regions, values, error",
+        [
+            (("a", "a"), [[1.0], [2.0]], DuplicateRegionError),
+            (("a", "b"), [[1.0], [float("nan")]], NonNumericCellError),
+            (("a", "b"), [[1.0], [2.0], [3.0]], ValueError),
+        ],
+        ids=["repeated-region", "nan-cell", "shape"],
+    )
+    def test_repr_of_a_failed_construction(self, regions, values, error):
+        """A traceback that shows its locals shows the arguments that failed."""
+        with pytest.raises(error) as exc_info:
+            IndicatorMatrix(regions, ("x",), values)
+        half_built = next(
+            frame.f_locals["self"]
+            for frame, _ in traceback.walk_tb(exc_info.tb)
+            if isinstance(frame.f_locals.get("self"), IndicatorMatrix)
+        )
+        assert repr(half_built) == (
+            f"IndicatorMatrix({{'regions': {regions!r}, 'indicators': ('x',), "
+            f"'values': {values!r}, 'stage': <Stage.RAW: 'raw'>}})"
+        )
+
+    def test_repr_of_a_built_matrix(self):
+        matrix = IndicatorMatrix(("a", "b"), ("x",), [[0.1], [1.0]], stage=Stage.NORMALIZED)
+        assert repr(matrix) == "IndicatorMatrix(2 regions x 1 indicators, stage=normalized)"
 
     @pytest.mark.parametrize(
         "regions, indicators, values, stage, error, message",
@@ -328,13 +375,17 @@ class TestResultEquality:
     @pytest.mark.parametrize(
         "raw, rescaled, ranking, message",
         [
-            ([0.2, 0.5], [0.0, 1.0, 0.5], ("y", "x", "z"), "(3 vs 2)"),
-            ([0.2, 0.5, 0.3], [0.0, 1.0], ("y", "x", "z"), "(3 vs 2)"),
-            ([0.2, 0.5, 0.3, 0.1], [0.0, 1.0, 0.5], ("y", "x", "z"), "(3 vs 4)"),
-            ([0.2, 0.5, 0.3], [0.0, 1.0, 0.5], ("y", "x"), "(3 vs 2)"),
-            ([0.2, 0.5, 0.3], [0.0, 1.0, 0.5], ("y", "x", "z", "x"), "(3 vs 4)"),
-            ([[0.2], [0.5], [0.3]], [0.0, 1.0, 0.5], ("y", "x", "z"), None),  # not 1-D
-            ([0.2, 0.5, 0.3], 0.5, ("y", "x", "z"), "(3 vs 1)"),
+            ([0.2, 0.5], [0.0, 1.0, 0.5], ("y", "x", "z"), "vectors have different lengths (3 vs 2)"),
+            ([0.2, 0.5, 0.3], [0.0, 1.0], ("y", "x", "z"), "vectors have different lengths (3 vs 2)"),
+            ([0.2, 0.5, 0.3, 0.1], [0.0, 1.0, 0.5], ("y", "x", "z"),
+             "vectors have different lengths (3 vs 4)"),
+            ([0.2, 0.5, 0.3], [0.0, 1.0, 0.5], ("y", "x"), "vectors have different lengths (3 vs 2)"),
+            ([0.2, 0.5, 0.3], [0.0, 1.0, 0.5], ("y", "x", "z", "x"),
+             "vectors have different lengths (3 vs 4)"),
+            # A vector that is not 1-D is named by its shape, even when its size fits.
+            ([[0.2], [0.5], [0.3]], [0.0, 1.0, 0.5], ("y", "x", "z"),
+             "expected a vector of 3 values, got shape (3, 1)"),
+            ([0.2, 0.5, 0.3], 0.5, ("y", "x", "z"), "expected a vector of 3 values, got shape ()"),
         ],
         ids=["short-raw", "short-rescaled", "long-raw", "short-ranking", "long-ranking",
              "column-raw", "scalar-rescaled"],
@@ -342,8 +393,7 @@ class TestResultEquality:
     def test_lengths_are_checked(self, raw, rescaled, ranking, message):
         with pytest.raises(LengthMismatchError) as exc_info:
             IndexResult(Method.ABREU, ("x", "y", "z"), raw, rescaled, ranking)
-        if message:
-            assert str(exc_info.value) == f"vectors have different lengths {message}"
+        assert str(exc_info.value) == message
 
     def test_build_index_result_checks_the_region_count(self):
         with pytest.raises(LengthMismatchError, match=r"^vectors have different lengths \(3 vs 2\)$"):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from indexforge.pca import (
     compute_pca,
     eigen_symmetric,
     pca_pillar,
+    write_pca_audit,
 )
 
 from conftest import REGIONS
@@ -338,16 +340,18 @@ class TestEigenSymmetric:
             eigen_symmetric(matrix)
         assert str(exc_info.value) == message
 
-    def test_no_convergence_raised(self):
+    def test_no_convergence_raised(self, monkeypatch):
+        monkeypatch.setattr(pca, "MAX_SWEEPS", 0)
         with pytest.raises(NoConvergenceError):
-            eigen_symmetric([[1.0, 0.5], [0.5, 1.0]], max_sweeps=0)
+            eigen_symmetric([[1.0, 0.5], [0.5, 1.0]])
 
-    def test_no_convergence_wide_reports_reference_off_norm(self):
+    def test_no_convergence_wide_reports_reference_off_norm(self, monkeypatch):
         a = factor_model_covariance(np.random.default_rng(71), 50)
         with pytest.raises(NoConvergenceError) as expected:
             reference_eigen_symmetric(a, max_sweeps=1)
+        monkeypatch.setattr(pca, "MAX_SWEEPS", 1)
         with pytest.raises(NoConvergenceError) as got:
-            eigen_symmetric(a, max_sweeps=1)
+            eigen_symmetric(a)
         assert got.value.sweeps == 1
         assert got.value.off_norm == expected.value.off_norm > 0.0
 
@@ -414,6 +418,11 @@ def reference_orient_sign(vector: np.ndarray) -> tuple[np.ndarray, bool]:
     return vector, False
 
 
+def names(columns) -> list[str]:
+    """One column id per column of ``columns``."""
+    return [f"c{j}" for j in range(np.shape(columns)[1])]
+
+
 def orient_through_pca_pillar(monkeypatch, block) -> tuple[np.ndarray, tuple[bool, ...]]:
     """``pca_pillar``'s loadings and sign flips when the solver returns ``block``.
 
@@ -423,8 +432,9 @@ def orient_through_pca_pillar(monkeypatch, block) -> tuple[np.ndarray, tuple[boo
     vectors = np.asfortranarray(block, dtype=float)
     n = vectors.shape[0]
     monkeypatch.setattr(pca, "eigen_symmetric", lambda covariance: (np.ones(n), vectors))
+    monkeypatch.setattr(pca, "PIPELINE_MIN_FACTORS", n)
     data = np.random.default_rng(0).uniform(size=(6, n))
-    stage, _ = pca_pillar(data, cap=n, min_factors=n)
+    stage, _ = pca_pillar(data, names(data), cap=n)
     return stage.loadings, stage.sign_flips
 
 
@@ -474,8 +484,11 @@ class TestPcaPillar:
     def test_rank_one_pillar(self):
         base = np.array([0.0, 0.2, 0.5, 0.7, 1.0])
         columns = np.column_stack([base, 2.0 * base + 1.0, 0.5 * base - 3.0])
-        stage, sub_index = pca_pillar(columns)
-        assert stage.retained == 1
+        stage, sub_index = pca_pillar(columns, names(columns))
+        # The first factor alone clears the threshold; the floor keeps a second
+        # one, which carries zero variance, hence zero weight.
+        assert stage.retained == pca.PIPELINE_MIN_FACTORS == 2
+        assert stage.factor_weights[1] == pytest.approx(0.0, abs=1e-12)
         assert stage.cumulative_variance == pytest.approx(1.0, abs=1e-10)
         # Sub-index is affine in the common underlying column.
         fit = np.polyfit(base, sub_index, 1)
@@ -484,7 +497,7 @@ class TestPcaPillar:
     def test_two_uncorrelated_equal_variance_columns(self):
         x = np.array([1.0, 0.0, -1.0, 0.0])
         y = np.array([0.0, 1.0, 0.0, -1.0])
-        stage, _ = pca_pillar(np.column_stack([x, y]))
+        stage, _ = pca_pillar(np.column_stack([x, y]), ["x", "y"])
         assert stage.retained == 2
         assert stage.variance_shares[0] == pytest.approx(0.5, abs=1e-12)
         assert stage.variance_shares[1] == pytest.approx(0.5, abs=1e-12)
@@ -492,7 +505,8 @@ class TestPcaPillar:
     def test_variance_shares_sum_to_one(self):
         rng = np.random.default_rng(55)
         for _ in range(20):
-            stage, _ = pca_pillar(rng.uniform(size=(9, int(rng.integers(2, 8)))))
+            data = rng.uniform(size=(9, int(rng.integers(2, 8))))
+            stage, _ = pca_pillar(data, names(data))
             assert sum(stage.variance_shares) == pytest.approx(1.0, abs=1e-10)
             assert all(s >= 0 for s in stage.variance_shares)
 
@@ -513,8 +527,8 @@ class TestPcaPillar:
         rng = np.random.default_rng(57)
         data = rng.uniform(size=(8, 4))
         perm = rng.permutation(8)
-        _, sub_index = pca_pillar(data)
-        _, sub_index_p = pca_pillar(data[perm])
+        _, sub_index = pca_pillar(data, names(data))
+        _, sub_index_p = pca_pillar(data[perm], names(data))
         assert np.allclose(sub_index[perm], sub_index_p, atol=1e-10)
 
     def test_constant_column_dropped_with_warning(self):
@@ -537,27 +551,34 @@ class TestPcaPillar:
         # Many nearly independent columns: three factors stay below 80%.
         data = rng.normal(size=(40, 12))
         with pytest.warns(DegenerateColumnWarning):
-            stage, _ = pca_pillar(data, cap=3)
+            stage, _ = pca_pillar(data, names(data), cap=3)
         assert stage.retained == 3
         assert stage.cap_reached_below_threshold
         assert stage.cumulative_variance < 0.80
 
-    def test_min_factors_floor(self):
+    def test_min_factors_floor(self, monkeypatch):
+        """The floor is read from PIPELINE_MIN_FACTORS on every call; without
+        one, the threshold alone keeps the single factor of a rank-one pillar.
+        A floor above the column count keeps every factor."""
         base = np.array([0.0, 0.2, 0.5, 0.7, 1.0])
         columns = np.column_stack([base, 2.0 * base + 1.0, 0.5 * base - 3.0])
-        stage, sub_index = pca_pillar(columns, min_factors=2)
-        assert stage.retained == 2
-        # The second factor carries zero variance, hence zero weight.
-        assert stage.factor_weights[1] == pytest.approx(0.0, abs=1e-12)
-        fit = np.polyfit(base, sub_index, 1)
-        assert np.allclose(np.polyval(fit, base), sub_index, atol=1e-10)
+        for floor in (1, 3, 4):
+            monkeypatch.setattr(pca, "PIPELINE_MIN_FACTORS", floor)
+            stage, sub_index = pca_pillar(columns, names(columns))
+            assert stage.retained == min(floor, 3)
+            # Every factor after the first carries zero variance, hence zero weight.
+            assert stage.factor_weights[1:] == pytest.approx([0.0] * (stage.retained - 1), abs=1e-12)
+            fit = np.polyfit(base, sub_index, 1)
+            assert np.allclose(np.polyval(fit, base), sub_index, atol=1e-10)
 
 
 class TestPcaStage2:
     def test_four_identical_columns(self):
         col = np.array([0.1, 0.5, 0.2, 0.9, 0.4])
-        stage, raw = pca_pillar(np.column_stack([col] * 4), cap=STAGE2_CAP)
-        assert stage.retained == 1
+        stage, raw = pca_pillar(np.column_stack([col] * 4), ["a", "b", "c", "d"], cap=STAGE2_CAP)
+        # One factor carries all the variance; the floor keeps a second, at weight 0.
+        assert stage.retained == pca.PIPELINE_MIN_FACTORS == 2
+        assert stage.factor_weights[1] == pytest.approx(0.0, abs=1e-12)
         assert stage.cumulative_variance == pytest.approx(1.0, abs=1e-10)
         fit = np.polyfit(col, raw, 1)
         assert np.allclose(np.polyval(fit, col), raw, atol=1e-10)
@@ -565,7 +586,7 @@ class TestPcaStage2:
     def test_cap_default_two(self):
         rng = np.random.default_rng(60)
         assert STAGE2_CAP == 2
-        stage, _ = pca_pillar(rng.normal(size=(30, 4)), cap=STAGE2_CAP)
+        stage, _ = pca_pillar(rng.normal(size=(30, 4)), ["a", "b", "c", "d"], cap=STAGE2_CAP)
         assert stage.retained <= 2
 
 
@@ -603,6 +624,24 @@ class TestBundledPipeline:
             "Terras de Trás-os-Montes",
             "Beiras e Serra da Estrela",
         }
+
+    def test_reference_profile_and_audit_are_read_only(self, results_all, tmp_path):
+        """The profile annotates every later audit, and an audit is shared by its
+        readers: writing any of their mappings raises. The writer still lays
+        out the audit's parameters as a JSON object."""
+        _, audit = results_all
+        for mapping, key in [
+            (REFERENCE_VARIANCE_PROFILE, "final"),
+            (REFERENCE_VARIANCE_PROFILE["pillars"], Pillar.ECONOMY),
+            (audit.parameters, "threshold"),
+            (audit.pillar_stages, Pillar.ECONOMY),
+        ]:
+            with pytest.raises(TypeError):
+                mapping[key] = None
+        write_pca_audit(audit, tmp_path / "pca_audit.json")
+        written = json.loads((tmp_path / "pca_audit.json").read_text(encoding="utf-8"))
+        assert written["parameters"] == dict(audit.parameters)
+        assert written["parameters"]["min_factors"] == 2
 
     def test_audit_notes_against_reference_profile(self, norm_matrix, manifest):
         _, audit = compute_pca(
