@@ -13,6 +13,7 @@ from indexforge import (
     Direction,
     IndicatorMatrix,
     IndicatorSpec,
+    Manifest,
     Pillar,
     build_comparison,
     build_weight_scheme,
@@ -20,7 +21,6 @@ from indexforge import (
     compute_abreu,
     compute_delphi,
     normalize_matrix,
-    validate_manifest,
 )
 from indexforge.aggregate import write_index_csv
 from indexforge.normalize import write_normalization_csv
@@ -52,7 +52,7 @@ specs = [
     IndicatorSpec("Green", "Green cover", Pillar.ENVIRONMENT),
     IndicatorSpec("AirQ", "Air quality index", Pillar.ENVIRONMENT),
 ]
-manifest = validate_manifest(specs)
+manifest = Manifest(specs)
 
 values = np.column_stack(
     [

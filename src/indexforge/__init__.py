@@ -16,10 +16,10 @@ from .model import (
     Direction,
     IndicatorMatrix,
     IndicatorSpec,
+    Manifest,
     Method,
     Pillar,
     build_weight_scheme,
-    validate_manifest,
 )
 from .normalize import composite_indicator, normalize_matrix
 from .pca import REFERENCE_VARIANCE_PROFILE, compute_pca, eigen_symmetric
@@ -33,6 +33,7 @@ __all__ = [
     "Direction",
     "IndicatorMatrix",
     "IndicatorSpec",
+    "Manifest",
     "Method",
     "Pillar",
     "build_comparison",
@@ -45,5 +46,4 @@ __all__ = [
     "eigen_symmetric",
     "normalize_matrix",
     "pearson",
-    "validate_manifest",
 ]

@@ -9,7 +9,6 @@ rest of the package.
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,7 @@ REFERENCE_FILE = "table3.csv"
 
 def data_path(name: str) -> Path:
     """Filesystem path of a bundled data file."""
-    return Path(resources.files("indexforge") / "data" / name)
+    return Path(__file__).parent / "data" / name
 
 
 def load_default_manifest() -> Manifest:

@@ -75,7 +75,8 @@ class FileEncodingError(CompositeIndexError):
 
 
 class ManifestFormatError(CompositeIndexError):
-    """Malformed manifest file (bad header, unknown pillar or direction)."""
+    """Malformed manifest: a file's header or row, or an ``IndicatorSpec`` whose
+    pillar or direction is unknown or whose weight is not a number."""
 
 
 class DataFormatError(CompositeIndexError):

@@ -8,8 +8,10 @@ start with a UTF-8 byte-order mark, which is skipped. The small CSV inputs
 ``read_csv_input``: one cell per header column, errors that name the line.
 Every reader runs all of its checks inside ``open_input``, which alone puts
 the path at the head of each error. A reader checks its file's own rules and
-builds the model object, whose constructor checks the rest: ``Manifest`` the
-ids, pillars and weights, ``IndicatorMatrix`` the labels and values.
+builds the model objects, whose constructors check the rest: the manifest
+reader only splits rows, so ``IndicatorSpec`` checks each row's pillar,
+direction and weight and ``Manifest`` the ids, pillars and weight rules;
+``IndicatorMatrix`` checks the labels and values.
 The JSON alternative for datasets is an object
 ``{"regions": [...], "indicators": [...], "values": [[...]]}``, with no other
 key, string region and indicator names and one list of values per region.
@@ -58,8 +60,7 @@ from .errors import (
     UnknownIndicatorError,
     WeightFormatError,
 )
-from .model import Direction, IndicatorMatrix, IndicatorSpec, Manifest, Pillar, WeightScheme
-from .model import build_weight_scheme, validate_manifest
+from .model import IndicatorMatrix, IndicatorSpec, Manifest, WeightScheme, build_weight_scheme
 
 MANIFEST_COLUMNS = ("id", "label", "pillar", "direction", "weight", "unit")
 WEIGHT_COLUMNS = ("scope", "id", "weight")
@@ -123,8 +124,9 @@ def _csv_rows(reader, error: type[Exception], ahead=None):
 def parse_manifest(path: str | Path) -> Manifest:
     """Load and validate a manifest CSV (columns id,label,pillar,direction,weight,unit).
 
-    Every row has one cell per column; an empty weight cell means 1.0.
-    ``validate_manifest`` checks the rest; every error starts with the path.
+    Every row has one cell per column; an empty weight cell means 1.0. Each
+    row becomes an ``IndicatorSpec``, which checks its pillar, direction and
+    weight, and ``Manifest`` checks the rest; every error starts with the path.
     """
     path = Path(path)
     with open_input(path) as handle:
@@ -133,34 +135,10 @@ def parse_manifest(path: str | Path) -> Manifest:
             raise ManifestFormatError(
                 f"manifest header must be {','.join(MANIFEST_COLUMNS)}, got {','.join(header)}"
             )
-        specs = []
-        for indicator_id, label, pillar_text, direction_text, weight_text, unit in rows:
-            try:
-                pillar = Pillar(pillar_text)
-            except ValueError:
-                raise ManifestFormatError(f"unknown pillar {pillar_text!r}") from None
-            try:
-                direction = Direction(direction_text)
-            except ValueError:
-                raise ManifestFormatError(f"unknown direction {direction_text!r}") from None
-            weight_text = weight_text.strip()
-            try:
-                weight = float(weight_text) if weight_text else 1.0
-            except ValueError:
-                raise ManifestFormatError(
-                    f"non-numeric weight {weight_text!r} for indicator {indicator_id!r}"
-                ) from None
-            specs.append(
-                IndicatorSpec(
-                    id=indicator_id,
-                    label=label,
-                    pillar=pillar,
-                    direction=direction,
-                    weight=weight,
-                    unit=unit,
-                )
-            )
-        return validate_manifest(specs)
+        return Manifest(
+            IndicatorSpec(indicator_id, label, pillar, direction, weight.strip() or 1.0, unit)
+            for indicator_id, label, pillar, direction, weight, unit in rows
+        )
 
 
 def parse_weights(path: str | Path, manifest: Manifest) -> WeightScheme:

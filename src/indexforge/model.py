@@ -5,8 +5,8 @@ belong to one of four thematic pillars and carry a direction: for *benefit*
 indicators higher raw values mean more development, for *cost* indicators
 the opposite (they are inverse-normalized downstream). Every type here is an
 Enum or a frozen dataclass, immutable once built and safe to share between
-threads. A Manifest, an IndicatorMatrix and an IndexResult check themselves
-when built, so no invalid one exists.
+threads. Every dataclass here but WeightScheme checks itself when built; an
+enum field takes the member or its value string and stores the member.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .errors import (
     DuplicateRegionError,
     EmptyPillarError,
     LengthMismatchError,
+    ManifestFormatError,
     NegativeWeightError,
     NonFiniteWeightError,
     NonNumericCellError,
@@ -72,7 +73,12 @@ class Method(str, Enum):
 
 @dataclass(frozen=True)
 class IndicatorSpec:
-    """Identity, pillar membership, direction and weight of one indicator."""
+    """Identity, pillar membership, direction and weight of one indicator.
+
+    ``pillar`` and ``direction`` take a member or its value string and are
+    stored as the member; ``weight`` is stored as a float. A value neither
+    takes raises ManifestFormatError, checked in that order.
+    """
 
     id: str
     label: str
@@ -80,6 +86,20 @@ class IndicatorSpec:
     direction: Direction = Direction.BENEFIT
     weight: float = 1.0
     unit: str = ""
+
+    def __post_init__(self):
+        for name, kind in (("pillar", Pillar), ("direction", Direction)):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, kind(value))
+            except ValueError:
+                raise ManifestFormatError(f"unknown {name} {value!r}") from None
+        try:
+            object.__setattr__(self, "weight", float(self.weight))
+        except (TypeError, ValueError):
+            raise ManifestFormatError(
+                f"non-numeric weight {self.weight!r} for indicator {self.id!r}"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -124,10 +144,6 @@ class Manifest:
 
     def pillar_sizes(self) -> dict[Pillar, int]:
         return {pillar: len(self.pillar_ids(pillar)) for pillar in PILLARS}
-
-
-#: The checked constructor under the name the readers and the README use.
-validate_manifest = Manifest
 
 
 def _first_repeat(labels: Sequence[str]) -> str:
@@ -222,10 +238,11 @@ class IndicatorMatrix:
     ``stage`` records whether the values are raw observations or already
     min-max normalized to [0, 1]. The constructor copies ``values`` and checks
     the shape (ValueError), then the labels (DuplicateRegionError, then
-    DuplicateIndicatorIdError, naming the first repeat), then the values
-    (NonNumericCellError for the first nan or inf in row-major order,
-    ValueError for a normalized value outside [0, 1]). The value buffer is
-    made read-only so a matrix can be shared freely once built.
+    DuplicateIndicatorIdError, naming the first repeat), then ``stage``, a
+    Stage or its value (ValueError), then the values (NonNumericCellError
+    for the first nan or inf in row-major order, ValueError for a normalized
+    value outside [0, 1]). The value buffer is made read-only so a matrix
+    can be shared freely once built.
     """
 
     regions: tuple[str, ...]
@@ -245,7 +262,7 @@ class IndicatorMatrix:
             raise DuplicateRegionError(_first_repeat(regions))
         if len(set(indicators)) < len(indicators):
             raise DuplicateIndicatorIdError(_first_repeat(indicators))
-        self._freeze(regions, indicators, array, self.stage)
+        self._freeze(regions, indicators, array, Stage(self.stage))
 
     def _with_values(self, array: np.ndarray, stage: Stage) -> IndicatorMatrix:
         """A matrix over this one's checked labels holding ``array``, a fresh
@@ -309,9 +326,11 @@ def _read_only(values) -> np.ndarray:
 class IndexResult:
     """Final index of one method: raw and [0, 1] rescaled vectors, ranking.
 
-    ``raw`` and ``rescaled`` are read-only vectors aligned to ``regions``.
-    Every field is required; a vector or ranking not one entry per region
-    raises LengthMismatchError (naming the shape of one that is not 1-D). The
+    ``raw`` and ``rescaled`` are read-only vectors aligned to ``regions``;
+    ``method`` is a Method or its value (ValueError for another), stored as
+    the member, and ``ranking`` is stored as a tuple. Every field is
+    required; a vector or ranking not one entry per region raises
+    LengthMismatchError (naming the shape of one that is not 1-D). The
     ranking is in descending rescaled order; ties are broken by the code-point
     order of the region labels so that equal scores still produce a
     deterministic order.
@@ -324,15 +343,17 @@ class IndexResult:
     ranking: tuple[str, ...]
 
     def __post_init__(self):
-        regions = tuple(self.regions)
+        method, regions, ranking = Method(self.method), tuple(self.regions), tuple(self.ranking)
         raw, rescaled = _read_only(self.raw), _read_only(self.rescaled)
         for vector in (raw, rescaled):
             if vector.shape != (len(regions),):
                 got = vector.size if vector.ndim == 1 else vector.shape
                 raise LengthMismatchError(len(regions), got)
-        if len(self.ranking) != len(regions):
-            raise LengthMismatchError(len(regions), len(self.ranking))
-        vars(self).update(regions=regions, raw=raw, rescaled=rescaled)
+        if len(ranking) != len(regions):
+            raise LengthMismatchError(len(regions), len(ranking))
+        vars(self).update(
+            method=method, regions=regions, raw=raw, rescaled=rescaled, ranking=ranking
+        )
 
     def __eq__(self, other) -> bool:
         # Same method, ranking and region -> value pairs, in any region order.

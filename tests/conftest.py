@@ -76,7 +76,7 @@ def reference_results():
 
 def random_dataset(rng: np.random.Generator, n_regions=None, n_indicators=None):
     """Random small manifest + raw matrix for property tests."""
-    from indexforge import Direction, IndicatorMatrix, IndicatorSpec, PILLARS, validate_manifest
+    from indexforge import Direction, IndicatorMatrix, IndicatorSpec, Manifest, PILLARS
 
     n_regions = n_regions or int(rng.integers(3, 13))
     n_indicators = n_indicators or int(rng.integers(4, 26))
@@ -94,7 +94,7 @@ def random_dataset(rng: np.random.Generator, n_regions=None, n_indicators=None):
                 direction=direction, weight=weight,
             )
         )
-    manifest = validate_manifest(specs)
+    manifest = Manifest(specs)
     values = rng.normal(loc=rng.uniform(-10, 10), scale=rng.uniform(0.5, 20), size=(n_regions, n_indicators))
     regions = tuple(f"region{i}" for i in range(n_regions))
     matrix = IndicatorMatrix(regions, manifest.ids, values)

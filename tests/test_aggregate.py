@@ -24,12 +24,12 @@ from indexforge.model import (
     PILLARS,
     IndicatorMatrix,
     IndicatorSpec,
+    Manifest,
     Method,
     Pillar,
     Stage,
     WeightScheme,
     build_weight_scheme,
-    validate_manifest,
 )
 from indexforge.normalize import DegenerateColumnWarning, normalize_matrix
 from indexforge.pca import compute_pca
@@ -129,7 +129,7 @@ class TestRankRegions:
 
 class TestPillarMeans:
     def test_all_ones_pillar_scores_one(self):
-        manifest = validate_manifest(
+        manifest = Manifest(
             [IndicatorSpec(id=f"i{k}", label="", pillar=p) for k, p in enumerate(PILLARS)]
         )
         matrix = IndicatorMatrix(("a", "b"), manifest.ids, [[1, 1, 1, 1], [0, 0, 0, 0]])
@@ -142,7 +142,7 @@ class TestPillarMeans:
     def test_simple_arithmetic(self):
         specs = [IndicatorSpec(id=f"p{k}", label="", pillar=Pillar.POPULATION) for k in range(3)]
         specs += [IndicatorSpec(id=f"o{k}", label="", pillar=p) for k, p in enumerate(PILLARS[1:])]
-        manifest = validate_manifest(specs)
+        manifest = Manifest(specs)
         values = np.array([[0.2, 0.4, 0.6, 0.5, 0.5, 0.5], [1, 1, 1, 1, 1, 1]])
         normalized = IndicatorMatrix(("a", "b"), manifest.ids, values, stage=Stage.NORMALIZED)
         means = pillar_arithmetic_means(normalized, manifest)
@@ -303,7 +303,7 @@ class TestComputeAbreu:
 
     def test_dominant_region_ranks_first(self):
         specs = [IndicatorSpec(id=f"i{k}", label="", pillar=p) for k, p in enumerate(PILLARS)]
-        manifest = validate_manifest(specs)
+        manifest = Manifest(specs)
         values = np.array([[4.0, 4, 4, 4], [3, 3, 3, 3], [1, 1, 1, 1]])
         matrix = IndicatorMatrix(("top", "mid", "low"), manifest.ids, values)
         normalized, _ = normalize_matrix(matrix, manifest)
@@ -311,7 +311,7 @@ class TestComputeAbreu:
         assert result.ranking == ("top", "mid", "low")
 
     def test_ignores_manifest_weights(self, norm_matrix, manifest):
-        reweighted = validate_manifest(
+        reweighted = Manifest(
             [
                 IndicatorSpec(
                     id=s.id, label=s.label, pillar=s.pillar,
@@ -379,7 +379,7 @@ class TestComputeDelphi:
             for p in PILLARS
             for k in range(3)
         ]
-        manifest = validate_manifest(specs)
+        manifest = Manifest(specs)
         rng = np.random.default_rng(45)
         values = rng.uniform(size=(5, 12))
         normalized = IndicatorMatrix(
@@ -427,7 +427,7 @@ class TestComputeDelphi:
                 assert row.min() - 1e-12 <= result.raw_index[region] <= row.max() + 1e-12
 
     def test_unknown_weight_ids_rejected(self, norm_matrix, manifest):
-        bigger = validate_manifest(
+        bigger = Manifest(
             list(manifest.specs)
             + [IndicatorSpec(id="extra", label="", pillar=Pillar.ECONOMY)]
         )
@@ -475,7 +475,7 @@ class TestComputeDelphi:
         after = compute_delphi(norm_matrix, manifest)
         assert after.ranking == before.ranking
         assert after.raw.tobytes() == before.raw.tobytes()
-        assert validate_manifest(manifest.specs).panel_weights == panel
+        assert Manifest(manifest.specs).panel_weights == panel
 
     def test_default_weights_are_build_weight_scheme(self, norm_matrix, manifest):
         explicit = compute_delphi(norm_matrix, manifest, build_weight_scheme(manifest))

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import traceback
+import typing
+from enum import Enum
 
 import numpy as np
 import pytest
 
 import indexforge
+from indexforge import model
 from indexforge.aggregate import build_index_result, compute_delphi
 from indexforge.model import (
     DEFAULT_PILLAR_WEIGHTS,
@@ -20,14 +24,15 @@ from indexforge.model import (
     Stage,
     WeightScheme,
     build_weight_scheme,
-    validate_manifest,
 )
+from indexforge.normalize import normalize_matrix, write_normalization_csv
 from indexforge.errors import (
     AllZeroWeightsError,
     DuplicateIndicatorIdError,
     DuplicateRegionError,
     EmptyPillarError,
     LengthMismatchError,
+    ManifestFormatError,
     NegativeWeightError,
     NonFiniteWeightError,
     NonNumericCellError,
@@ -42,7 +47,7 @@ def spec(i, pillar, weight=1.0, direction=Direction.BENEFIT):
 
 
 def small_manifest():
-    return validate_manifest(
+    return Manifest(
         [spec(i, pillar) for i, pillar in enumerate(PILLARS)]
     )
 
@@ -64,20 +69,20 @@ class TestValidateManifest:
         specs = [spec(i, pillar) for i, pillar in enumerate(PILLARS)]
         specs.append(IndicatorSpec(id="i0", label="dup", pillar=Pillar.ECONOMY))
         with pytest.raises(DuplicateIndicatorIdError) as exc_info:
-            validate_manifest(specs)
+            Manifest(specs)
         assert exc_info.value.indicator_id == "i0"
 
     def test_missing_pillar_rejected(self):
         specs = [spec(i, p) for i, p in enumerate(PILLARS) if p is not Pillar.ENVIRONMENT]
         with pytest.raises(EmptyPillarError) as exc_info:
-            validate_manifest(specs)
+            Manifest(specs)
         assert exc_info.value.pillar is Pillar.ENVIRONMENT
 
     def test_negative_weight_rejected(self):
         specs = [spec(i, pillar) for i, pillar in enumerate(PILLARS)]
         specs[2] = spec(2, PILLARS[2], weight=-0.5)
         with pytest.raises(NegativeWeightError):
-            validate_manifest(specs)
+            Manifest(specs)
 
     @pytest.mark.parametrize("weight", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_weight_rejected(self, weight):
@@ -85,18 +90,18 @@ class TestValidateManifest:
         specs[2] = spec(2, PILLARS[2], weight=weight)
         message = f"'i2' has weight {weight}, which is not finite"
         with pytest.raises(NonFiniteWeightError, match=message):
-            validate_manifest(specs)
+            Manifest(specs)
 
     def test_all_zero_weights_in_pillar_rejected(self):
         specs = [spec(i, pillar, weight=0.0 if pillar is Pillar.ECONOMY else 1.0)
                  for i, pillar in enumerate(PILLARS)]
         with pytest.raises(AllZeroWeightsError):
-            validate_manifest(specs)
+            Manifest(specs)
 
 
 class TestManifestConstructor:
-    def test_validate_manifest_is_the_constructor(self):
-        assert indexforge.validate_manifest is Manifest
+    def test_package_exports_the_constructor(self):
+        assert indexforge.Manifest is Manifest
 
     def test_built_directly_it_carries_the_panel_weighting(self, manifest, norm_matrix):
         direct = Manifest(list(manifest.specs))
@@ -398,3 +403,95 @@ class TestResultEquality:
     def test_build_index_result_checks_the_region_count(self):
         with pytest.raises(LengthMismatchError, match=r"^vectors have different lengths \(3 vs 2\)$"):
             build_index_result(Method.ABREU, ("a", "b", "c"), [1.0, 2.0])
+
+
+def enum_fields():
+    """(class, field name, enum) for every enum-typed field of the model dataclasses."""
+    for cls in vars(model).values():
+        if dataclasses.is_dataclass(cls) and cls.__module__ == model.__name__:
+            hints = typing.get_type_hints(cls)
+            for f in dataclasses.fields(cls):
+                kind = hints[f.name]
+                if isinstance(kind, type) and issubclass(kind, Enum):
+                    yield cls, f.name, kind
+
+
+#: Valid constructor arguments of each model class that has an enum field.
+VALID_ARGUMENTS = {
+    IndicatorSpec: dict(id="i0", label="l", pillar=Pillar.POPULATION, direction=Direction.COST),
+    IndicatorMatrix: dict(regions=("a", "b"), indicators=("x",), values=[[0.5], [1.0]]),
+    IndexResult: dict(
+        method=Method.ABREU, regions=("x", "y"), raw=[0.2, 0.5], rescaled=[0.0, 1.0],
+        ranking=("y", "x"),
+    ),
+}
+
+ENUM_FIELDS = list(enum_fields())
+ENUM_FIELD_IDS = [f"{cls.__name__}.{name}" for cls, name, _ in ENUM_FIELDS]
+
+
+class TestEnumCoercion:
+    def test_every_enum_field_is_found(self):
+        assert ENUM_FIELD_IDS == [
+            "IndicatorSpec.pillar", "IndicatorSpec.direction", "IndicatorMatrix.stage",
+            "IndexResult.method",
+        ]
+
+    @pytest.mark.parametrize("cls, name, kind", ENUM_FIELDS, ids=ENUM_FIELD_IDS)
+    def test_a_value_string_is_stored_as_the_member(self, cls, name, kind):
+        for member in kind:
+            from_value = cls(**{**VALID_ARGUMENTS[cls], name: member.value})
+            assert getattr(from_value, name) is member
+            assert from_value == cls(**{**VALID_ARGUMENTS[cls], name: member})
+
+    @pytest.mark.parametrize("cls, name, kind", ENUM_FIELDS, ids=ENUM_FIELD_IDS)
+    def test_an_unknown_value_is_rejected(self, cls, name, kind):
+        error = ManifestFormatError if cls is IndicatorSpec else ValueError
+        with pytest.raises(error) as exc_info:
+            cls(**{**VALID_ARGUMENTS[cls], name: "bogus"})
+        assert type(exc_info.value) is error
+        if cls is IndicatorSpec:
+            assert str(exc_info.value) == f"unknown {name} 'bogus'"
+
+    def test_spec_checks_pillar_then_direction_then_weight(self):
+        with pytest.raises(ManifestFormatError, match="^unknown pillar 'P'$"):
+            IndicatorSpec("i0", "l", "P", "D", "W")
+        with pytest.raises(ManifestFormatError, match="^unknown direction 'D'$"):
+            IndicatorSpec("i0", "l", "Economy", "D", "W")
+
+    @pytest.mark.parametrize("weight", ["heavy", "", None])
+    def test_spec_rejects_a_non_numeric_weight(self, weight):
+        message = f"non-numeric weight {weight!r} for indicator 'i0'"
+        with pytest.raises(ManifestFormatError) as exc_info:
+            IndicatorSpec("i0", "l", Pillar.ECONOMY, weight=weight)
+        assert str(exc_info.value) == message
+
+    def test_spec_stores_a_float_weight(self):
+        spec = IndicatorSpec("i0", "l", Pillar.ECONOMY, weight=" 2.5 ")
+        assert type(spec.weight) is float and spec.weight == 2.5
+        assert IndicatorSpec("i0", "l", Pillar.ECONOMY, weight=np.float32(0.5)).weight == 0.5
+
+    def test_a_string_normalized_stage_gets_the_range_check(self):
+        with pytest.raises(ValueError, match=r"^normalized matrix has values outside \[0, 1\]$"):
+            IndicatorMatrix(("a", "b"), ("x",), [[0.5], [7.0]], stage="normalized")
+
+    def test_a_list_ranking_is_stored_as_a_tuple(self):
+        args = VALID_ARGUMENTS[IndexResult]
+        from_list = IndexResult(**{**args, "ranking": ["y", "x"]})
+        assert from_list.ranking == ("y", "x") and type(from_list.ranking) is tuple
+        assert from_list == IndexResult(**args)
+
+    def test_a_cost_string_spec_is_scaled_as_cost(self, tmp_path):
+        specs = [IndicatorSpec("i0", "l", "Population", "cost")]
+        specs += [IndicatorSpec(f"i{i}", "l", p.value) for i, p in enumerate(PILLARS[1:], 1)]
+        manifest = Manifest(specs)
+        values = np.column_stack([[1.0, 2.0, 3.0]] * 4)
+        raw = IndicatorMatrix(("a", "b", "c"), manifest.ids, values)
+        normalized, records = normalize_matrix(raw, manifest)
+        assert normalized.column("i0").tolist() == [1.0, 0.5, 0.0]
+        assert normalized.column("i1").tolist() == [0.0, 0.5, 1.0]
+        write_normalization_csv(records, tmp_path / "normalization.csv")
+        assert (tmp_path / "normalization.csv").read_text().splitlines()[1:3] == [
+            "i0,1.000000,3.000000,cost,false",
+            "i1,1.000000,3.000000,benefit,false",
+        ]
