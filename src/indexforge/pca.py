@@ -29,7 +29,8 @@ the retained ones into a single column by weighting each factor score with
 its share of explained variance (renormalized over the retained set).
 
 Sign convention: each retained eigenvector is flipped so its loading sum
-is nonnegative (ties resolved by making the first nonzero loading
+is nonnegative (a sum within roundoff of zero, at most k * eps * sum of
+|loading| for k loadings, makes the first loading above that bound
 positive), all retained columns in one vectorized step. PCA signs are
 arbitrary; fixing them keeps builds deterministic.
 """
@@ -232,13 +233,16 @@ def pca_pillar(
             stacklevel=2,
         )
 
-    # Orient each retained eigenvector so its loading sum is nonnegative,
-    # falling back to a positive first nonzero loading when the sum is zero.
+    # Orient each retained eigenvector so its loading sum is nonnegative. A sum
+    # within roundoff of zero, |sum| <= (loading count) * eps * sum(|loading|),
+    # falls back to a positive first loading above that bound.
     retained = vectors[:, :k].T  # one contiguous row per eigenvector
     # Each total is a 1-D sum; a 2-D reduction may add in another order.
     totals = np.array([vector.sum() for vector in retained])
-    leading = retained[np.arange(k), (retained != 0).argmax(axis=1)]
-    flips = (totals < 0) | ((totals == 0) & (leading < 0))
+    magnitudes = np.abs(retained)
+    bound = magnitudes.sum(axis=1) * (retained.shape[1] * math.ulp(1.0))
+    leading = retained[np.arange(k), (magnitudes > bound[:, None]).argmax(axis=1)]
+    flips = np.where(np.abs(totals) <= bound, leading < 0, totals < 0)
     loadings = np.ascontiguousarray(np.where(flips[:, None], -retained, retained).T)
     scores = centered @ loadings
     retained_shares = shares[:k]

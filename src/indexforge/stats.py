@@ -115,52 +115,52 @@ def crossings(rank_a: Sequence[str], rank_b: Sequence[str]) -> int:
     """Number of region pairs ordered oppositely by two rankings.
 
     This is the Kendall discordant-pair count: 0 for identical rankings,
-    n*(n-1)/2 for fully reversed ones. Both rankings must list the same
-    regions, each once; otherwise RegionSetMismatchError is raised. The
-    count takes O(n log n) time and O(n) memory (see ``_inversions``).
+    n*(n-1)/2 for reversed ones. Both must list the same regions, each once, or
+    RegionSetMismatchError is raised. The ``_inversions`` block count takes
+    about 20 numpy calls, O(n*w) time and about 2*n*w bytes for w <= 128.
     """
     n = len(rank_a)
     if len(rank_b) != n:
-        raise RegionSetMismatchError(
-            f"rankings have different lengths ({n} vs {len(rank_b)})"
-        )
+        raise RegionSetMismatchError(f"rankings have different lengths ({n} vs {len(rank_b)})")
     pos_b = {region: i for i, region in enumerate(rank_b)}
-    labels_a = set(rank_a)
-    if len(labels_a) != n or len(pos_b) != n:
+    if len(set(rank_a)) != n or len(pos_b) != n:
         raise RegionSetMismatchError("a ranking lists a region more than once")
-    if labels_a != pos_b.keys():
-        raise RegionSetMismatchError("rankings cover different region sets")
-    return _inversions(np.array([pos_b[region] for region in rank_a], dtype=np.int64))
+    try:  # with no repeats, a region of rank_a missing from rank_b means the sets differ
+        perm = np.fromiter(map(pos_b.__getitem__, rank_a), np.int32, n)
+    except KeyError:
+        raise RegionSetMismatchError("rankings cover different region sets") from None
+    return _inversions(perm)
 
 
 def _inversions(perm: np.ndarray) -> int:
     """Pairs i < j with perm[i] > perm[j], for a permutation of 0..n-1.
 
-    A merge-sort inversion count (Knight 1966) that splits by value bits
-    instead of by position, so each level is a handful of O(n) numpy
-    passes: a most-significant-bit-first binary radix sort. Before the
-    level for ``bit``, ``order`` holds the values sorted by their bits above
-    ``bit`` and, within such a group, by position. Each pair that first
-    differs at ``bit`` lies in one group and is inverted exactly when its
-    1 comes before its 0; the level counts those pairs, then moves the 0s
-    of each group ahead of its 1s, keeping position order within each half.
-    A permutation makes every group a contiguous value range, so a group
-    starts at index ``(value >> (bit + 1)) << (bit + 1)``.
+    Positions are cut into blocks, and values into buckets, of width
+    w = min(isqrt(n - 1) + 1, 128); padding with n, n+1, ... adds no pair.
+    Pairs in one block, and pairs in one bucket (by their blocks), are compared
+    directly, (blocks, w, w) under a strict lower triangle. Any other pair is
+    inverted exactly when its later block holds the lower bucket, read from the
+    blocks x buckets histogram. About 20 numpy calls, O(n*w) time and about
+    2*n*w bytes of temporaries; past 128**3 (2.1M) regions the histogram's
+    (n/128)**2 cells outweigh those.
     """
-    index = np.arange(perm.size)
-    order = perm
-    count = 0
-    for bit in reversed(range(max(perm.size - 1, 0).bit_length())):
-        ones = (order >> bit) & 1
-        ones_seen = np.concatenate(([0], np.cumsum(ones)))  # 1s in order[:i]
-        start = (order >> (bit + 1)) << (bit + 1)
-        ones_ahead = ones_seen[:-1] - ones_seen[start]  # 1s before i in its group
-        count += int(ones_ahead[ones == 0].sum())
-        rank = np.where(ones == 1, ones_ahead, index - start - ones_ahead)
-        merged = np.empty_like(order)
-        merged[((order >> bit) << bit) + rank] = order
-        order = merged
-    return count
+    n = perm.size
+    if n < 2:
+        return 0
+    width = min(math.isqrt(n - 1) + 1, 128)
+    blocks = -(-n // width)
+    padded = np.arange(blocks * width, dtype=np.int32)
+    padded[:n] = perm
+    block_of = np.empty_like(padded)  # block_of[value]: the position block holding it
+    block_of[padded] = np.arange(padded.size, dtype=np.int32) // width
+    padded, block_of = padded.reshape(blocks, width), block_of.reshape(blocks, width)
+    lower = np.tri(width, k=-1, dtype=bool)  # lower[j, i]: i < j
+    count = sum(np.count_nonzero((rows[:, :, None] < rows[:, None, :]) & lower)
+                for rows in (padded, block_of))
+    cells = (block_of * blocks + np.arange(blocks)[:, None]).ravel()  # (block, bucket)
+    hist = np.bincount(cells, minlength=blocks * blocks).reshape(blocks, blocks)
+    below = hist.cumsum(axis=0).cumsum(axis=1)  # below[b, c]: blocks <= b, buckets <= c
+    return count + int((hist[1:] * (below[:-1, -1:] - below[:-1])).sum())
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from indexforge import pca
+from indexforge import Direction, IndicatorMatrix, IndicatorSpec, Manifest, normalize_matrix, pca
 from indexforge.errors import ConstantColumnError, NoConvergenceError, NotSymmetricError
 from indexforge.model import PILLARS, Method, Pillar
 from indexforge.normalize import DegenerateColumnWarning
@@ -470,6 +471,26 @@ class TestOrientSign:
         ])
         _, flips = assert_oriented_like_reference(monkeypatch, block)
         assert flips == (True, False, True, False)
+
+    def test_roundoff_zero_sum_takes_the_tiebreak(self):
+        # B repeats A and every pillar holds a benefit and a cost column at
+        # 1, 1, 2, so the final stage's second factor sums to 0 exactly but to
+        # 1.1e-16 in floating point. Its first loading decides the sign.
+        specs = [
+            IndicatorSpec(f"{p.value}-{d.value}", f"{p.value} {d.value}", p, d)
+            for p in PILLARS
+            for d in (Direction.BENEFIT, Direction.COST)
+        ]
+        manifest = Manifest(specs)
+        values = np.tile([[1.0], [1.0], [2.0]], len(specs))
+        matrix = IndicatorMatrix(("A", "B", "C"), manifest.ids, values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateColumnWarning)
+            _, audit = compute_pca(normalize_matrix(matrix, manifest)[0], manifest)
+        final = audit.final_stage
+        assert 0 < abs(final.loadings[:, 1].sum()) < 1e-15
+        assert final.sign_flips == (False, True)
+        assert final.loadings[0, 1] > 0
 
     def test_random_blocks_match_reference(self, monkeypatch):
         rng = np.random.default_rng(67)

@@ -3,6 +3,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
+import tracemalloc
 from itertools import combinations
 from xml.etree import ElementTree
 
@@ -284,6 +286,86 @@ class TestCrossings:
         b = np.array([pos_b[region] for region in rank_a])
         expected = int(np.triu(b[:, None] > b[None, :], k=1).sum())
         assert crossings(rank_a, rank_b) == expected
+
+
+def merge_count(values: list[int]) -> tuple[int, list[int]]:
+    """Inversions of ``values`` by merge sort (Knight 1966), and ``values`` sorted."""
+    if len(values) < 2:
+        return 0, list(values)
+    left_count, left = merge_count(values[: len(values) // 2])
+    right_count, right = merge_count(values[len(values) // 2:])
+    count, merged, i = left_count + right_count, [], 0
+    for value in right:
+        while i < len(left) and left[i] < value:
+            merged.append(left[i])
+            i += 1
+        count += len(left) - i  # every left value still waiting is larger
+        merged.append(value)
+    return count, merged + left[i:]
+
+
+#: Ranking lengths around the block kernel's edges: every n < 4, each square
+#: of a block width w = 2..5 and its neighbours, and the width cap of 128:
+#: 16,128 and 16,129 = 127**2 use w = 127, 16,130 is the first at w = 128 and
+#: 16,385 lies past 128**2.
+KERNEL_EDGES = [0, 1, 2, 3] + [w * w + d for w in range(2, 6) for d in (-1, 0, 1)] + [
+    16_128, 16_129, 16_130, 16_385,
+]
+
+
+class TestCrossingsKernel:
+    @pytest.mark.parametrize("n", KERNEL_EDGES)
+    def test_matches_merge_count_oracle(self, n):
+        rng = np.random.default_rng(2900 + n)
+        labels = [f"r{i}" for i in range(n)]
+        for _ in range(3):
+            rank_a = tuple(labels[i] for i in rng.permutation(n))
+            rank_b = tuple(labels[i] for i in rng.permutation(n))
+            pos_b = {region: i for i, region in enumerate(rank_b)}
+            assert crossings(rank_a, rank_b) == merge_count([pos_b[r] for r in rank_a])[0]
+
+    def test_reversed_100k_counts_every_pair(self):
+        n = 100_000
+        ranking = tuple(f"r{i}" for i in range(n))
+        assert crossings(ranking, ranking[::-1]) == n * (n - 1) // 2 == 4_999_950_000
+
+    def test_peak_memory_at_100k_stays_under_64_mb(self):
+        # A quadratic kernel would need gigabytes here.
+        n = 100_000
+        rng = np.random.default_rng(29)
+        labels = [f"r{i}" for i in range(n)]
+        rank_a = tuple(labels[i] for i in rng.permutation(n))
+        rank_b = tuple(labels[i] for i in rng.permutation(n))
+        tracemalloc.start()
+        try:
+            crossings(rank_a, rank_b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize(
+        "rank_a, rank_b, message",
+        [
+            (("a", "b", "c"), ("a", "b"), "rankings have different lengths (3 vs 2)"),
+            (("a", "a", "b"), ("a", "b"), "rankings have different lengths (3 vs 2)"),
+            (("a", "x"), ("a", "b", "c"), "rankings have different lengths (2 vs 3)"),
+            (("a", "a", "b"), ("a", "b", "c"), "a ranking lists a region more than once"),
+            (("a", "b", "c"), ("a", "b", "b"), "a ranking lists a region more than once"),
+            (("a", "a", "x"), ("a", "b", "c"), "a ranking lists a region more than once"),
+            (("a", "b", "x"), ("a", "a", "b"), "a ranking lists a region more than once"),
+            (("a", "b"), ("a", "c"), "rankings cover different region sets"),
+            (("x", "y", "z"), ("a", "b", "c"), "rankings cover different region sets"),
+        ],
+        ids=[
+            "longer-a", "longer-a-with-repeat", "longer-b-with-foreign", "repeat-in-a",
+            "repeat-in-b", "repeat-in-a-and-foreign", "repeat-in-b-and-foreign", "foreign",
+            "disjoint",
+        ],
+    )
+    def test_error_messages_and_their_order(self, rank_a, rank_b, message):
+        with pytest.raises(RegionSetMismatchError, match=f"^{re.escape(message)}$"):
+            crossings(rank_a, rank_b)
 
 
 class TestComparisonReport:
