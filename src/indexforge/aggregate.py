@@ -7,30 +7,24 @@ single pillar pulls the whole index down instead of being compensated by
 the others. The weighted method is a two-level weighted arithmetic mean
 (pillar weights times within-pillar indicator weights). Every method's
 raw index is finally min-max rescaled so the best region scores exactly 1
-and the worst exactly 0, by the normalization kernel of ``normalize``. The
-index writers lay out no file themselves: ``ingest`` writes each one.
+and the worst exactly 0, by the normalization kernel of ``normalize``, and
+ranked, both by the ``IndexResult`` built from it. The index writers lay out
+no file themselves: ``ingest`` writes each one.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import NegativeInputError, WeightManifestMismatchError
+from .errors import LengthMismatchError, NegativeInputError, WeightManifestMismatchError
 from .ingest import write_csv, write_json
-from .model import (
-    PILLARS,
-    Direction,
-    IndexResult,
-    IndicatorMatrix,
-    Manifest,
-    Method,
-    Stage,
-    WeightScheme,
-)
+from .model import PILLARS, Direction, IndicatorMatrix, Manifest, Method, Stage, WeightScheme
 from .normalize import normalize_column
 
 
@@ -90,17 +84,57 @@ def rank_regions(regions: Sequence[str], rescaled) -> tuple[str, ...]:
     return tuple(ranking)
 
 
-def build_index_result(method: Method, regions: Sequence[str], raw) -> IndexResult:
-    """Attach the rescaled index and ranking to a raw index vector.
+@dataclass(frozen=True, eq=False)
+class IndexResult:
+    """Final index of one method: its raw vector, rescaled to [0, 1] and ranked.
 
-    The rescale is the normalization kernel with the raw index as one benefit
-    column named after the method: an all-equal input maps to 0.5 everywhere
-    with a DegenerateColumnWarning, and a non-finite value raises ValueError.
+    Built from ``method`` (a Method or its value, else ValueError), ``regions``
+    and ``raw``, one value per region (else LengthMismatchError, naming the
+    shape of a vector that is not 1-D). ``rescaled``, the kernel on ``raw`` as
+    one benefit column named after the method, and ``ranking``, ``rank_regions``
+    of it, are derived as it is built; an all-equal ``raw`` rescales to 0.5
+    with a DegenerateColumnWarning, and fewer than two regions or a nan or inf
+    raise ValueError. Equal methods and region -> raw pairs make equal results.
     """
-    if np.size(raw) < 2:
-        raise ValueError("rescaling needs at least two regions")
-    rescaled = normalize_column(raw, Direction.BENEFIT, method.value)[0]
-    return IndexResult(method, regions, raw, rescaled, rank_regions(regions, rescaled))
+
+    method: Method
+    regions: tuple[str, ...]
+    raw: np.ndarray
+    rescaled: np.ndarray = field(init=False)
+    ranking: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self):
+        method, regions = Method(self.method), tuple(self.regions)
+        raw = np.array(self.raw, dtype=float)
+        if raw.shape != (len(regions),):
+            raise LengthMismatchError(len(regions), raw.size if raw.ndim == 1 else raw.shape)
+        if raw.size < 2:
+            raise ValueError("rescaling needs at least two regions")
+        rescaled = normalize_column(raw, Direction.BENEFIT, method.value)[0]
+        raw.flags.writeable = rescaled.flags.writeable = False
+        vars(self).update(method=method, regions=regions, raw=raw, rescaled=rescaled,
+                          ranking=rank_regions(regions, rescaled))
+
+    def __eq__(self, other) -> bool:
+        # The rescaled vector and the ranking follow from these.
+        return (
+            isinstance(other, IndexResult)
+            and self.method == other.method
+            and self.raw_index == other.raw_index
+        )
+
+    @cached_property
+    def raw_index(self) -> Mapping[str, float]:
+        return MappingProxyType(dict(zip(self.regions, self.raw.tolist())))
+
+    @cached_property
+    def rescaled_index(self) -> Mapping[str, float]:
+        return MappingProxyType(dict(zip(self.regions, self.rescaled.tolist())))
+
+    def rescaled_vector(self, regions: Sequence[str] | None = None) -> np.ndarray:
+        if regions is None or tuple(regions) == self.regions:
+            return self.rescaled
+        return np.array([self.rescaled_index[r] for r in regions])
 
 
 def compute_abreu(matrix: IndicatorMatrix, manifest: Manifest) -> IndexResult:
@@ -110,7 +144,7 @@ def compute_abreu(matrix: IndicatorMatrix, manifest: Manifest) -> IndexResult:
     contribute equally.
     """
     pillar_means = pillar_arithmetic_means(matrix, manifest)
-    return build_index_result(Method.ABREU, matrix.regions, geometric_mean(pillar_means))
+    return IndexResult(Method.ABREU, matrix.regions, geometric_mean(pillar_means))
 
 
 def compute_delphi(
@@ -130,7 +164,7 @@ def compute_delphi(
     if differing:
         raise WeightManifestMismatchError(differing)
     flat = np.array([weights.flat_weights[ind] for ind in matrix.indicators])
-    return build_index_result(Method.DELPHI, matrix.regions, matrix.values @ flat)
+    return IndexResult(Method.DELPHI, matrix.regions, matrix.values @ flat)
 
 
 def write_index_csv(result: IndexResult, path: str | Path) -> None:

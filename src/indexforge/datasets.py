@@ -13,10 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .aggregate import IndexResult
 from .errors import DataFormatError, TooFewRegionsError
 from .ingest import open_input, parse_dataset, parse_manifest, read_csv_input
-from .model import IndexResult, IndicatorMatrix, Manifest, Method
-from .aggregate import build_index_result
+from .model import IndicatorMatrix, Manifest, Method
 
 MANIFEST_FILE = "manifest.csv"
 DATASET_FILE = "nuts3.csv"
@@ -44,12 +44,12 @@ def load_reference_indexes(path: str | Path | None = None) -> dict[Method, Index
     """Reference index values per method, packaged as IndexResult objects.
 
     These are previously published values for the bundled dataset, kept as
-    two-decimal numbers exactly as released; each column is the raw index,
-    rescaled as every method's index is. A header that names a column twice,
-    a value that is not a finite number, or a row with more or fewer cells
-    than the header raises DataFormatError; a repeated region or fewer than
-    two regions raise DuplicateRegionError or TooFewRegionsError. Every error
-    starts with the path.
+    two-decimal numbers exactly as released; each column is the raw index of
+    an IndexResult, rescaled and ranked as every method's index is. A header
+    that names a column twice, a value that is not a finite number, or a row
+    with more or fewer cells than the header raises DataFormatError; a
+    repeated region or fewer than two regions raise DuplicateRegionError or
+    TooFewRegionsError. Every error starts with the path.
     """
     path = data_path(REFERENCE_FILE) if path is None else Path(path)
     regions: list[str] = []
@@ -88,4 +88,4 @@ def load_reference_indexes(path: str | Path | None = None) -> dict[Method, Index
         )
         if len(regions) < 2:
             raise TooFewRegionsError(len(regions))
-        return {m: build_index_result(m, regions, table.column(m.value)) for m in Method}
+        return {m: IndexResult(m, regions, table.column(m.value)) for m in Method}

@@ -6,7 +6,8 @@ indicators higher raw values mean more development, for *cost* indicators
 the opposite (they are inverse-normalized downstream). Every type here is an
 Enum or a frozen dataclass, immutable once built and safe to share between
 threads. Every dataclass here but WeightScheme checks itself when built; an
-enum field takes the member or its value string and stores the member.
+enum field takes the member or its value string and stores the member. A
+method's ``IndexResult`` lives in ``aggregate``, which rescales and ranks it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .errors import (
     DuplicateIndicatorIdError,
     DuplicateRegionError,
     EmptyPillarError,
-    LengthMismatchError,
     ManifestFormatError,
     NegativeWeightError,
     NonFiniteWeightError,
@@ -181,10 +181,11 @@ def build_weight_scheme(
     scale; they are divided by their sum. None means DEFAULT_PILLAR_WEIGHTS, so
     ``build_weight_scheme(manifest)`` is the expert panel's weighting and equal
     weights are ``{p: 1 for p in PILLARS}``. In an explicit map, a pillar left
-    out gets weight 0, and a key that names no pillar raises WeightFormatError.
-    ``indicator_weights`` override the manifest's per-indicator weights for the
-    listed ids; each pillar's indicator weights are then renormalized to sum to 1.
-    A level whose weights sum beyond the float range raises WeightSumOverflowError.
+    out gets weight 0, and a key that names no pillar raises WeightFormatError,
+    as does a weight at either level that ``float`` rejects. ``indicator_weights``
+    override the manifest's per-indicator weights for the listed ids; each
+    pillar's indicator weights are then renormalized to sum to 1. A level whose
+    weights sum beyond the float range raises WeightSumOverflowError.
     """
     pillar_weights = DEFAULT_PILLAR_WEIGHTS if pillar_weights is None else pillar_weights
     raw_pillar = dict.fromkeys((pillar.value for pillar in PILLARS), 0.0)
@@ -193,7 +194,7 @@ def build_weight_scheme(
             name = Pillar(key).value
         except ValueError:
             raise WeightFormatError(f"unknown pillar {key!r}") from None
-        raw_pillar[name] = float(value)
+        raw_pillar[name] = value
     normalized_pillar = dict(zip(PILLARS, _shares(raw_pillar, "pillar", "pillars")))
 
     overrides = dict(indicator_weights or {})
@@ -205,7 +206,7 @@ def build_weight_scheme(
     flat: dict[str, float] = {}
     for pillar, pillar_share in normalized_pillar.items():
         raw = {
-            indicator_id: float(overrides.get(indicator_id, manifest.spec(indicator_id).weight))
+            indicator_id: overrides.get(indicator_id, manifest.spec(indicator_id).weight)
             for indicator_id in manifest.pillar_ids(pillar)
         }
         shares = _shares(raw, "indicator", pillar.value)
@@ -215,20 +216,27 @@ def build_weight_scheme(
     return WeightScheme(normalized_pillar, normalized_indicator, flat)
 
 
-def _shares(weights: Mapping[str, float], kind: str, scope: str) -> list[float]:
-    """Each of ``weights`` divided by their sum, in order. Each is checked as a ``kind``
-    weight; a sum that is zero or overflows raises an error naming ``scope``."""
+def _shares(weights: Mapping[str, object], kind: str, scope: str) -> list[float]:
+    """Each of ``weights`` as a float divided by their sum, in order. Each is checked as a
+    ``kind`` weight (WeightFormatError for one ``float`` rejects); a sum that is zero or
+    overflows raises an error naming ``scope``."""
+    values = []
     for name, weight in weights.items():
-        if not np.isfinite(weight):
-            raise NonFiniteWeightError(name, weight, kind)
-        if weight < 0:
-            raise NegativeWeightError(name, weight, kind)
-    total = sum(weights.values())
+        try:
+            value = float(weight)
+        except (TypeError, ValueError):
+            raise WeightFormatError(f"{kind} {name!r} has non-numeric weight {weight!r}") from None
+        if not np.isfinite(value):
+            raise NonFiniteWeightError(name, value, kind)
+        if value < 0:
+            raise NegativeWeightError(name, value, kind)
+        values.append(value)
+    total = sum(values)
     if total <= 0:
         raise AllZeroWeightsError(scope)
     if not np.isfinite(total):
         raise WeightSumOverflowError(scope)
-    return [weight / total for weight in weights.values()]
+    return [value / total for value in values]
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,66 +322,3 @@ class IndicatorMatrix:
             return f"IndicatorMatrix({vars(self)!r})"  # a constructor raised on these arguments
         rows, cols = values.shape
         return f"IndicatorMatrix({rows} regions x {cols} indicators, stage={stage.value})"
-
-
-def _read_only(values) -> np.ndarray:
-    array = np.array(values, dtype=float)
-    array.flags.writeable = False
-    return array
-
-
-@dataclass(frozen=True, eq=False)
-class IndexResult:
-    """Final index of one method: raw and [0, 1] rescaled vectors, ranking.
-
-    ``raw`` and ``rescaled`` are read-only vectors aligned to ``regions``;
-    ``method`` is a Method or its value (ValueError for another), stored as
-    the member, and ``ranking`` is stored as a tuple. Every field is
-    required; a vector or ranking not one entry per region raises
-    LengthMismatchError (naming the shape of one that is not 1-D). The
-    ranking is in descending rescaled order; ties are broken by the code-point
-    order of the region labels so that equal scores still produce a
-    deterministic order.
-    """
-
-    method: Method
-    regions: tuple[str, ...]
-    raw: np.ndarray
-    rescaled: np.ndarray
-    ranking: tuple[str, ...]
-
-    def __post_init__(self):
-        method, regions, ranking = Method(self.method), tuple(self.regions), tuple(self.ranking)
-        raw, rescaled = _read_only(self.raw), _read_only(self.rescaled)
-        for vector in (raw, rescaled):
-            if vector.shape != (len(regions),):
-                got = vector.size if vector.ndim == 1 else vector.shape
-                raise LengthMismatchError(len(regions), got)
-        if len(ranking) != len(regions):
-            raise LengthMismatchError(len(regions), len(ranking))
-        vars(self).update(
-            method=method, regions=regions, raw=raw, rescaled=rescaled, ranking=ranking
-        )
-
-    def __eq__(self, other) -> bool:
-        # Same method, ranking and region -> value pairs, in any region order.
-        return (
-            isinstance(other, IndexResult)
-            and self.method == other.method
-            and self.ranking == other.ranking
-            and self.raw_index == other.raw_index
-            and self.rescaled_index == other.rescaled_index
-        )
-
-    @cached_property
-    def raw_index(self) -> Mapping[str, float]:
-        return MappingProxyType(dict(zip(self.regions, self.raw.tolist())))
-
-    @cached_property
-    def rescaled_index(self) -> Mapping[str, float]:
-        return MappingProxyType(dict(zip(self.regions, self.rescaled.tolist())))
-
-    def rescaled_vector(self, regions: Sequence[str] | None = None) -> np.ndarray:
-        if regions is None or tuple(regions) == self.regions:
-            return self.rescaled
-        return np.array([self.rescaled_index[r] for r in regions])

@@ -11,11 +11,11 @@ flagged as degenerate with a warning instead of failing the pipeline.
 vectorized pass; ``normalize_column`` runs the same kernel on a single
 column, so both give the same bytes for the same column. The kernel is the
 package's only min-max code: ``composite_indicator`` averages scaled
-component columns into a derived column, and ``aggregate.build_index_result``
-rescales each raw index with one ``normalize_column`` call. The kernel
-rejects a column holding a nan or inf (ValueError) or one whose max - min
-overflows (ColumnSpanOverflowError), naming it; an IndicatorMatrix holds no
-nan or inf, so for ``normalize_matrix`` only the overflow can occur.
+component columns into a derived column, and ``aggregate.IndexResult``
+rescales the raw index it is built from with one ``normalize_column`` call.
+The kernel rejects a column holding a nan or inf (ValueError) or one whose
+max - min overflows (ColumnSpanOverflowError), naming it; an IndicatorMatrix
+holds no nan or inf, so for ``normalize_matrix`` only the overflow can occur.
 """
 
 from __future__ import annotations

@@ -46,10 +46,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .aggregate import build_index_result
+from .aggregate import IndexResult
 from .errors import ConstantColumnError, NoConvergenceError, NotSymmetricError
 from .ingest import write_json
-from .model import PILLARS, IndexResult, IndicatorMatrix, Manifest, Method, Pillar, Stage
+from .model import PILLARS, IndicatorMatrix, Manifest, Method, Pillar, Stage
 from .normalize import DegenerateColumnWarning
 
 #: Factor caps for the two stages of the bundled pipeline.
@@ -325,7 +325,7 @@ def compute_pca(
     sub_matrix = np.column_stack(sub_columns)
     final_stage, raw_vector = pca_pillar(sub_matrix, [p.value for p in PILLARS], STAGE2_CAP)
 
-    result = build_index_result(Method.PCA, matrix.regions, raw_vector)
+    result = IndexResult(Method.PCA, matrix.regions, raw_vector)
 
     notes: list[str] = []
     if reference_profile is not None:

@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .aggregate import IndexResult
 from .errors import (
     ConstantVectorError,
     FewerThanTwoMethodsError,
@@ -31,7 +32,6 @@ from .errors import (
     TooShortError,
 )
 from .ingest import write_csv, write_json
-from .model import IndexResult
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -117,7 +117,8 @@ def crossings(rank_a: Sequence[str], rank_b: Sequence[str]) -> int:
     This is the Kendall discordant-pair count: 0 for identical rankings,
     n*(n-1)/2 for reversed ones. Both must list the same regions, each once, or
     RegionSetMismatchError is raised. The ``_inversions`` block count takes
-    about 20 numpy calls, O(n*w) time and about 2*n*w bytes for w <= 128.
+    about 20 numpy calls, O(n*w) time and about 2*n*w bytes for w <= 128, in
+    steps that keep its temporaries near 32 MB at most.
     """
     n = len(rank_a)
     if len(rank_b) != n:
@@ -132,6 +133,11 @@ def crossings(rank_a: Sequence[str], rank_b: Sequence[str]) -> int:
     return _inversions(perm)
 
 
+#: The most cells of the in-block comparisons, and of histogram rows, that one
+#: step of ``_inversions`` builds; up to 32,768 regions each part is one step.
+_COMPARE_CELLS, _HISTOGRAM_CELLS = 2**22, 2**20
+
+
 def _inversions(perm: np.ndarray) -> int:
     """Pairs i < j with perm[i] > perm[j], for a permutation of 0..n-1.
 
@@ -139,10 +145,10 @@ def _inversions(perm: np.ndarray) -> int:
     w = min(isqrt(n - 1) + 1, 128); padding with n, n+1, ... adds no pair.
     Pairs in one block, and pairs in one bucket (by their blocks), are compared
     directly, (blocks, w, w) under a strict lower triangle. Any other pair is
-    inverted exactly when its later block holds the lower bucket, read from the
-    blocks x buckets histogram. About 20 numpy calls, O(n*w) time and about
-    2*n*w bytes of temporaries; past 128**3 (2.1M) regions the histogram's
-    (n/128)**2 cells outweigh those.
+    inverted exactly when its higher bucket holds the earlier block, read from
+    the buckets x blocks histogram. Each part runs in steps of at most
+    _COMPARE_CELLS or _HISTOGRAM_CELLS cells: about 20 numpy calls per step,
+    O(n*w) time and bounded temporaries at any n.
     """
     n = perm.size
     if n < 2:
@@ -155,12 +161,23 @@ def _inversions(perm: np.ndarray) -> int:
     block_of[padded] = np.arange(padded.size, dtype=np.int32) // width
     padded, block_of = padded.reshape(blocks, width), block_of.reshape(blocks, width)
     lower = np.tri(width, k=-1, dtype=bool)  # lower[j, i]: i < j
+    step = max(1, _COMPARE_CELLS // (width * width))
     count = sum(np.count_nonzero((rows[:, :, None] < rows[:, None, :]) & lower)
-                for rows in (padded, block_of))
-    cells = (block_of * blocks + np.arange(blocks)[:, None]).ravel()  # (block, bucket)
-    hist = np.bincount(cells, minlength=blocks * blocks).reshape(blocks, blocks)
-    below = hist.cumsum(axis=0).cumsum(axis=1)  # below[b, c]: blocks <= b, buckets <= c
-    return count + int((hist[1:] * (below[:-1, -1:] - below[:-1])).sum())
+                for start in range(0, blocks, step)
+                for rows in (padded[start:start + step], block_of[start:start + step]))
+    step = min(max(1, _HISTOGRAM_CELLS // blocks), blocks)
+    offsets = np.arange(blocks, (step + 1) * blocks, blocks)[:, None]  # row 0 is left free
+    for start in range(0, blocks, step):
+        buckets = block_of[start:start + step]  # one row of position blocks per bucket
+        hist = np.bincount((buckets + offsets[:len(buckets)]).ravel(),
+                           minlength=(len(buckets) + 1) * blocks).reshape(-1, blocks)
+        if start:
+            hist[0] = summed  # per block: the values of every earlier step
+        below = hist.cumsum(axis=0)  # below[r, b]: values of buckets < start + r in block b
+        summed = below[-1].copy()
+        below.cumsum(axis=1, out=below)  # ... in blocks <= b
+        count += int((hist[1:] * (below[:-1, -1:] - below[:-1])).sum())
+    return count
 
 
 @dataclass(frozen=True)

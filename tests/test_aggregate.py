@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from indexforge.aggregate import (
-    build_index_result,
+    IndexResult,
     compute_abreu,
     compute_delphi,
     geometric_mean,
@@ -19,9 +19,11 @@ from indexforge.aggregate import (
     write_index_csv,
     write_index_json,
 )
+from indexforge.datasets import load_reference_indexes
 from indexforge.model import (
     DEFAULT_PILLAR_WEIGHTS,
     PILLARS,
+    Direction,
     IndicatorMatrix,
     IndicatorSpec,
     Manifest,
@@ -31,7 +33,7 @@ from indexforge.model import (
     WeightScheme,
     build_weight_scheme,
 )
-from indexforge.normalize import DegenerateColumnWarning, normalize_matrix
+from indexforge.normalize import DegenerateColumnWarning, normalize_column, normalize_matrix
 from indexforge.pca import compute_pca
 from indexforge.stats import pearson
 from indexforge.errors import NegativeInputError, WeightManifestMismatchError
@@ -205,12 +207,12 @@ def reference_final_rescale(raw) -> np.ndarray:
 
 
 def rescaled(raw, method: Method = Method.ABREU) -> np.ndarray:
-    """The final rescale of ``raw``, as ``build_index_result`` attaches it."""
-    return build_index_result(method, [f"r{i}" for i in range(np.size(raw))], raw).rescaled
+    """The final rescale of ``raw``, as an ``IndexResult`` built from it derives it."""
+    return IndexResult(method, [f"r{i}" for i in range(np.size(raw))], raw).rescaled
 
 
 class TestRescaleFinal:
-    """The final rescale of ``build_index_result``: the kernel on one benefit column."""
+    """The final rescale of an ``IndexResult``: the kernel on one benefit column."""
 
     def test_bundled_endpoints(self, results_all):
         results, _ = results_all
@@ -264,6 +266,45 @@ class TestRescaleFinal:
     def test_needs_two_regions(self):
         with pytest.raises(ValueError, match="^rescaling needs at least two regions$"):
             rescaled([1.0])
+
+
+def assert_derived(result: IndexResult) -> None:
+    """``result`` holds the kernel's rescale of its raw vector, bit for bit, and its ranking."""
+    want = normalize_column(result.raw, Direction.BENEFIT, result.method.value)[0]
+    assert result.rescaled.tobytes() == want.tobytes(), result.method
+    assert result.ranking == rank_regions(result.regions, result.rescaled), result.method
+
+
+class TestResultsDeriveWhatTheyHold:
+    def test_every_producer(self, results_all):
+        results, _ = results_all
+        producers = [*results.values(), *load_reference_indexes().values()]
+        rng = np.random.default_rng(31)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # constant columns, factor caps
+            for _ in range(20):
+                manifest, matrix = random_dataset(rng)
+                normalized, _ = normalize_matrix(matrix, manifest)
+                producers += [
+                    compute_abreu(normalized, manifest),
+                    compute_delphi(normalized, manifest),
+                    compute_pca(normalized, manifest)[0],
+                ]
+            for result in producers:
+                assert_derived(result)
+
+    def test_seeded_raw_vectors(self):
+        rng = np.random.default_rng(32)
+        methods = [*Method, *(method.value for method in Method)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateColumnWarning)
+            for i in range(600):
+                raw = edge_vector(rng, int(rng.integers(2, 40)))
+                regions = [f"r{j}" for j in rng.permutation(raw.size)]
+                result = IndexResult(methods[i % 6], regions, raw)
+                assert result.method is Method(methods[i % 6])
+                assert result.raw.tobytes() == raw.tobytes()
+                assert_derived(result)
 
 
 class TestComputeAbreu:
@@ -508,7 +549,7 @@ class TestIndexWriters:
         rng = np.random.default_rng(17)
         raw = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
         raw[::50] = raw[0]  # ties, broken by label
-        return build_index_result(Method.PCA, rng.permutation(regions).tolist(), raw)
+        return IndexResult(Method.PCA, rng.permutation(regions).tolist(), raw)
 
     def test_csv_bytes_at_scale(self, tmp_path):
         result = self.awkward_result()
@@ -536,7 +577,7 @@ class TestIndexWriters:
     def test_csv_bytes_empty_and_carriage_return_labels(self, tmp_path):
         regions = ["", "a\rb", "\r", "tab\there", "x,\r", "plain", " ", "%s %d", "\x00"]
         raw = [2.0, -1.5, 0.25, 7.0, 2.0, -0.0, 1e-9, 3.5, 2.0]
-        result = build_index_result(Method.ABREU, regions, raw)
+        result = IndexResult(Method.ABREU, regions, raw)
         rank = {region: i for i, region in enumerate(result.ranking, start=1)}
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")

@@ -1026,14 +1026,58 @@ def _is_frozen_dataclass(node: ast.ClassDef) -> bool:
 
 
 def test_every_model_class_is_an_enum_or_a_frozen_dataclass():
-    """One immutability mechanism in model: no class freezes itself by hand."""
-    module = Path(data_path("manifest.csv")).parents[1] / "model.py"
-    classes = [node for node in ast.walk(ast.parse(module.read_text(encoding="utf-8")))
+    """One immutability mechanism in model, and in aggregate, the home of
+    IndexResult: no class freezes itself by hand."""
+    package = Path(data_path("manifest.csv")).parents[1]
+    classes = [node for name in ("model.py", "aggregate.py")
+               for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8")))
                if isinstance(node, ast.ClassDef)]
     assert len(classes) >= 9
     assert [node.name for node in classes
             if not (_is_frozen_dataclass(node)
                     or any(getattr(base, "id", None) == "Enum" for base in node.bases))] == []
+
+
+#: The package's layers, lowest first: a module imports only from lower layers.
+LAYERS = (
+    ("errors",), ("model",), ("ingest",), ("normalize",), ("aggregate",), ("pca", "stats"),
+    ("datasets",), ("cli",),
+)
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The package modules that the module at ``path`` imports, at any depth of
+    its source; a name imported from the package itself counts as ``__init__``
+    unless it names a module."""
+    modules = {module.stem for module in path.parent.glob("*.py")}
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["indexforge" if node.level else "", node.module]))
+            dotted = [base] if base != "indexforge" else [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        for parts in (name.split(".") for name in dotted):
+            if parts[0] == "indexforge":
+                found.add(parts[1] if len(parts) > 1 and parts[1] in modules else "__init__")
+    return found
+
+
+def test_each_module_imports_only_lower_layers():
+    """No import cycle can form, not even through an import inside a function."""
+    package = Path(data_path("manifest.csv")).parents[1]
+    rank = {name: i for i, layer in enumerate(LAYERS) for name in layer}
+    modules = [path for path in sorted(package.glob("*.py")) if path.stem != "__init__"]
+    assert sorted(path.stem for path in modules) == sorted(rank)
+    assert _package_imports(package / "cli.py") >= {"datasets", "aggregate", "pca", "stats"}
+    assert [
+        (path.stem, name)
+        for path in modules
+        for name in sorted(_package_imports(path))
+        if rank.get(name, len(LAYERS)) >= rank[path.stem]
+    ] == []
 
 
 def test_no_module_defines_setattr():

@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 
 import indexforge
-from indexforge import model
-from indexforge.aggregate import build_index_result, compute_delphi
+from indexforge import aggregate, model
+from indexforge.aggregate import IndexResult, compute_delphi
 from indexforge.model import (
     DEFAULT_PILLAR_WEIGHTS,
     PILLARS,
     Direction,
-    IndexResult,
     IndicatorMatrix,
     IndicatorSpec,
     Manifest,
@@ -220,6 +219,21 @@ class TestBuildWeightScheme:
         with pytest.raises(WeightFormatError, match="^unknown pillar 'Enviroment'$"):
             build_weight_scheme(manifest, weights)
 
+    @pytest.mark.parametrize("weight", ["abc", None, [1]], ids=["text", "none", "list"])
+    def test_non_numeric_weight_named_at_each_level(self, weight):
+        manifest = small_manifest()
+        cases = [
+            ({Pillar.ECONOMY: weight}, None, f"pillar 'Economy' has non-numeric weight {weight!r}"),
+            ({"Economy": weight}, None, f"pillar 'Economy' has non-numeric weight {weight!r}"),
+            (None, {manifest.ids[0]: weight},
+             f"indicator {manifest.ids[0]!r} has non-numeric weight {weight!r}"),
+        ]
+        for pillar_weights, indicator_weights, message in cases:
+            with pytest.raises(WeightFormatError) as exc_info:
+                build_weight_scheme(manifest, pillar_weights, indicator_weights)
+            assert type(exc_info.value) is WeightFormatError
+            assert str(exc_info.value) == message
+
     @pytest.mark.parametrize(
         "pillar_weights, indicator_weights, scope",
         [
@@ -366,64 +380,70 @@ class TestIndicatorMatrix:
 
 class TestResultEquality:
     def test_index_results_compare_by_value(self):
-        a = IndexResult(Method.ABREU, ("x", "y"), [0.2, 0.5], [0.0, 1.0], ("y", "x"))
-        same = IndexResult(Method.ABREU, ("x", "y"), np.array([0.2, 0.5]), [0.0, 1.0], ("y", "x"))
-        reordered = IndexResult(Method.ABREU, ("y", "x"), [0.5, 0.2], [1.0, 0.0], ("y", "x"))
+        a = IndexResult(Method.ABREU, ("x", "y"), [0.2, 0.5])
+        same = IndexResult(Method.ABREU, ("x", "y"), np.array([0.2, 0.5]))
+        reordered = IndexResult(Method.ABREU, ("y", "x"), [0.5, 0.2])
         assert a == same and a == reordered
-        assert a != IndexResult(Method.DELPHI, ("x", "y"), [0.2, 0.5], [0.0, 1.0], ("y", "x"))
-        assert a != IndexResult(Method.ABREU, ("x", "y"), [0.2, 0.6], [0.0, 1.0], ("y", "x"))
+        assert a != IndexResult(Method.DELPHI, ("x", "y"), [0.2, 0.5])
+        assert a != IndexResult(Method.ABREU, ("x", "y"), [0.2, 0.6])
+        assert a != IndexResult(Method.ABREU, ("x", "z"), [0.2, 0.5])
 
-    def test_ranking_is_required(self):
+    def test_rescaled_and_ranking_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            IndexResult(Method.ABREU, ("x", "y"), [0.2, 0.5], [1.0, 0.0])
+        with pytest.raises(TypeError, match="rescaled"):
+            IndexResult(Method.ABREU, ("x", "y"), [0.2, 0.5], rescaled=[1.0, 0.0])
         with pytest.raises(TypeError, match="ranking"):
-            IndexResult(Method.ABREU, ("x", "y"), [0.2, 0.5], [0.0, 1.0])
+            IndexResult(Method.ABREU, ("x", "y"), [0.2, 0.5], ranking=("x", "y"))
+        result = IndexResult(Method.ABREU, ("x", "y"), [0.2, 0.5])
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(result, ranking=("x", "y"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.ranking = ("x", "y")
+        with pytest.raises(ValueError):
+            result.rescaled[0] = 1.0
+        assert result.rescaled.tolist() == [0.0, 1.0] and result.ranking == ("y", "x")
 
     @pytest.mark.parametrize(
-        "raw, rescaled, ranking, message",
+        "raw, message",
         [
-            ([0.2, 0.5], [0.0, 1.0, 0.5], ("y", "x", "z"), "vectors have different lengths (3 vs 2)"),
-            ([0.2, 0.5, 0.3], [0.0, 1.0], ("y", "x", "z"), "vectors have different lengths (3 vs 2)"),
-            ([0.2, 0.5, 0.3, 0.1], [0.0, 1.0, 0.5], ("y", "x", "z"),
-             "vectors have different lengths (3 vs 4)"),
-            ([0.2, 0.5, 0.3], [0.0, 1.0, 0.5], ("y", "x"), "vectors have different lengths (3 vs 2)"),
-            ([0.2, 0.5, 0.3], [0.0, 1.0, 0.5], ("y", "x", "z", "x"),
-             "vectors have different lengths (3 vs 4)"),
+            ([0.2, 0.5], "vectors have different lengths (3 vs 2)"),
+            ([0.2, 0.5, 0.3, 0.1], "vectors have different lengths (3 vs 4)"),
             # A vector that is not 1-D is named by its shape, even when its size fits.
-            ([[0.2], [0.5], [0.3]], [0.0, 1.0, 0.5], ("y", "x", "z"),
-             "expected a vector of 3 values, got shape (3, 1)"),
-            ([0.2, 0.5, 0.3], 0.5, ("y", "x", "z"), "expected a vector of 3 values, got shape ()"),
+            ([[0.2], [0.5], [0.3]], "expected a vector of 3 values, got shape (3, 1)"),
         ],
-        ids=["short-raw", "short-rescaled", "long-raw", "short-ranking", "long-ranking",
-             "column-raw", "scalar-rescaled"],
+        ids=["short-raw", "long-raw", "column-raw"],
     )
-    def test_lengths_are_checked(self, raw, rescaled, ranking, message):
+    def test_lengths_are_checked(self, raw, message):
         with pytest.raises(LengthMismatchError) as exc_info:
-            IndexResult(Method.ABREU, ("x", "y", "z"), raw, rescaled, ranking)
+            IndexResult(Method.ABREU, ("x", "y", "z"), raw)
         assert str(exc_info.value) == message
 
-    def test_build_index_result_checks_the_region_count(self):
+    def test_the_constructor_checks_the_region_count(self):
         with pytest.raises(LengthMismatchError, match=r"^vectors have different lengths \(3 vs 2\)$"):
-            build_index_result(Method.ABREU, ("a", "b", "c"), [1.0, 2.0])
+            IndexResult(Method.ABREU, ("a", "b", "c"), [1.0, 2.0])
+        with pytest.raises(ValueError, match="^rescaling needs at least two regions$"):
+            IndexResult(Method.ABREU, ("a",), [1.0])
 
 
 def enum_fields():
-    """(class, field name, enum) for every enum-typed field of the model dataclasses."""
-    for cls in vars(model).values():
-        if dataclasses.is_dataclass(cls) and cls.__module__ == model.__name__:
-            hints = typing.get_type_hints(cls)
-            for f in dataclasses.fields(cls):
-                kind = hints[f.name]
-                if isinstance(kind, type) and issubclass(kind, Enum):
-                    yield cls, f.name, kind
+    """(class, field name, enum) for every enum-typed field of the dataclasses of
+    ``model`` and of ``aggregate``, the home of IndexResult."""
+    for module in (model, aggregate):
+        for cls in vars(module).values():
+            if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__:
+                hints = typing.get_type_hints(cls)
+                for f in dataclasses.fields(cls):
+                    kind = hints[f.name]
+                    if isinstance(kind, type) and issubclass(kind, Enum):
+                        yield cls, f.name, kind
 
 
 #: Valid constructor arguments of each model class that has an enum field.
 VALID_ARGUMENTS = {
     IndicatorSpec: dict(id="i0", label="l", pillar=Pillar.POPULATION, direction=Direction.COST),
     IndicatorMatrix: dict(regions=("a", "b"), indicators=("x",), values=[[0.5], [1.0]]),
-    IndexResult: dict(
-        method=Method.ABREU, regions=("x", "y"), raw=[0.2, 0.5], rescaled=[0.0, 1.0],
-        ranking=("y", "x"),
-    ),
+    IndexResult: dict(method=Method.ABREU, regions=("x", "y"), raw=[0.2, 0.5]),
 }
 
 ENUM_FIELDS = list(enum_fields())
@@ -477,7 +497,8 @@ class TestEnumCoercion:
 
     def test_a_list_ranking_is_stored_as_a_tuple(self):
         args = VALID_ARGUMENTS[IndexResult]
-        from_list = IndexResult(**{**args, "ranking": ["y", "x"]})
+        from_list = IndexResult(**{**args, "regions": ["x", "y"]})
+        assert from_list.regions == ("x", "y") and type(from_list.regions) is tuple
         assert from_list.ranking == ("y", "x") and type(from_list.ranking) is tuple
         assert from_list == IndexResult(**args)
 

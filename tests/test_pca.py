@@ -406,17 +406,18 @@ def test_eigensolver_solves_or_rejects_every_symmetric_matrix(a):
 def reference_orient_sign(vector: np.ndarray) -> tuple[np.ndarray, bool]:
     """The per-vector sign rule ``pca_pillar`` applies to all retained columns at once.
 
-    Flip so the loading sum is nonnegative; a zero sum falls back to making
-    the first nonzero loading positive. Returns (vector, flipped).
+    Flip so the loading sum is nonnegative. A sum within roundoff of zero,
+    |sum| <= (loading count) * eps * sum(|loading|), falls back to making the
+    first loading above that bound positive. Returns (vector, flipped).
     """
     total = float(vector.sum())
-    if total < 0:
-        return -vector, True
-    if total == 0:
-        nonzero = np.nonzero(vector)[0]
-        if nonzero.size and vector[nonzero[0]] < 0:
-            return -vector, True
-    return vector, False
+    bound = float(np.abs(vector).sum()) * (vector.size * math.ulp(1.0))
+    if abs(total) <= bound:
+        above = vector[np.abs(vector) > bound]
+        flipped = bool(above.size) and bool(above[0] < 0)
+    else:
+        flipped = total < 0
+    return (-vector if flipped else vector), flipped
 
 
 def names(columns) -> list[str]:
@@ -491,6 +492,23 @@ class TestOrientSign:
         assert 0 < abs(final.loadings[:, 1].sum()) < 1e-15
         assert final.sign_flips == (False, True)
         assert final.loadings[0, 1] > 0
+
+    def test_random_roundoff_zero_sums_match_reference(self, monkeypatch):
+        # Centered random columns sum to zero up to roundoff. The first loading
+        # above the bound decides, so a tiny sum of the other sign does not.
+        rng = np.random.default_rng(31)
+        against_the_sum = 0
+        for n in range(2, 9):
+            for _ in range(10):
+                block = rng.normal(size=(n, n))
+                block -= block.mean(axis=0)
+                assert_oriented_like_reference(monkeypatch, block)
+                for column in block.T:
+                    total = column.sum()
+                    bound = np.abs(column).sum() * (n * math.ulp(1.0))
+                    leading = column[np.abs(column) > bound][0]
+                    against_the_sum += 0 < abs(total) <= bound and (total < 0) != (leading < 0)
+        assert against_the_sum >= 20
 
     def test_random_blocks_match_reference(self, monkeypatch):
         rng = np.random.default_rng(67)

@@ -15,20 +15,25 @@ and shares no code with ``indexforge`` beyond reading the manifest's fields:
   sorted descending); the smallest count whose cumulative variance share
   reaches 0.80, at least 2, capped at 3 per pillar and 2 in the final stage;
   each retained eigenvector signed so its loadings sum to a nonnegative
-  number; factor scores weighted by their renormalized variance shares;
+  number, or, when the sum is zero up to roundoff (at most the loading count
+  times eps times the sum of absolute loadings), so that its first loading
+  above that bound is positive; factor scores weighted by their renormalized
+  variance shares;
 - the final min-max rescale of each raw index and the ranking: descending
   rescaled value, equal values in the code-point order of the labels.
+
+The property draws its datasets from a fixed list of seeded numpy generators,
+so every version of the engine sees the same draws, however fast it runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
-from hypothesis import strategies as st
 
 from indexforge import (
     PILLARS,
@@ -51,15 +56,13 @@ THRESHOLD, MIN_FACTORS, PILLAR_CAP, FINAL_CAP = 0.80, 2, 3, 2
 #: Tolerances on the rescaled indexes: abreu and delphi, and pca.
 TOL_MEAN, TOL_PCA = 1e-12, 1e-9
 #: The pca part of a draw is skipped when the rules leave a retained factor's
-#: axis or sign to roundoff: its eigenvalue lies within GAP_BOUND of a
-#: neighbour (both as shares of the largest), so that no solver pins its
-#: eigenvector; or its loadings sum to less than SIGN_BOUND, so that the sign
-#: rule has no sign to go by. A retained eigenvalue below ZERO_BOUND belongs
-#: to a factor with no variance, which scores nothing whatever its
-#: eigenvector, so neither applies to it.
-GAP_BOUND, SIGN_BOUND, ZERO_BOUND = 1e-6, 1e-9, 1e-12
-#: How many draws the property makes, and how many of them may skip pca.
-EXAMPLES, MAX_SKIPPED = 200, 10
+#: axis to roundoff: its eigenvalue lies within GAP_BOUND of a neighbour (both
+#: as shares of the largest), so that no solver pins its eigenvector. A
+#: retained eigenvalue below ZERO_BOUND belongs to a factor with no variance,
+#: which scores nothing whatever its eigenvector, so this does not apply to it.
+GAP_BOUND, ZERO_BOUND = 1e-6, 1e-12
+#: The seed of each draw, and how many of the draws may skip pca.
+SEEDS, MAX_SKIPPED = range(2700, 2900), 10
 
 
 def minmax(column: np.ndarray, cost: bool = False) -> np.ndarray:
@@ -91,13 +94,22 @@ def pca_stage(columns: np.ndarray, cap: int):
     reached = np.cumsum(shares) >= THRESHOLD
     k = int(np.argmax(reached)) + 1 if reached.any() else len(values)
     k = min(max(k, min(MIN_FACTORS, len(values))), cap)
-    sums = vectors[:, :k].sum(axis=0)
-    loadings = vectors[:, :k] * np.where(sums < 0, -1.0, 1.0)
+    loadings = np.column_stack([oriented(vector) for vector in vectors[:, :k].T])
     weights = shares[:k] / shares[:k].sum()
-    return centered @ loadings @ weights, k, unpinned(values, k, sums)
+    return centered @ loadings @ weights, k, unpinned(values, k)
 
 
-def unpinned(values: np.ndarray, k: int, sums: np.ndarray) -> str | None:
+def oriented(vector: np.ndarray) -> np.ndarray:
+    """``vector`` signed so its loadings sum to a nonnegative number, or, for a sum
+    within roundoff of zero, so that its first loading above roundoff is positive."""
+    total = vector.sum()
+    bound = np.abs(vector).sum() * vector.size * math.ulp(1.0)
+    if abs(total) <= bound:
+        total = vector[np.abs(vector) > bound][0]
+    return -vector if total < 0 else vector
+
+
+def unpinned(values: np.ndarray, k: int) -> str | None:
     """Why the rules leave one of the first ``k`` factors to roundoff, or None."""
     scale = values[0]
     for i in range(k):
@@ -106,8 +118,6 @@ def unpinned(values: np.ndarray, k: int, sums: np.ndarray) -> str | None:
         neighbours = values[[j for j in (i - 1, i + 1) if 0 <= j < len(values)]]
         if (np.abs(neighbours - values[i]) < GAP_BOUND * scale).any():
             return "near-tied retained eigenvalues"
-        if abs(sums[i]) < SIGN_BOUND:
-            return "retained loadings summing to 0"
     return None
 
 
@@ -141,23 +151,20 @@ def reference_pca(norm: np.ndarray, blocks: list[list[int]]):
     return minmax(stages[-1][0]), [k for _, k, _ in stages], reasons[0] if reasons else None
 
 
-@st.composite
-def datasets(draw):
-    """A ``random_dataset`` draw, widened with ties, constant columns and zero weights."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def dataset(seed: int):
+    """A ``random_dataset`` draw, widened with a repeated row, constant columns,
+    tied values and zero weights."""
+    rng = np.random.default_rng(seed)
     manifest, matrix = random_dataset(rng)
     values = matrix.values.copy()
     n_regions, n_indicators = values.shape
-    # A region repeats another's values, so its index ties exactly. Not in a
-    # 3-region table: with two distinct rows every varying normalized column is
-    # one of two complementary vectors, whose loadings often sum to exactly 0.
-    if n_regions > 3 and draw(st.booleans()):
-        values[draw(st.integers(1, n_regions - 1))] = values[0]
-    for j in draw(st.lists(st.integers(0, n_indicators - 1), max_size=4)):
+    if rng.random() < 0.5:  # a region repeats another's values, so its index ties exactly
+        values[rng.integers(1, n_regions)] = values[0]
+    for j in rng.integers(0, n_indicators, size=rng.integers(0, 5)):
         values[:, j] = values[0, j]  # a constant column
-    for j in draw(st.lists(st.integers(0, n_indicators - 1), max_size=3)):
+    for j in rng.integers(0, n_indicators, size=rng.integers(0, 4)):
         values[:, j] = np.round(values[:, j] / 10.0)  # tied values within a column
-    zero = set(draw(st.lists(st.integers(0, n_indicators - 1), max_size=6)))
+    zero = set(rng.integers(0, n_indicators, size=rng.integers(0, 7)).tolist())
     specs = list(manifest.specs)
     for p in PILLARS:  # zero weights, but never every weight of a pillar
         block = [j for j, spec in enumerate(specs) if spec.pillar is p and j in zero]
@@ -184,13 +191,10 @@ def check(result, want: np.ndarray, tol: float) -> None:
 
 
 def test_reference_pipeline_matches_the_engine():
-    tally = {"drawn": 0, "compared": 0}
+    tally = {"drawn": 0, "compared": 0, "no varying column": 0}
     skipped: list[str] = []  # the reason of each draw whose pca part was skipped
-
-    @settings(max_examples=EXAMPLES, deadline=None, derandomize=True, database=None)
-    @given(datasets())
-    def prop(dataset):
-        manifest, matrix = dataset
+    for seed in SEEDS:
+        manifest, matrix = dataset(seed)
         tally["drawn"] += 1
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # constant columns, factor caps
@@ -203,22 +207,21 @@ def test_reference_pipeline_matches_the_engine():
             except NoVaryingColumn:
                 with pytest.raises(ConstantColumnError):
                     compute_pca(normalized, manifest)
-                event("pca: a stage has no varying column")
-                return
+                tally["no varying column"] += 1
+                continue
             result, audit = compute_pca(normalized, manifest)
         if reason:
             skipped.append(reason)
-            event(f"pca skipped: {reason}")
-            return
+            continue
         stages = [audit.pillar_stages[p] for p in PILLARS] + [audit.final_stage]
-        assert [stage.retained for stage in stages] == retained
+        assert [stage.retained for stage in stages] == retained, seed
         check(result, want_pca, TOL_PCA)
         tally["compared"] += 1
-        event("pca compared")
 
-    prop()
     print(
         f"reference pipeline: of {tally['drawn']} draws, pca compared in {tally['compared']}"
-        f" and skipped in {len(skipped)} {sorted(skipped)}; the rest had a stage of constant columns"
+        f" and skipped in {len(skipped)} {sorted(skipped)}; {tally['no varying column']}"
+        " had a stage of constant columns"
     )
+    assert tally["drawn"] >= 200
     assert len(skipped) <= MAX_SKIPPED

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from indexforge import stats
-from indexforge.aggregate import build_index_result
+from indexforge.aggregate import IndexResult
 from indexforge.errors import (
     ConstantVectorError,
     FewerThanTwoMethodsError,
@@ -22,7 +22,8 @@ from indexforge.errors import (
     RegionSetMismatchError,
     TooShortError,
 )
-from indexforge.model import IndexResult, Method
+from indexforge.model import Method
+from indexforge.normalize import DegenerateColumnWarning
 from indexforge.stats import (
     build_comparison,
     crossings,
@@ -180,11 +181,11 @@ class TestRankTable:
         assert pca_order.index("Alto Minho") == 3
 
     def test_single_method_two_regions(self):
-        result = build_index_result(Method.ABREU, ("a", "b"), [0.2, 0.9])
+        result = IndexResult(Method.ABREU, ("a", "b"), [0.2, 0.9])
         assert result.ranking == ("b", "a")
 
     def test_region_set_mismatch(self, reference_triple):
-        other = build_index_result(Method.PCA, ("x", "y"), [0.1, 0.9])
+        other = IndexResult(Method.PCA, ("x", "y"), [0.1, 0.9])
         with pytest.raises(RegionSetMismatchError):
             build_comparison([reference_triple[0], other])
 
@@ -308,8 +309,10 @@ def merge_count(values: list[int]) -> tuple[int, list[int]]:
 #: of a block width w = 2..5 and its neighbours, and the width cap of 128:
 #: 16,128 and 16,129 = 127**2 use w = 127, 16,130 is the first at w = 128 and
 #: 16,385 lies past 128**2.
+#: Sizes at the kernel's edges: block widths, the width cap of 128, and the
+#: first step boundary of the comparisons (32,768) and of the histogram (131,072).
 KERNEL_EDGES = [0, 1, 2, 3] + [w * w + d for w in range(2, 6) for d in (-1, 0, 1)] + [
-    16_128, 16_129, 16_130, 16_385,
+    16_128, 16_129, 16_130, 16_385, 32_768, 32_769, 131_072, 131_073,
 ]
 
 
@@ -329,9 +332,21 @@ class TestCrossingsKernel:
         ranking = tuple(f"r{i}" for i in range(n))
         assert crossings(ranking, ranking[::-1]) == n * (n - 1) // 2 == 4_999_950_000
 
-    def test_peak_memory_at_100k_stays_under_64_mb(self):
-        # A quadratic kernel would need gigabytes here.
-        n = 100_000
+    @pytest.mark.parametrize("n", [2, 3, 25, 26, 100, 101, 1_000])
+    @pytest.mark.parametrize("cells", [(1, 1), (200, 30)])
+    def test_small_steps_match_merge_count_oracle(self, n, cells, monkeypatch):
+        # Steps of one block and bucket, or of a few, so that n falls on either
+        # side of many step boundaries.
+        monkeypatch.setattr(stats, "_COMPARE_CELLS", cells[0])
+        monkeypatch.setattr(stats, "_HISTOGRAM_CELLS", cells[1])
+        rng = np.random.default_rng(3000 + n)
+        for _ in range(3):
+            perm = rng.permutation(n)
+            assert stats._inversions(perm.astype(np.int32)) == merge_count(perm.tolist())[0]
+
+    @staticmethod
+    def traced_peak(n: int) -> int:
+        """Peak traced memory of ``crossings`` on two random rankings of n regions."""
         rng = np.random.default_rng(29)
         labels = [f"r{i}" for i in range(n)]
         rank_a = tuple(labels[i] for i in rng.permutation(n))
@@ -339,10 +354,18 @@ class TestCrossingsKernel:
         tracemalloc.start()
         try:
             crossings(rank_a, rank_b)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+
+    def test_peak_memory_at_100k_stays_under_64_mb(self):
+        # A quadratic kernel would need gigabytes here.
+        assert self.traced_peak(100_000) < 64 * 2**20
+
+    def test_peak_memory_at_300k_stays_under_64_mb(self):
+        # Past 131,072 regions the histogram is summed in steps, so the peak
+        # grows with n, not n**2 (about 147 MB here without steps).
+        assert self.traced_peak(300_000) < 64 * 2**20
 
     @pytest.mark.parametrize(
         "rank_a, rank_b, message",
@@ -401,7 +424,9 @@ class TestComparisonReport:
 
     def test_constant_column_named_before_any_pair(self, reference_triple, monkeypatch):
         regions = reference_triple[0].regions
-        flat = IndexResult(Method.ABREU, regions, [0.0] * 9, [0.5] * 9, tuple(sorted(regions)))
+        with pytest.warns(DegenerateColumnWarning, match="^column abreu is constant"):
+            flat = IndexResult(Method.ABREU, regions, [0.0] * 9)
+        assert flat.rescaled.tolist() == [0.5] * 9 and flat.ranking == tuple(sorted(regions))
         pairs = []
         monkeypatch.setattr(stats, "pearson", lambda x, y: pairs.append((x, y)) or 0.0)
         with pytest.raises(ConstantVectorError, match="index 'abreu' is constant"):
@@ -483,7 +508,7 @@ class TestParallelCoordinates:
         forbidden = [chr(c) for c in [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF]]
         regions = [f"r{i}{char}x" for i, char in enumerate(forbidden)]
         regions += ["Alto\x01Minho", "tab\tlf\nend", "<&>\x00\x7f\x85\ufffd", "\U0001d11e"]
-        results = [build_index_result(method, regions, np.arange(len(regions), dtype=float) * k)
+        results = [IndexResult(method, regions, np.arange(len(regions), dtype=float) * k)
                    for k, method in enumerate((Method.ABREU, Method.DELPHI), 1)]
         report = build_comparison(results)
         write_parallel_svg(report, tmp_path / "parallel.svg")
@@ -642,7 +667,7 @@ def awkward_results(n_methods, n=2000, shuffle_later=False):
         raw[1::97] = raw[1]
         order = rng.permutation(n) if (shuffle_later and k) else np.arange(n)
         results.append(
-            build_index_result(method, [regions[i] for i in order], raw[order])
+            IndexResult(method, [regions[i] for i in order], raw[order])
         )
     return results
 
