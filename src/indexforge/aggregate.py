@@ -63,8 +63,8 @@ def geometric_mean(values) -> np.ndarray | float:
     return np.where(zero, 0.0, np.exp(logs.sum(axis=-1) / x.shape[-1]))[()]
 
 
-def rank_regions(regions: Sequence[str], rescaled) -> tuple[str, ...]:
-    """Regions in descending index order; ties broken by label in code-point order.
+def rank_order(regions: Sequence[str], rescaled) -> np.ndarray:
+    """Positions into ``regions`` by descending index; ties by label in code-point order.
 
     One argsort of the negated values, then each run of exactly equal values
     (0.0 and -0.0 are equal) is sorted by label with Python's ``sorted``.
@@ -72,7 +72,6 @@ def rank_regions(regions: Sequence[str], rescaled) -> tuple[str, ...]:
     """
     values = -np.asarray(rescaled, dtype=float)
     order = np.argsort(values)
-    ranking = np.array(regions, dtype=object)[order].tolist()
     ordered = values[order]
     tied = np.flatnonzero(ordered[1:] == ordered[:-1])  # i where ordered[i + 1] ties ordered[i]
     if tied.size:
@@ -80,8 +79,13 @@ def rank_regions(regions: Sequence[str], rescaled) -> tuple[str, ...]:
         starts = tied[np.r_[True, gap]].tolist()
         stops = (tied[np.r_[gap, True]] + 2).tolist()
         for start, stop in zip(starts, stops):
-            ranking[start:stop] = sorted(ranking[start:stop])
-    return tuple(ranking)
+            order[start:stop] = sorted(order[start:stop].tolist(), key=regions.__getitem__)
+    return order
+
+
+def rank_regions(regions: Sequence[str], rescaled) -> tuple[str, ...]:
+    """Regions in descending index order: the labels of ``rank_order``."""
+    return tuple(np.array(regions, dtype=object)[rank_order(regions, rescaled)].tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,16 +95,18 @@ class IndexResult:
     Built from ``method`` (a Method or its value, else ValueError), ``regions``
     and ``raw``, one value per region (else LengthMismatchError, naming the
     shape of a vector that is not 1-D). ``rescaled``, the kernel on ``raw`` as
-    one benefit column named after the method, and ``ranking``, ``rank_regions``
-    of it, are derived as it is built; an all-equal ``raw`` rescales to 0.5
-    with a DegenerateColumnWarning, and fewer than two regions or a nan or inf
-    raise ValueError. Equal methods and region -> raw pairs make equal results.
+    one benefit column named after the method, ``order``, its read-only
+    ``rank_order``, and ``ranking``, the labels in that order, are derived as it
+    is built; an all-equal ``raw`` rescales to 0.5 with a DegenerateColumnWarning,
+    and fewer than two regions or a nan or inf raise ValueError. Equal methods
+    and region -> raw pairs make equal results.
     """
 
     method: Method
     regions: tuple[str, ...]
     raw: np.ndarray
     rescaled: np.ndarray = field(init=False)
+    order: np.ndarray = field(init=False)
     ranking: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
@@ -111,12 +117,13 @@ class IndexResult:
         if raw.size < 2:
             raise ValueError("rescaling needs at least two regions")
         rescaled = normalize_column(raw, Direction.BENEFIT, method.value)[0]
-        raw.flags.writeable = rescaled.flags.writeable = False
-        vars(self).update(method=method, regions=regions, raw=raw, rescaled=rescaled,
-                          ranking=rank_regions(regions, rescaled))
+        order = rank_order(regions, rescaled)
+        raw.flags.writeable = rescaled.flags.writeable = order.flags.writeable = False
+        vars(self).update(method=method, regions=regions, raw=raw, rescaled=rescaled, order=order,
+                          ranking=tuple(np.array(regions, dtype=object)[order].tolist()))
 
     def __eq__(self, other) -> bool:
-        # The rescaled vector and the ranking follow from these.
+        # The rescaled vector, the order and the ranking follow from these.
         return (
             isinstance(other, IndexResult)
             and self.method == other.method
@@ -169,13 +176,14 @@ def compute_delphi(
 
 def write_index_csv(result: IndexResult, path: str | Path) -> None:
     """Write one method's index as CSV (region,raw,rescaled,rank), six-decimal floats."""
-    rank = dict(zip(result.ranking, range(1, len(result.regions) + 1)))
+    rank = np.empty_like(result.order)
+    rank[result.order] = np.arange(1, rank.size + 1)
     write_csv(
         [
             ("region", "%s", result.regions),
             ("raw", "%.6f", result.raw.tolist()),
             ("rescaled", "%.6f", result.rescaled.tolist()),
-            ("rank", "%d", list(map(rank.__getitem__, result.regions))),
+            ("rank", "%d", rank.tolist()),
         ],
         path,
     )

@@ -5,11 +5,11 @@ the median belongs to both halves) and the standard deviation uses the
 sample (n-1) denominator. ``build_comparison`` aligns every result into
 one positional ``ComparisonReport``: column names, taken once from each
 result's method, then a regions x k table of values, k x k arrays of
-Pearson r and rank crossings, and per-column stats and rankings. Every
-artifact writer reads names and array cells from it. Plot output is
-dependency-free: parallel coordinates are emitted as CSV plus a small
-hand-written SVG, and the scatter-matrix point sets as CSV; each passes
-whole columns of the table to ``ingest.write_csv``.
+Pearson r and of rank crossings (counted on the results' ``order`` arrays,
+with no label map), and per-column stats and rankings. Every artifact
+writer reads names and array cells from it. Plot output is dependency-free:
+parallel coordinates are emitted as CSV plus a small hand-written SVG, and
+the scatter-matrix point sets as CSV; each passes whole columns to ``ingest.write_csv``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .aggregate import IndexResult
+from .aggregate import IndexResult, rank_order
 from .errors import (
     ConstantVectorError,
     FewerThanTwoMethodsError,
@@ -201,18 +201,30 @@ class ComparisonReport:
 
 
 def build_comparison(results: Sequence[IndexResult]) -> ComparisonReport:
-    """Compare two or more method results over the same region set; a constant
-    column raises ConstantVectorError naming it, before any pair is correlated."""
+    """Compare two or more method results over the same region set; a different
+    set, a repeated region or length raises RegionSetMismatchError, then a constant
+    column ConstantVectorError naming it, before any pair is compared."""
     if len(results) < 2:
         raise FewerThanTwoMethodsError(f"got {len(results)} result(s), need at least 2")
     names = tuple(result.method.value for result in results)
     regions = results[0].regions
-    region_set = set(regions)
+    region_set, n = set(regions), len(regions)  # the one set: any result's repeats show against it
     for name, result in zip(names[1:], results[1:]):
-        if set(result.regions) != region_set:
+        if result.regions != regions and set(result.regions) != region_set:
             raise RegionSetMismatchError(f"method {name!r} covers a different region set")
+    for length in (len(result.regions) for result in results[1:]):  # as crossings met them
+        if length != n:
+            raise RegionSetMismatchError(f"rankings have different lengths ({n} vs {length})")
+        if length != len(region_set):
+            raise RegionSetMismatchError("a ranking lists a region more than once")
     # Built one row per column and transposed, so each column is contiguous.
     by_column = np.array([result.rescaled_vector(regions) for result in results])
+    # Orders as positions into ``regions``: a result listing them otherwise is ranked again.
+    orders = [result.order if result.regions == regions else rank_order(regions, column)
+              for result, column in zip(results, by_column)]
+    places = np.empty((len(results), n), dtype=np.intp)  # places[k]: orders[k] inverted
+    for place, order in zip(places, orders):
+        place[order] = np.arange(n)
     stats = tuple(map(describe, by_column))
     for name, column in zip(names, stats):
         if column.min == column.max:
@@ -223,7 +235,7 @@ def build_comparison(results: Sequence[IndexResult]) -> ComparisonReport:
     cross = np.zeros_like(r, dtype=np.int64)
     for i, j in combinations(range(len(names)), 2):
         r[i, j] = r[j, i] = pearson(by_column[i], by_column[j])
-        cross[i, j] = cross[j, i] = crossings(results[i].ranking, results[j].ranking)
+        cross[i, j] = cross[j, i] = _inversions(places[j][orders[i]])
     for array in (by_column, r, cross):
         array.setflags(write=False)
     rankings = tuple(result.ranking for result in results)
@@ -325,7 +337,7 @@ def write_parallel_svg(report: ComparisonReport, path: str | Path) -> None:
         )
         parts.append(
             f'<text x="{x:.2f}" y="{y_at(0.0) + 24:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{name}</text>'
+            f'font-family="sans-serif" font-size="13">{_xml_escape(name)}</text>'
         )
         for tick in (0.0, 1.0):
             parts.append(

@@ -15,6 +15,7 @@ from indexforge.aggregate import (
     compute_delphi,
     geometric_mean,
     pillar_arithmetic_means,
+    rank_order,
     rank_regions,
     write_index_csv,
     write_index_json,
@@ -127,6 +128,34 @@ class TestRankRegions:
         # The one input where the lexsort reference differs: numpy drops the NUL.
         for regions in (["a\x00", "a"], ["a", "a\x00"]):
             assert rank_regions(regions, [0.5, 0.5]) == ("a", "a\x00")
+
+
+class TestRankOrder:
+    """``rank_order`` and ``IndexResult.order``: positions whose labels are the ranking."""
+
+    CASES = {
+        "tied": (["d", "b", "e", "a", "c", "f"], [0.5, 0.5, 1.0, 0.5, 0.5, 0.0]),
+        "signed-zero": (["d", "b", "e", "a", "c", "f"], [0.0, -0.0, 1.0, -0.0, 0.0, -1.0]),
+        "non-bmp": (["😀", "𝔘", "\uff21", "é", "e\u0301", "Z", "a"],
+                    [1.0, 1.0, 0.0, 0.0, 1.0, 0.5, 0.5]),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_positions_index_the_ranking(self, case):
+        regions, values = self.CASES[case]
+        order = rank_order(regions, values)
+        assert sorted(order.tolist()) == list(range(len(regions)))
+        assert tuple(regions[i] for i in order) == reference_rank_regions(regions, values)
+        result = IndexResult(Method.PCA, regions, values)
+        assert tuple(result.regions[i] for i in result.order) == result.ranking
+        assert result.ranking == reference_rank_regions(regions, result.rescaled)
+        with pytest.raises(ValueError, match="read-only"):
+            result.order[0] = result.order[1]
+
+    def test_signed_zeros_tie(self):
+        regions, values = self.CASES["signed-zero"]
+        order = rank_order(regions, values)
+        assert tuple(regions[i] for i in order) == ("e", "a", "b", "c", "d", "f")
 
 
 class TestPillarMeans:
@@ -273,6 +302,8 @@ def assert_derived(result: IndexResult) -> None:
     want = normalize_column(result.raw, Direction.BENEFIT, result.method.value)[0]
     assert result.rescaled.tobytes() == want.tobytes(), result.method
     assert result.ranking == rank_regions(result.regions, result.rescaled), result.method
+    assert tuple(result.regions[i] for i in result.order) == result.ranking, result.method
+    assert not result.order.flags.writeable, result.method
 
 
 class TestResultsDeriveWhatTheyHold:

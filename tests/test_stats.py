@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -407,13 +408,13 @@ class TestComparisonReport:
             build_comparison(reference_triple[:1])
 
     def test_each_unordered_pair_compared_once(self, reference_triple, monkeypatch):
-        calls = []
+        calls, kernel = [], stats._inversions
 
-        def counting_crossings(rank_a, rank_b):
-            calls.append((rank_a, rank_b))
-            return crossings(rank_a, rank_b)
+        def counting_inversions(perm):
+            calls.append(perm)
+            return kernel(perm)
 
-        monkeypatch.setattr(stats, "crossings", counting_crossings)
+        monkeypatch.setattr(stats, "_inversions", counting_inversions)
         report = build_comparison(reference_triple)
         assert len(calls) == 3
         assert (report.crossings == report.crossings.T).all()
@@ -444,6 +445,55 @@ class TestComparisonReport:
         assert payload["per_method_stats"]["delphi"]["iqr"] == pytest.approx(0.73, abs=1e-9)
         lines = (tmp_path / "report.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "block,key,abreu,delphi,pca"
+
+
+class TestPositionalCrossings:
+    """``build_comparison`` counts crossings on rank positions; label ``crossings``
+    on the results' rankings is the oracle."""
+
+    @pytest.mark.parametrize("layout", ["one-tuple", "equal-tuples", "permuted"])
+    def test_matrix_equals_label_crossings_on_each_pair(self, layout):
+        rng = np.random.default_rng(3200 + len(layout))
+        for n in (2, 3, 9, 40, 1_200):
+            regions = tuple(f"r{i}" for i in rng.permutation(n))
+            results = []
+            for k, method in enumerate(Method):
+                raw = rng.normal(size=n)
+                raw[::3] = raw[0]  # ties, broken by label
+                order = rng.permutation(n) if layout == "permuted" and k else np.arange(n)
+                labels = regions if layout == "one-tuple" else [regions[i] for i in order]
+                results.append(IndexResult(method, labels, raw[order]))
+            if layout == "permuted" and n > 3:
+                assert results[1].regions != results[0].regions
+            report = build_comparison(results)
+            assert report.regions == results[0].regions
+            for i, j in combinations(range(3), 2):
+                expected = crossings(results[i].ranking, results[j].ranking)
+                assert report.crossings[i, j] == report.crossings[j, i] == expected, (n, i, j)
+
+    @pytest.mark.parametrize(
+        "regions_a, regions_b, message",
+        [
+            (("a", "b", "c"), ("a", "b", "d"), "method 'delphi' covers a different region set"),
+            (("a", "b", "c"), ("a", "b"), "method 'delphi' covers a different region set"),
+            (("a", "b", "c"), ("c", "b", "a", "a"), "rankings have different lengths (3 vs 4)"),
+            (("a", "a", "b"), ("a", "b"), "rankings have different lengths (3 vs 2)"),
+            (("a", "a", "b"), ("a", "a", "b"), "a ranking lists a region more than once"),
+            (("a", "a", "b"), ("b", "b", "a"), "a ranking lists a region more than once"),
+        ],
+        ids=["different-set", "subset", "longer-b", "repeat-in-a-longer", "shared-repeat",
+             "repeats-in-both"],
+    )
+    def test_rejected_region_sets_before_any_pair(self, regions_a, regions_b, message,
+                                                  monkeypatch):
+        results = [IndexResult(Method.ABREU, regions_a, np.arange(len(regions_a))),
+                   IndexResult(Method.DELPHI, regions_b, np.arange(len(regions_b)))]
+        pairs = []
+        monkeypatch.setattr(stats, "_inversions", lambda perm: pairs.append(perm) or 0)
+        monkeypatch.setattr(stats, "pearson", lambda x, y: pairs.append((x, y)) or 0.0)
+        with pytest.raises(RegionSetMismatchError, match=f"^{re.escape(message)}$"):
+            build_comparison(results)
+        assert pairs == []
 
 
 #: The engine's fit to the published Table 3 on the bundled data, per method:
@@ -519,6 +569,14 @@ class TestParallelCoordinates:
             "Alto\ufffdMinho", "tab\tlf\nend", "<&>\ufffd\x7f\x85\ufffd", "\U0001d11e"
         ]
         assert set(read_polylines(tmp_path / "parallel.csv")) == set(regions)
+
+    def test_svg_is_well_formed_for_every_column_name(self, tmp_path, reference_triple):
+        report = dataclasses.replace(build_comparison(reference_triple),
+                                     names=("a<b", "x & y", "c\x01d"))
+        write_parallel_svg(report, tmp_path / "parallel.svg")
+        svg = ElementTree.parse(tmp_path / "parallel.svg").getroot()
+        drawn = [text.text for text in svg.iter("{http://www.w3.org/2000/svg}text")]
+        assert drawn[0:9:3] == ["a<b", "x & y", "c\ufffdd"]
 
     def test_vertices_within_axis_bounds(self, tmp_path, reference_triple):
         path = tmp_path / "parallel.csv"
