@@ -22,9 +22,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import LengthMismatchError, NegativeInputError, WeightManifestMismatchError
+from .errors import (DuplicateRegionError, LengthMismatchError, NegativeInputError,
+                     WeightManifestMismatchError)
 from .ingest import write_csv, write_json
-from .model import PILLARS, Direction, IndicatorMatrix, Manifest, Method, Stage, WeightScheme
+from .model import (PILLARS, Direction, IndicatorMatrix, Manifest, Method, Stage, WeightScheme,
+                    first_repeat)
 from .normalize import normalize_column
 
 
@@ -32,10 +34,12 @@ def pillar_arithmetic_means(matrix: IndicatorMatrix, manifest: Manifest) -> np.n
     """Unweighted mean of each pillar's normalized indicators, per region.
 
     Returns a regions x pillars array, rows in ``matrix.regions`` order and
-    columns in PILLARS order.
+    columns in PILLARS order. The matrix's columns must be the manifest's
+    indicators (``Manifest.check_columns``).
     """
     if matrix.stage is not Stage.NORMALIZED:
         raise ValueError("pillar means are defined on a normalized matrix")
+    manifest.check_columns(matrix.indicators)
     # Row-contiguous blocks keep numpy's pairwise summation per region, the
     # same as a 1-D mean of each row (the fancy-indexed block is column-major).
     means = [
@@ -94,12 +98,14 @@ class IndexResult:
 
     Built from ``method`` (a Method or its value, else ValueError), ``regions``
     and ``raw``, one value per region (else LengthMismatchError, naming the
-    shape of a vector that is not 1-D). ``rescaled``, the kernel on ``raw`` as
-    one benefit column named after the method, ``order``, its read-only
-    ``rank_order``, and ``ranking``, the labels in that order, are derived as it
-    is built; an all-equal ``raw`` rescales to 0.5 with a DegenerateColumnWarning,
-    and fewer than two regions or a nan or inf raise ValueError. Equal methods
-    and region -> raw pairs make equal results.
+    shape of a vector that is not 1-D); fewer than two regions raise ValueError,
+    then a repeated region DuplicateRegionError naming the first repeat.
+    ``rescaled``, the kernel on ``raw`` as one benefit column named after the
+    method, and ``order``, its read-only ``rank_order``, are derived as it is
+    built; an all-equal ``raw`` rescales to 0.5 with a DegenerateColumnWarning,
+    and a nan or inf raises ValueError. ``ranking``, the labels in ``order``, and
+    the per-region mappings are derived on first read. Equal methods and
+    region -> raw pairs make equal results.
     """
 
     method: Method
@@ -107,7 +113,6 @@ class IndexResult:
     raw: np.ndarray
     rescaled: np.ndarray = field(init=False)
     order: np.ndarray = field(init=False)
-    ranking: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
         method, regions = Method(self.method), tuple(self.regions)
@@ -116,11 +121,12 @@ class IndexResult:
             raise LengthMismatchError(len(regions), raw.size if raw.ndim == 1 else raw.shape)
         if raw.size < 2:
             raise ValueError("rescaling needs at least two regions")
+        if len(set(regions)) < len(regions):
+            raise DuplicateRegionError(first_repeat(regions))
         rescaled = normalize_column(raw, Direction.BENEFIT, method.value)[0]
         order = rank_order(regions, rescaled)
         raw.flags.writeable = rescaled.flags.writeable = order.flags.writeable = False
-        vars(self).update(method=method, regions=regions, raw=raw, rescaled=rescaled, order=order,
-                          ranking=tuple(np.array(regions, dtype=object)[order].tolist()))
+        vars(self).update(method=method, regions=regions, raw=raw, rescaled=rescaled, order=order)
 
     def __eq__(self, other) -> bool:
         # The rescaled vector, the order and the ranking follow from these.
@@ -129,6 +135,10 @@ class IndexResult:
             and self.method == other.method
             and self.raw_index == other.raw_index
         )
+
+    @cached_property
+    def ranking(self) -> tuple[str, ...]:
+        return tuple(np.array(self.regions, dtype=object)[self.order].tolist())
 
     @cached_property
     def raw_index(self) -> Mapping[str, float]:
@@ -162,9 +172,12 @@ def compute_delphi(
     raw(region) = sum over indicators of flat_weight * value, where each flat
     weight is the indicator's pillar weight times its weight within the pillar.
     ``weights`` defaults to the panel weighting, ``manifest.panel_weights``.
+    The matrix's columns must be the manifest's indicators
+    (``Manifest.check_columns``), and the weights cover them and the pillars.
     """
     if matrix.stage is not Stage.NORMALIZED:
         raise ValueError("the weighted index is defined on a normalized matrix")
+    manifest.check_columns(matrix.indicators)
     weights = manifest.panel_weights if weights is None else weights
     differing = set(weights.flat_weights) ^ set(manifest.ids)
     differing |= set(weights.pillar_weights) ^ set(PILLARS)

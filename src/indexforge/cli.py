@@ -3,12 +3,16 @@
 ``compute``, ``compare`` and ``report`` run one pipeline, ``run_pipeline``:
 the results of ``--methods`` (computed, or read from ``--published``), the
 comparison unless the command is ``compute``, then the command's artifacts.
-Engine warnings are printed to stderr as ``warning (<kind>): <message>``.
+Engine warnings are printed to stderr as ``warning (<kind>): <message>``,
+whatever the warning filters say.
 
 Exit codes: 0 success, 2 validation or usage failure, 3 I/O failure,
 4 numerical failure (eigensolver non-convergence). All file artifacts are
-byte-reproducible for identical inputs and flags: CSV floats use a fixed
-six-decimal format and JSON is written with sorted keys.
+byte-reproducible for identical inputs and flags on one host CPU class: CSV
+floats use a fixed six-decimal format and JSON is written with sorted keys.
+Across CPU classes the last bits of a float can move where OpenBLAS products
+(Pearson r, the weighted index, the PCA covariance, scores and norms) or
+numpy's SIMD ``log`` and ``exp`` (the geometric mean) are on its path.
 """
 
 from __future__ import annotations
@@ -234,6 +238,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
+        warnings.simplefilter("default", DegenerateColumnWarning)  # printed whatever -W says
         try:
             return args.func(args)
         except NoConvergenceError as exc:

@@ -47,9 +47,9 @@ def load_reference_indexes(path: str | Path | None = None) -> dict[Method, Index
     two-decimal numbers exactly as released; each column is the raw index of
     an IndexResult, rescaled and ranked as every method's index is. A header
     that names a column twice, a value that is not a finite number, or a row
-    with more or fewer cells than the header raises DataFormatError; a
-    repeated region or fewer than two regions raise DuplicateRegionError or
-    TooFewRegionsError. Every error starts with the path.
+    with more or fewer cells than the header raises DataFormatError; fewer
+    than two regions raise TooFewRegionsError, then a repeated region
+    DuplicateRegionError. Every error starts with the path.
     """
     path = data_path(REFERENCE_FILE) if path is None else Path(path)
     regions: list[str] = []
@@ -82,10 +82,6 @@ def load_reference_indexes(path: str | Path | None = None) -> dict[Method, Index
                         f"non-numeric {method.value} value {text!r} for region {row['region']!r}"
                     ) from None
                 values.append(value)
-        # The matrix checks the table's rules: each region listed once among them.
-        table = IndicatorMatrix(
-            regions, [m.value for m in Method], np.reshape(values, (-1, len(Method)))
-        )
         if len(regions) < 2:
             raise TooFewRegionsError(len(regions))
-        return {m: IndexResult(m, regions, table.column(m.value)) for m in Method}
+        return {m: IndexResult(m, regions, values[k::len(Method)]) for k, m in enumerate(Method)}

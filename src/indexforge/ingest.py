@@ -54,10 +54,8 @@ from .errors import (
     FileEncodingError,
     ManifestFormatError,
     MissingCellError,
-    MissingIndicatorError,
     NonNumericCellError,
     TooFewRegionsError,
-    UnknownIndicatorError,
     WeightFormatError,
 )
 from .model import IndicatorMatrix, IndicatorSpec, Manifest, WeightScheme, build_weight_scheme
@@ -170,15 +168,8 @@ def parse_weights(path: str | Path, manifest: Manifest) -> WeightScheme:
 
 
 def _check_header(indicator_ids: Sequence[str], manifest: Manifest) -> None:
-    present = set(indicator_ids)
-    known = set(manifest.ids)
-    for indicator_id in indicator_ids:
-        if indicator_id not in known:
-            raise UnknownIndicatorError(indicator_id)
-    for indicator_id in manifest.ids:
-        if indicator_id not in present:
-            raise MissingIndicatorError(indicator_id)
-    if len(present) != len(indicator_ids):
+    manifest.check_columns(indicator_ids)
+    if len(set(indicator_ids)) != len(indicator_ids):
         seen: set[str] = set()
         duplicates = sorted({i for i in indicator_ids if i in seen or seen.add(i)})
         raise DataFormatError(f"duplicate indicator columns: {', '.join(duplicates)}")

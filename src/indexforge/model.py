@@ -26,9 +26,11 @@ from .errors import (
     DuplicateRegionError,
     EmptyPillarError,
     ManifestFormatError,
+    MissingIndicatorError,
     NegativeWeightError,
     NonFiniteWeightError,
     NonNumericCellError,
+    UnknownIndicatorError,
     WeightFormatError,
     WeightManifestMismatchError,
     WeightSumOverflowError,
@@ -119,7 +121,7 @@ class Manifest:
     def __post_init__(self):
         object.__setattr__(self, "specs", tuple(self.specs))
         if len(self._by_id) < len(self.specs):
-            raise DuplicateIndicatorIdError(_first_repeat(self.ids))
+            raise DuplicateIndicatorIdError(first_repeat(self.ids))
         for pillar in PILLARS:
             if not self.pillar_ids(pillar):
                 raise EmptyPillarError(pillar)
@@ -145,8 +147,20 @@ class Manifest:
     def pillar_sizes(self) -> dict[Pillar, int]:
         return {pillar: len(self.pillar_ids(pillar)) for pillar in PILLARS}
 
+    def check_columns(self, indicator_ids: Sequence[str]) -> None:
+        """Check that ``indicator_ids`` name this manifest's indicators, in any order:
+        UnknownIndicatorError for the first id it lacks, then MissingIndicatorError
+        for the first of its ids that is absent."""
+        for indicator_id in indicator_ids:
+            if indicator_id not in self._by_id:
+                raise UnknownIndicatorError(indicator_id)
+        present = set(indicator_ids)
+        for indicator_id in self.ids:
+            if indicator_id not in present:
+                raise MissingIndicatorError(indicator_id)
 
-def _first_repeat(labels: Sequence[str]) -> str:
+
+def first_repeat(labels: Sequence[str]) -> str:
     """The first label of ``labels`` that an earlier one equals; there must be one."""
     seen: set[str] = set()
     return next(label for label in labels if label in seen or seen.add(label))
@@ -267,9 +281,9 @@ class IndicatorMatrix:
                 f"{len(regions)} regions x {len(indicators)} indicators"
             )
         if len(set(regions)) < len(regions):
-            raise DuplicateRegionError(_first_repeat(regions))
+            raise DuplicateRegionError(first_repeat(regions))
         if len(set(indicators)) < len(indicators):
-            raise DuplicateIndicatorIdError(_first_repeat(indicators))
+            raise DuplicateIndicatorIdError(first_repeat(indicators))
         self._freeze(regions, indicators, array, Stage(self.stage))
 
     def _with_values(self, array: np.ndarray, stage: Stage) -> IndicatorMatrix:

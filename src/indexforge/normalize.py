@@ -110,12 +110,14 @@ def normalize_matrix(
     """Normalize every column of a raw matrix per its manifest direction.
 
     One vectorized pass over the whole matrix; records and warnings follow
-    the matrix's column order. The result keeps the raw matrix's labels,
-    checked when it was built, and takes over the scaled array; the matrix
-    checks only its values.
+    the matrix's column order. The matrix's columns must be the manifest's
+    indicators (``Manifest.check_columns``). The result keeps the raw matrix's
+    labels, checked when it was built, and takes over the scaled array; the
+    matrix checks only its values.
     """
     if matrix.stage is not Stage.RAW:
         raise ValueError("normalize_matrix expects a raw-stage matrix")
+    manifest.check_columns(matrix.indicators)
     directions = [manifest.spec(indicator_id).direction for indicator_id in matrix.indicators]
     scaled, records = _scale_columns(matrix.values, directions, matrix.indicators)
     return matrix._with_values(scaled, Stage.NORMALIZED), records

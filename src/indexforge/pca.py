@@ -313,6 +313,7 @@ def compute_pca(
     """
     if matrix.stage is not Stage.NORMALIZED:
         raise ValueError("the PCA index is defined on a normalized matrix")
+    manifest.check_columns(matrix.indicators)
 
     pillar_stages: dict[Pillar, PcaStage] = {}
     sub_columns = []

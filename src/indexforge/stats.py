@@ -202,21 +202,16 @@ class ComparisonReport:
 
 def build_comparison(results: Sequence[IndexResult]) -> ComparisonReport:
     """Compare two or more method results over the same region set; a different
-    set, a repeated region or length raises RegionSetMismatchError, then a constant
-    column ConstantVectorError naming it, before any pair is compared."""
+    set raises RegionSetMismatchError, then a constant column ConstantVectorError
+    naming it, before any pair is compared."""
     if len(results) < 2:
         raise FewerThanTwoMethodsError(f"got {len(results)} result(s), need at least 2")
     names = tuple(result.method.value for result in results)
     regions = results[0].regions
-    region_set, n = set(regions), len(regions)  # the one set: any result's repeats show against it
+    region_set, n = set(regions), len(regions)  # each result lists its regions once
     for name, result in zip(names[1:], results[1:]):
         if result.regions != regions and set(result.regions) != region_set:
             raise RegionSetMismatchError(f"method {name!r} covers a different region set")
-    for length in (len(result.regions) for result in results[1:]):  # as crossings met them
-        if length != n:
-            raise RegionSetMismatchError(f"rankings have different lengths ({n} vs {length})")
-        if length != len(region_set):
-            raise RegionSetMismatchError("a ranking lists a region more than once")
     # Built one row per column and transposed, so each column is contiguous.
     by_column = np.array([result.rescaled_vector(regions) for result in results])
     # Orders as positions into ``regions``: a result listing them otherwise is ranked again.

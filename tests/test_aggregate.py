@@ -396,6 +396,10 @@ class TestComputeAbreu:
         other = compute_abreu(norm_matrix, reweighted)
         assert base.raw_index == other.raw_index
 
+    # A draw whose regions all take the same raw index rescales it to 0.5, with a warning.
+    @pytest.mark.filterwarnings(
+        "ignore:column abreu is constant:indexforge.normalize.DegenerateColumnWarning"
+    )
     def test_matches_per_region_loop_reference(self):
         # Reference: the per-region loop with math.log/math.exp. Pillar means
         # sum in the same order and must be equal; the vectorized log/exp may

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -35,10 +36,11 @@ def run(argv):
     return main(argv)
 
 
-def cli_in_process_of_its_own(argv, **kwargs):
-    """``indexforge *argv`` as a fresh process, warnings shown."""
+def cli_in_process_of_its_own(argv, pythonwarnings="default", **kwargs):
+    """``indexforge *argv`` as a fresh process, warnings shown unless ``pythonwarnings`` says
+    otherwise."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
-           "PYTHONWARNINGS": "default"}
+           "PYTHONWARNINGS": pythonwarnings}
     return subprocess.run(
         [sys.executable, "-m", "indexforge.cli", *argv], env=env, timeout=120, **kwargs
     )
@@ -64,6 +66,16 @@ def _write_rows(path: Path, rows: list[list[str]]) -> None:
 
 BUNDLED_DATA_ROWS = _bundled_rows(FIXTURE_DATA)
 BUNDLED_MANIFEST_ROWS = _bundled_rows(FIXTURE_MANIFEST)
+
+
+def _with_constant_column(tmp_path: Path, indicator_id: str) -> Path:
+    """A copy of the bundled data whose ``indicator_id`` column is constant."""
+    rows = [list(row) for row in BUNDLED_DATA_ROWS]
+    j = rows[0].index(indicator_id)
+    for row in rows[1:]:
+        row[j] = "7"
+    _write_rows(tmp_path / "data.csv", rows)
+    return tmp_path / "data.csv"
 
 
 #: Each spoiled input, and the error every command prints for it ({data} and
@@ -533,6 +545,13 @@ class TestCompute:
         assert code == 2
         assert "is not UTF-8 text" in capsys.readouterr().err
 
+    def test_empty_method_list_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            run(["compute", "--methods", ",", "--out", str(tmp_path / "out")])
+        assert exc_info.value.code == 2
+        assert "no methods given" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_method_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc_info:
             run(["compute", "--methods", "sorcery"])
@@ -743,16 +762,17 @@ class TestCompare:
         flat = tmp_path / "table3.csv"
         _write_rows(flat, rows)
         out = tmp_path / "cmp"
-        completed = cli_in_process_of_its_own(
-            ["compare", "--published", str(flat), "--out", str(out)],
-            capture_output=True, text=True,
-        )
-        assert completed.returncode == 2
-        assert completed.stderr.splitlines() == [
-            "warning (degenerate): column delphi is constant; normalized to 0.5",
-            "error (validation): index 'delphi' is constant; its correlation is undefined",
-        ]
-        assert not out.exists()
+        for pythonwarnings in ("default", "error"):  # the same lines under either filter
+            completed = cli_in_process_of_its_own(
+                ["compare", "--published", str(flat), "--out", str(out)],
+                pythonwarnings, capture_output=True, text=True,
+            )
+            assert completed.returncode == 2
+            assert completed.stderr.splitlines() == [
+                "warning (degenerate): column delphi is constant; normalized to 0.5",
+                "error (validation): index 'delphi' is constant; its correlation is undefined",
+            ]
+            assert not out.exists()
 
     def test_computed_full_report(self, tmp_path):
         out = tmp_path / "cmp"
@@ -886,23 +906,36 @@ class TestReport:
         ]
 
     def test_engine_warnings_are_one_line_each(self, tmp_path):
-        """A constant column: exit 0, and each warning one ``warning (degenerate)`` line."""
-        rows = [list(row) for row in BUNDLED_DATA_ROWS]
-        j = rows[0].index("PopDens")
-        for row in rows[1:]:
-            row[j] = "7"
-        data = tmp_path / "data.csv"
-        _write_rows(data, rows)
-        completed = cli_in_process_of_its_own(
-            ["report", "--methods", "all", "--data", str(data), "--out", str(tmp_path / "out")],
-            capture_output=True, text=True,
-        )
-        assert completed.returncode == 0
-        assert completed.stderr.splitlines() == [
-            "warning (degenerate): column PopDens is constant; normalized to 0.5",
-            "warning (degenerate): constant columns dropped from PCA: PopDens",
+        """A constant column: exit 0, and each warning one ``warning (degenerate)`` line,
+        also when ``PYTHONWARNINGS=error``."""
+        data = _with_constant_column(tmp_path, "PopDens")
+        for pythonwarnings in ("default", "error"):
+            completed = cli_in_process_of_its_own(
+                ["report", "--methods", "all", "--data", str(data),
+                 "--out", str(tmp_path / pythonwarnings)],
+                pythonwarnings, capture_output=True, text=True,
+            )
+            assert completed.returncode == 0
+            assert completed.stderr.splitlines() == [
+                "warning (degenerate): column PopDens is constant; normalized to 0.5",
+                "warning (degenerate): constant columns dropped from PCA: PopDens",
+            ]
+            assert ".py:" not in completed.stderr
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_warning_filters_change_no_line(self, tmp_path, capsys, action):
+        """Engine warnings are printed as lines, never raised or dropped, whatever the
+        filters of the calling process say."""
+        data = _with_constant_column(tmp_path, "Facil")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            assert run(["compute", "--data", str(data), "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning (degenerate): column Facil is constant; normalized to 0.5",
+            "warning (degenerate): constant columns dropped from PCA: Facil",
         ]
-        assert ".py:" not in completed.stderr
+        assert len(list(out.iterdir())) == 8
 
     def test_single_method_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "one"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import traceback
 import typing
+import warnings
 from enum import Enum
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 import indexforge
 from indexforge import aggregate, model
-from indexforge.aggregate import IndexResult, compute_delphi
+from indexforge.aggregate import IndexResult, compute_abreu, compute_delphi, pillar_arithmetic_means
 from indexforge.model import (
     DEFAULT_PILLAR_WEIGHTS,
     PILLARS,
@@ -25,6 +26,7 @@ from indexforge.model import (
     build_weight_scheme,
 )
 from indexforge.normalize import normalize_matrix, write_normalization_csv
+from indexforge.pca import compute_pca
 from indexforge.errors import (
     AllZeroWeightsError,
     DuplicateIndicatorIdError,
@@ -32,9 +34,11 @@ from indexforge.errors import (
     EmptyPillarError,
     LengthMismatchError,
     ManifestFormatError,
+    MissingIndicatorError,
     NegativeWeightError,
     NonFiniteWeightError,
     NonNumericCellError,
+    UnknownIndicatorError,
     WeightFormatError,
     WeightManifestMismatchError,
     WeightSumOverflowError,
@@ -125,6 +129,54 @@ class TestManifestConstructor:
         with pytest.raises(error) as exc_info:
             Manifest(edit([spec(i, pillar) for i, pillar in enumerate(PILLARS)]))
         assert str(exc_info.value) == message
+
+
+def without_first_column(matrix: IndicatorMatrix) -> IndicatorMatrix:
+    kept = matrix.indicators[1:]
+    return IndicatorMatrix(matrix.regions, kept, matrix.columns(kept), stage=matrix.stage)
+
+
+def with_extra_column(matrix: IndicatorMatrix) -> IndicatorMatrix:
+    values = np.column_stack([matrix.values, matrix.values[:, 0]])
+    return IndicatorMatrix(matrix.regions, (*matrix.indicators, "Extra"), values, matrix.stage)
+
+
+class TestManifestColumns:
+    """A matrix's columns are its manifest's indicators, in any order, wherever it is used."""
+
+    def test_check_columns(self, manifest):
+        manifest.check_columns(manifest.ids[::-1])
+        first = manifest.ids[0]
+        with pytest.raises(MissingIndicatorError, match=f"^manifest indicator '{first}' is absent"):
+            manifest.check_columns(manifest.ids[1:])
+        # An unknown id is named before a missing one.
+        with pytest.raises(UnknownIndicatorError, match="^indicator 'Extra' is not in the manifest"):
+            manifest.check_columns((*manifest.ids[1:], "Extra"))
+
+    @pytest.mark.parametrize(
+        "edit, error",
+        [(without_first_column, MissingIndicatorError), (with_extra_column, UnknownIndicatorError)],
+        ids=["missing", "extra"],
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        [normalize_matrix, pillar_arithmetic_means, compute_abreu, compute_delphi, compute_pca],
+        ids=lambda entry: entry.__name__,
+    )
+    def test_entry_points_check_the_columns(self, manifest, raw_matrix, norm_matrix, entry, edit,
+                                            error):
+        matrix = raw_matrix if entry is normalize_matrix else norm_matrix
+        with pytest.raises(error):
+            entry(edit(matrix), manifest)
+
+    def test_checked_after_the_stage_and_before_the_weights(self, manifest, raw_matrix,
+                                                            norm_matrix):
+        with pytest.raises(ValueError, match="normalized matrix"):
+            compute_pca(without_first_column(raw_matrix), manifest)
+        with pytest.raises(ValueError, match="raw-stage matrix"):
+            normalize_matrix(without_first_column(norm_matrix), manifest)
+        with pytest.raises(MissingIndicatorError):
+            compute_delphi(without_first_column(norm_matrix), manifest, WeightScheme({}, {}, {}))
 
 
 class TestBuildWeightScheme:
@@ -396,7 +448,7 @@ class TestResultEquality:
         with pytest.raises(TypeError, match="ranking"):
             IndexResult(Method.ABREU, ("x", "y"), [0.2, 0.5], ranking=("x", "y"))
         result = IndexResult(Method.ABREU, ("x", "y"), [0.2, 0.5])
-        with pytest.raises(ValueError, match="init=False"):
+        with pytest.raises(TypeError, match="ranking"):
             dataclasses.replace(result, ranking=("x", "y"))
         with pytest.raises(dataclasses.FrozenInstanceError):
             result.ranking = ("x", "y")
@@ -424,6 +476,38 @@ class TestResultEquality:
             IndexResult(Method.ABREU, ("a", "b", "c"), [1.0, 2.0])
         with pytest.raises(ValueError, match="^rescaling needs at least two regions$"):
             IndexResult(Method.ABREU, ("a",), [1.0])
+
+    @pytest.mark.parametrize(
+        "regions, raw, repeated",
+        [
+            (("c", "b", "a", "a"), [0.0, 1.0, 2.0, 3.0], "a"),
+            (("a", "a", "b"), [0.0, 1.0, 2.0], "a"),
+            (("b", "b", "a"), [0.0, 1.0, 2.0], "b"),
+            (("a", "b", "c", "b", "a"), [0.0, 1.0, 2.0, 3.0, 4.0], "b"),
+            # Two results that once compared equal, their per-region mappings
+            # collapsing the repeat, although their rankings differed.
+            (("a", "a"), [1.0, 2.0], "a"),
+            (("a", "a"), [2.0, 2.0], "a"),
+        ],
+        ids=["repeat-last", "repeat-first", "repeat-of-a-later-label",
+             "first-repeat-in-input-order", "pair-of-distinct-values", "pair-of-equal-values"],
+    )
+    def test_a_repeated_region_is_rejected(self, regions, raw, repeated):
+        """Each region is listed once; the first label that repeats an earlier one is named."""
+        with pytest.raises(DuplicateRegionError) as exc_info:
+            IndexResult(Method.ABREU, regions, raw)
+        assert exc_info.value.region == repeated
+        assert str(exc_info.value) == f"region {repeated!r} appears more than once"
+
+    def test_repeats_are_checked_after_the_lengths_and_before_rescaling(self):
+        with pytest.raises(LengthMismatchError):
+            IndexResult(Method.ABREU, ("a", "a", "b"), [1.0, 2.0])
+        # An all-equal raw would warn, and a nan would fail the kernel: neither is reached.
+        for raw in ([1.0, 1.0, 1.0], [1.0, float("nan"), 2.0]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DuplicateRegionError, match="^region 'a' appears"):
+                    IndexResult(Method.ABREU, ("a", "b", "a"), raw)
 
 
 def enum_fields():

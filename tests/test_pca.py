@@ -541,6 +541,10 @@ class TestPcaPillar:
         assert stage.variance_shares[0] == pytest.approx(0.5, abs=1e-12)
         assert stage.variance_shares[1] == pytest.approx(0.5, abs=1e-12)
 
+    # Some draws keep three factors below the variance threshold, with a warning.
+    @pytest.mark.filterwarnings(
+        "ignore:factor cap 3 reached below:indexforge.normalize.DegenerateColumnWarning"
+    )
     def test_variance_shares_sum_to_one(self):
         rng = np.random.default_rng(55)
         for _ in range(20):
@@ -581,7 +585,8 @@ class TestPcaPillar:
 
     def test_all_constant_rejected(self):
         with pytest.raises(ConstantColumnError) as exc_info:
-            pca_pillar(np.full((5, 2), 0.3), column_ids=["x", "flat"])
+            with pytest.warns(DegenerateColumnWarning, match="^constant columns dropped from PCA"):
+                pca_pillar(np.full((5, 2), 0.3), column_ids=["x", "flat"])
         assert exc_info.value.column == "x, flat"
         assert str(exc_info.value) == "every column of the PCA stage is constant: x, flat"
 
@@ -625,7 +630,8 @@ class TestPcaStage2:
     def test_cap_default_two(self):
         rng = np.random.default_rng(60)
         assert STAGE2_CAP == 2
-        stage, _ = pca_pillar(rng.normal(size=(30, 4)), ["a", "b", "c", "d"], cap=STAGE2_CAP)
+        with pytest.warns(DegenerateColumnWarning, match="^factor cap 2 reached below"):
+            stage, _ = pca_pillar(rng.normal(size=(30, 4)), ["a", "b", "c", "d"], cap=STAGE2_CAP)
         assert stage.retained <= 2
 
 

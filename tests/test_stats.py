@@ -18,6 +18,7 @@ from indexforge import stats
 from indexforge.aggregate import IndexResult
 from indexforge.errors import (
     ConstantVectorError,
+    DuplicateRegionError,
     FewerThanTwoMethodsError,
     LengthMismatchError,
     RegionSetMismatchError,
@@ -472,27 +473,35 @@ class TestPositionalCrossings:
                 assert report.crossings[i, j] == report.crossings[j, i] == expected, (n, i, j)
 
     @pytest.mark.parametrize(
-        "regions_a, regions_b, message",
+        "regions_a, regions_b, error, message",
         [
-            (("a", "b", "c"), ("a", "b", "d"), "method 'delphi' covers a different region set"),
-            (("a", "b", "c"), ("a", "b"), "method 'delphi' covers a different region set"),
-            (("a", "b", "c"), ("c", "b", "a", "a"), "rankings have different lengths (3 vs 4)"),
-            (("a", "a", "b"), ("a", "b"), "rankings have different lengths (3 vs 2)"),
-            (("a", "a", "b"), ("a", "a", "b"), "a ranking lists a region more than once"),
-            (("a", "a", "b"), ("b", "b", "a"), "a ranking lists a region more than once"),
+            (("a", "b", "c"), ("a", "b", "d"), RegionSetMismatchError,
+             "method 'delphi' covers a different region set"),
+            (("a", "b", "c"), ("a", "b"), RegionSetMismatchError,
+             "method 'delphi' covers a different region set"),
+            # A repeated region is rejected where its result is built.
+            (("a", "b", "c"), ("c", "b", "a", "a"), DuplicateRegionError,
+             "region 'a' appears more than once"),
+            (("a", "a", "b"), ("a", "b"), DuplicateRegionError,
+             "region 'a' appears more than once"),
+            (("a", "a", "b"), ("a", "a", "b"), DuplicateRegionError,
+             "region 'a' appears more than once"),
+            (("a", "a", "b"), ("b", "b", "a"), DuplicateRegionError,
+             "region 'a' appears more than once"),
         ],
         ids=["different-set", "subset", "longer-b", "repeat-in-a-longer", "shared-repeat",
              "repeats-in-both"],
     )
-    def test_rejected_region_sets_before_any_pair(self, regions_a, regions_b, message,
+    def test_rejected_region_sets_before_any_pair(self, regions_a, regions_b, error, message,
                                                   monkeypatch):
-        results = [IndexResult(Method.ABREU, regions_a, np.arange(len(regions_a))),
-                   IndexResult(Method.DELPHI, regions_b, np.arange(len(regions_b)))]
         pairs = []
         monkeypatch.setattr(stats, "_inversions", lambda perm: pairs.append(perm) or 0)
         monkeypatch.setattr(stats, "pearson", lambda x, y: pairs.append((x, y)) or 0.0)
-        with pytest.raises(RegionSetMismatchError, match=f"^{re.escape(message)}$"):
-            build_comparison(results)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build_comparison([
+                IndexResult(Method.ABREU, regions_a, np.arange(len(regions_a))),
+                IndexResult(Method.DELPHI, regions_b, np.arange(len(regions_b))),
+            ])
         assert pairs == []
 
 
